@@ -1,8 +1,8 @@
 """The weighted L2 space of drift integrands and its image under the drift map.
 
 The driver of every model here is a d-dimensional Gaussian martingale whose
-covariation is pi = Sigma Sigma' times a clock.  Drift adjustments live in
-the image of the map J(f)(t) = integral_0^t pi f dmu, and J is an isometry:
+covariation is pi = Sigma Sigma' per unit time.  Drift adjustments live in
+the image of the map J(f)(t) = integral_0^t pi f dt, and J is an isometry:
 the drift-space norm of J(f) equals the weighted L2 norm of f.  This script
 walks through the discrete versions of these facts.
 
@@ -18,7 +18,7 @@ from driftmc.network import ShallowNet
 rng = np.random.default_rng(0)
 
 # --- a 3-dimensional driver on a daily grid --------------------------------
-grid = TimeGrid.uniform(1.0, 252)
+grid = TimeGrid(1.0, 252)
 sigma = np.array([[0.25, 0.00, 0.00],
                   [0.10, 0.20, 0.00],
                   [-0.05, 0.08, 0.30]])

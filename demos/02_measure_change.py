@@ -1,6 +1,6 @@
 """Reweighting paths after a drift adjustment.
 
-Adding the finite-variation part pi f dmu to the Gaussian increments tilts
+Adding the finite-variation part pi f dt to the Gaussian increments tilts
 the sampling measure; multiplying each payoff by the inverse stochastic
 exponential exp(-sum f.dM + |h|^2/2) undoes the tilt in expectation.  This
 script checks both directions numerically on a two-asset Black-Scholes
@@ -17,7 +17,7 @@ from driftmc import (CovariationSpec, ModelSpec, TimeGrid, cameron_martin_map,
 from driftmc.network import ShallowNet
 from driftmc.payoffs import PayoffSpec
 
-grid = TimeGrid.uniform(1.0, 252)
+grid = TimeGrid(1.0, 252)
 sigma = np.array([[0.25, 0.05], [0.05, 0.20]])
 spec = CovariationSpec(sigma, grid)
 rng = np.random.default_rng(1)

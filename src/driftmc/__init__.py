@@ -13,14 +13,12 @@ from .covariation import (CovariationSpec, DriftEvaluation, TimeGrid,
                           log_likelihood_inverse, sample_increments)
 from .engine import (ComparisonRow, EstimatorReport, compare, estimate_is,
                      estimate_plain)
-from .models import ModelSpec, PathBatch, Violation, simulate, split_driver, validate
+from .models import ModelSpec, PathBatch, Violation, simulate, validate
 from .network import (AdamState, ShallowNet, adam_step, antiderivative_net,
                       backward, forward, init_net, load_checkpoint,
                       save_checkpoint)
-from .payoffs import (PayoffSpec, basket_weights, evaluate, evaluate_batch,
-                      knockout_indicator)
-from .training import (TrainConfig, TrainTrace, objective_batch, train,
-                       variance_ratio)
+from .payoffs import PayoffSpec, basket_weights, evaluate_batch
+from .training import TrainConfig, TrainTrace, train, variance_ratio
 from .config import default_recipe, resolve_config, sample_parameters
 
 __version__ = "0.1.0"
@@ -30,10 +28,9 @@ __all__ = [
     "EstimatorReport", "ModelSpec", "PathBatch", "PayoffSpec", "ShallowNet",
     "TimeGrid", "TrainConfig", "TrainTrace", "Violation", "adam_step",
     "antiderivative_net", "backward", "basket_weights", "cameron_martin_map",
-    "compare", "default_recipe", "estimate_is", "estimate_plain", "evaluate",
-    "evaluate_batch", "forward", "init_net", "knockout_indicator",
-    "lambda2_inner", "load_checkpoint", "log_likelihood_inverse",
-    "objective_batch", "resolve_config", "sample_increments",
-    "sample_parameters", "save_checkpoint", "simulate", "split_driver",
+    "compare", "default_recipe", "estimate_is", "estimate_plain",
+    "evaluate_batch", "forward", "init_net", "lambda2_inner",
+    "load_checkpoint", "log_likelihood_inverse", "resolve_config",
+    "sample_increments", "sample_parameters", "save_checkpoint", "simulate",
     "train", "validate", "variance_ratio",
 ]

@@ -10,17 +10,15 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import (build_grid, build_model, build_payoff, dump_config,
-                     load_config, resolve_config)
-from .covariation import CovariationSpec
-from .engine import (REPORT_FIELDS, estimate_plain, report_from_dict,
-                     report_to_dict, compare, comparison_to_dict, rows_to_csv,
-                     COMPARISON_FIELDS)
+from .config import (build_model, build_scenario, dump_config, load_config,
+                     resolve_config)
+from .engine import (COMPARISON_FIELDS, REPORT_FIELDS, compare,
+                     comparison_to_dict, csv_text, estimate_plain,
+                     report_from_dict, report_to_dict)
 from .errors import (ConfigError, DriftmcError, ModelValidationError,
                      NonFiniteError, SimulationError, WeightOverflowError)
 from .models import validate
 from .pipeline import price_with_checkpoint, run, run_label, train_drift
-from .training import variance_ratio
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,24 +93,23 @@ def _build_parser():
     return parser
 
 
-def _emit(payload, fields, fmt, out):
+def _emit(row, fields, fmt, out):
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        if out:
-            Path(out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        text = json.dumps(row, indent=2, sort_keys=True) + "\n"
     else:
-        rows = payload if isinstance(payload, list) else [payload]
-        if out:
-            rows_to_csv(rows, fields, out)
-        else:
-            sys.stdout.write(",".join(fields) + "\n")
-            for row in rows:
-                sys.stdout.write(",".join(
-                    "" if row[f] is None else repr(row[f])
-                    if isinstance(row[f], float) else str(row[f])
-                    for f in fields) + "\n")
+        text = csv_text([row], fields)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
+def _sample_size(args, cfg):
+    """``--n`` if given (a non-positive value is refused by the estimator),
+    else the first configured sample size."""
+    if args.n is not None:
+        return args.n
+    return int(cfg["estimation"]["sample_sizes"][0])
 
 
 def _load_report(path):
@@ -143,17 +140,12 @@ def _cmd_sample_params(args):
 
 def _cmd_price(args):
     cfg = resolve_config(load_config(args.config))
-    model = build_model(cfg)
-    violations = validate(model)
-    if violations:
-        raise ModelValidationError(violations)
-    payoff = build_payoff(cfg)
-    grid = build_grid(cfg)
-    cov = CovariationSpec(model.sigma, grid)
-    n = args.n or int(cfg["estimation"]["sample_sizes"][0])
+    sc = build_scenario(cfg)
     seed = args.seed if args.seed is not None else int(cfg["estimation"]["seed"])
-    report = estimate_plain(model, payoff, grid, cov, seed=seed, n=n,
-                            label=run_label(cfg), threads=args.threads,
+    report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, seed=seed,
+                            n=_sample_size(args, cfg), label=run_label(cfg),
+                            threads=args.threads,
+                            block_size=int(cfg["estimation"]["block_size"]),
                             dump_path=args.dump_paths)
     _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
     return EXIT_OK
@@ -164,12 +156,7 @@ def _cmd_train(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_config(cfg, out_dir / "resolved_config.json")
-    model = build_model(cfg)
-    violations = validate(model)
-    if violations:
-        raise ModelValidationError(violations)
-    payoff = build_payoff(cfg)
-    _, trace = train_drift(cfg, model, payoff, out_dir=out_dir)
+    _, trace = train_drift(cfg, build_scenario(cfg), out_dir=out_dir)
     if trace.halted_reason:
         raise NonFiniteError(trace.halted_reason)
     print(f"checkpoint written to {out_dir / 'checkpoint.json'}")
@@ -178,9 +165,9 @@ def _cmd_train(args):
 
 def _cmd_price_is(args):
     cfg = resolve_config(load_config(args.config))
-    n = args.n or int(cfg["estimation"]["sample_sizes"][0])
     seed = args.seed if args.seed is not None else int(cfg["estimation"]["seed"]) + 1
-    report = price_with_checkpoint(cfg, args.checkpoint, n=n, seed=seed,
+    report = price_with_checkpoint(cfg, args.checkpoint,
+                                   n=_sample_size(args, cfg), seed=seed,
                                    threads=args.threads,
                                    dump_path=args.dump_paths)
     _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
@@ -191,10 +178,7 @@ def _cmd_compare(args):
     report_mc = _load_report(args.mc_report)
     report_is = _load_report(args.is_report)
     row = compare(report_mc, report_is)
-    vr = variance_ratio(report_mc, report_is)
-    payload = comparison_to_dict(row)
-    payload["vr"] = vr
-    _emit(payload, COMPARISON_FIELDS, args.format, args.out)
+    _emit(comparison_to_dict(row), COMPARISON_FIELDS, args.format, args.out)
     return EXIT_OK
 
 

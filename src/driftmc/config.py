@@ -11,11 +11,12 @@ import copy
 import json
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .covariation import TimeGrid
-from .errors import ConfigError
+from .covariation import CovariationSpec, TimeGrid
+from .errors import ConfigError, ModelValidationError
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec, validate)
 from .payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT, PayoffSpec,
@@ -303,7 +304,29 @@ def build_payoff(cfg):
 def build_grid(cfg):
     block = cfg["grid"]
     n_steps = max(1, round(block["horizon"] / block["dt"]))
-    return TimeGrid.uniform(block["horizon"], n_steps)
+    return TimeGrid(block["horizon"], n_steps)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Everything a pricing or training run simulates from."""
+
+    model: ModelSpec
+    payoff: PayoffSpec
+    grid: TimeGrid
+    cov: CovariationSpec
+
+
+def build_scenario(cfg):
+    """The validated scenario of a resolved config; ``cov`` carries the
+    model's sigma on the config's grid."""
+    model = build_model(cfg)
+    violations = validate(model)
+    if violations:
+        raise ModelValidationError(violations)
+    payoff = build_payoff(cfg)
+    grid = build_grid(cfg)
+    return Scenario(model, payoff, grid, CovariationSpec(model.sigma, grid))
 
 
 def build_train_config(cfg):
@@ -316,8 +339,6 @@ def build_train_config(cfg):
         beta1=block["beta1"],
         beta2=block["beta2"],
         eps=block["eps"],
-        horizon=cfg["grid"]["horizon"],
-        dt=cfg["grid"]["dt"],
         seed=int(block["seed"]),
         resample=block["resample"],
         clip_threshold=block["clip_threshold"],

@@ -1,13 +1,12 @@
 """Discretized covariation structure of the Gaussian driver.
 
 The driver is a d-dimensional continuous martingale whose quadratic
-covariation factors into a constant symmetric matrix ``pi = sigma @ sigma.T``
-and a clock measure carried by per-step masses on a time grid.  This module
-provides the weighted inner product induced by that pair, the linear map
-sending an integrand to its cumulative drift adjustment (an isometry onto the
-space of admissible drifts), increment sampling, and the log-density of the
-inverse stochastic exponential used to reweight paths after a change of
-measure.
+covariation is a constant symmetric matrix ``pi = sigma @ sigma.T`` times
+Lebesgue time on a uniform grid.  This module provides the weighted inner
+product induced by that pair, the linear map sending an integrand to its
+cumulative drift adjustment (an isometry onto the space of admissible
+drifts), increment sampling, and the log-density of the inverse stochastic
+exponential used to reweight paths after a change of measure.
 
 All integrands are sampled at the left endpoint of each grid interval, the
 same convention the Euler scheme uses for SDE coefficients.
@@ -28,72 +27,42 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Nodes 0 = t_0 < ... < t_K = horizon plus per-interval clock masses.
+    """Uniform grid 0 = t_0 < ... < t_K = horizon with K = n_steps.
 
-    ``step_masses[k]`` is the clock mass of the interval (t_k, t_{k+1}];
-    for the default uniform grid with Lebesgue clock it equals the step
-    length.  Keeping masses explicit lets absolutely continuous and
-    structurally singular clocks share one code path.
+    ``step_lengths[k]`` is the length horizon / n_steps of the interval
+    (t_k, t_{k+1}]; the Euler scheme, increment sampling, the drift map and
+    the payoff quadrature all read it.
     """
 
     horizon: float
-    times: np.ndarray
-    step_masses: np.ndarray
+    n_steps: int
+    times: np.ndarray = field(init=False)
+    step_lengths: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        times = _readonly(self.times)
-        masses = _readonly(self.step_masses)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "step_masses", masses)
-        if times.ndim != 1 or times.size < 2:
-            raise DimensionError("grid needs at least two nodes")
-        if masses.shape != (times.size - 1,):
-            raise DimensionError("need one clock mass per interval")
-        if times[0] != 0.0 or not np.isclose(times[-1], self.horizon):
-            raise ValueError("grid must start at 0 and end at the horizon")
-        if np.any(np.diff(times) <= 0.0):
-            raise ValueError("grid times must be strictly increasing")
-        if np.any(masses < 0.0):
-            raise ValueError("clock masses must be nonnegative")
-        if masses.sum() <= 0.0:
-            raise ValueError("total clock mass must be positive")
-
-    @classmethod
-    def uniform(cls, horizon, n_steps):
-        """Equally spaced grid with Lebesgue clock (mass = step length)."""
-        if n_steps < 1:
+        if not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
+        if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
-        times = np.linspace(0.0, horizon, n_steps + 1)
-        dt = horizon / n_steps
-        return cls(horizon=float(horizon), times=times,
-                   step_masses=np.full(n_steps, dt))
-
-    @property
-    def n_steps(self):
-        return self.times.size - 1
+        object.__setattr__(self, "horizon", float(self.horizon))
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "times", _readonly(
+            np.linspace(0.0, self.horizon, self.n_steps + 1)))
+        object.__setattr__(self, "step_lengths", _readonly(
+            np.full(self.n_steps, self.horizon / self.n_steps)))
 
     @property
     def left_times(self):
         return self.times[:-1]
 
-    @property
-    def step_lengths(self):
-        return np.diff(self.times)
-
 
 @dataclass(frozen=True)
 class CovariationSpec:
-    """Diffusion matrix and derived covariation density on a grid.
-
-    ``pi = sigma @ sigma.T`` is constant in time; a per-step table
-    ``pi_steps`` of shape (n_steps, d, d) may be supplied to override it in
-    the inner product and the drift map (increment sampling always uses
-    ``sigma``).
-    """
+    """Diffusion matrix and its covariation density ``pi = sigma sigma'``
+    on a grid."""
 
     sigma: np.ndarray
     grid: TimeGrid
-    pi_steps: np.ndarray | None = None
     pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -106,13 +75,6 @@ class CovariationSpec:
         if np.any(np.linalg.norm(sigma, axis=1) == 0.0):
             raise ValueError("sigma must not contain a zero row")
         object.__setattr__(self, "pi", _readonly(sigma @ sigma.T))
-        if self.pi_steps is not None:
-            pi_steps = _readonly(self.pi_steps)
-            object.__setattr__(self, "pi_steps", pi_steps)
-            want = (self.grid.n_steps, sigma.shape[0], sigma.shape[0])
-            if pi_steps.shape != want:
-                raise DimensionError(
-                    f"pi_steps must have shape {want}, got {pi_steps.shape}")
 
     @property
     def d(self):
@@ -145,15 +107,8 @@ def _check_grid_values(f, spec, name):
     return f
 
 
-def _pi_contract(f, spec):
-    """Return the array with rows pi_k f_k."""
-    if spec.pi_steps is None:
-        return f @ spec.pi
-    return np.einsum("kde,ke->kd", spec.pi_steps, f)
-
-
 def lambda2_inner(f, g, spec):
-    """Weighted inner product  sum_k f_k' pi_k g_k  dmu_k.
+    """Weighted inner product  sum_k f_k' pi g_k  dt_k.
 
     The induced seminorm can vanish on nonzero integrands when ``pi`` is
     singular; equality of drifts is always tested through this form, never
@@ -161,20 +116,20 @@ def lambda2_inner(f, g, spec):
     """
     f = _check_grid_values(f, spec, "f")
     g = _check_grid_values(g, spec, "g")
-    terms = np.sum(_pi_contract(f, spec) * g, axis=1) * spec.grid.step_masses
+    terms = np.sum((f @ spec.pi) * g, axis=1) * spec.grid.step_lengths
     return float(np.sum(terms))
 
 
 def cameron_martin_map(f, spec):
     """Map a grid-sampled integrand to its cumulative drift adjustment.
 
-    Increments are pi_k f_k dmu_k, accumulated from zero.  The squared norm
+    Increments are pi f_k dt_k, accumulated from zero.  The squared norm
     is recovered from the accumulated increments rather than from
     ``lambda2_inner`` so the discrete isometry is validated through two
     separate floating-point routes.
     """
     f = _check_grid_values(f, spec, "f")
-    increments = _pi_contract(f, spec) * spec.grid.step_masses[:, None]
+    increments = (f @ spec.pi) * spec.grid.step_lengths[:, None]
     cumulative = np.zeros((spec.grid.n_steps + 1, spec.d))
     np.cumsum(increments, axis=0, out=cumulative[1:])
     steps = cumulative[1:] - cumulative[:-1]
@@ -186,14 +141,14 @@ def cameron_martin_map(f, spec):
 def sample_increments(spec, rng, n_paths):
     """Draw driver increments for ``n_paths`` paths.
 
-    Step k is sigma z sqrt(dmu_k) with z standard normal, so its covariance
-    is pi dmu_k; increments are independent across steps and paths.  Returns
+    Step k is sigma z sqrt(dt_k) with z standard normal, so its covariance
+    is pi dt_k; increments are independent across steps and paths.  Returns
     shape (n_paths, n_steps, d); ``n_paths = 0`` yields an empty batch.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
     z = rng.standard_normal((n_paths, spec.grid.n_steps, spec.d))
-    scaled = z * np.sqrt(spec.grid.step_masses)[None, :, None]
+    scaled = z * np.sqrt(spec.grid.step_lengths)[None, :, None]
     return scaled @ spec.sigma.T
 
 

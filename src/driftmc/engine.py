@@ -10,12 +10,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import WeightOverflowError
 from .models import simulate
-from .payoffs import evaluate_batch
+from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
 from .training import MAX_LOG_WEIGHT, variance_ratio
 from . import streams
@@ -59,15 +60,6 @@ class _BlockResult:
     states: np.ndarray | None
 
 
-def _payoff_batch(payoff, states, grid):
-    # duck-typed escape hatch: payoff objects may bring their own batch
-    # evaluator (test oracles price terminal-value payoffs this way)
-    custom = getattr(payoff, "evaluate_batch", None)
-    if custom is not None:
-        return custom(states, grid)
-    return evaluate_batch(payoff, states, grid)
-
-
 def _block_plan(total, block_size):
     """Fixed partition of the sample into (index, start, size) blocks."""
     blocks = []
@@ -80,14 +72,10 @@ def _block_plan(total, block_size):
 
 
 def _simulate_block(model, payoff, grid, cov, drift, seed, index, size,
-                    discount_cents, keep_states, zero_noise):
+                    discount_cents, keep_states):
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    forced = None
-    if zero_noise:
-        forced = np.zeros((size, grid.n_steps, cov.d))
-    batch = simulate(model, grid, cov, drift=drift, rng=rng, n_paths=size,
-                     driver_increments=forced)
-    pay = _payoff_batch(payoff, batch.states, grid)
+    batch = simulate(model, grid, cov, drift=drift, rng=rng, n_paths=size)
+    pay = evaluate_batch(payoff, batch.states, grid)
     if drift is None:
         values = pay.values * discount_cents
     else:
@@ -120,9 +108,10 @@ def _dump_block(fh, states, start):
 
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
-              block_size, dump_path, zero_noise=False):
+              block_size, dump_path):
     if n <= 0:
         raise ValueError("sample size must be positive")
+    check_width(payoff, model.n)
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
     blocks = _block_plan(n, block_size)
@@ -130,8 +119,7 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     def worker(block):
         index, start, size = block
         return _simulate_block(model, payoff, grid, cov, drift, seed, index,
-                               size, discount_cents, dump_path is not None,
-                               zero_noise)
+                               size, discount_cents, dump_path is not None)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -154,13 +142,11 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
                 _dump_block(fh, res.states, start)
 
     mean = moments.mean
-    se = moments.standard_error()
-    if se == 0.0:
-        se_pct = 0.0
-    elif mean == 0.0:
+    # An all-zero sample has no relative error to speak of: never "exact".
+    if mean == 0.0:
         se_pct = math.inf
     else:
-        se_pct = 100.0 * se / abs(mean)
+        se_pct = 100.0 * moments.standard_error() / abs(mean)
     return EstimatorReport(
         label=label,
         measure="P" if drift is None else "P_h",
@@ -176,15 +162,10 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
 
 
 def estimate_plain(model, payoff, grid, cov, seed, n, label="run", threads=1,
-                   block_size=DEFAULT_BLOCK_SIZE, dump_path=None,
-                   zero_noise=False):
-    """Plain Monte Carlo price estimate under the original measure.
-
-    ``zero_noise`` forces every driver increment to zero, collapsing the
-    estimate onto the deterministic Euler skeleton (a test hook).
-    """
+                   block_size=DEFAULT_BLOCK_SIZE, dump_path=None):
+    """Plain Monte Carlo price estimate under the original measure."""
     return _estimate(model, payoff, grid, cov, None, seed, n, label, threads,
-                     block_size, dump_path, zero_noise=zero_noise)
+                     block_size, dump_path)
 
 
 def estimate_is(model, payoff, grid, cov, drift, seed, n, label="run",
@@ -241,8 +222,9 @@ def compare(report_mc, report_is):
     )
 
 
-def report_to_dict(report, vr=None):
-    """Report as a flat mapping with the stable field names."""
+def report_to_dict(report):
+    """Report as a flat mapping with the stable field names; ``vr`` belongs
+    to a comparison, not to one report, and stays None."""
     return {
         "label": report.label,
         "measure": report.measure,
@@ -251,7 +233,7 @@ def report_to_dict(report, vr=None):
         "se_pct": report.se_pct,
         "kappa": report.kappa,
         "theta": report.theta,
-        "vr": vr,
+        "vr": None,
         "seed": report.seed,
         "per_sample_variance": report.per_sample_variance,
     }
@@ -300,12 +282,17 @@ def _parse_cell(name, text):
     return float(text)
 
 
+def csv_text(rows, fields):
+    """Dict rows as CSV text with lossless (repr) float formatting."""
+    lines = [",".join(fields)]
+    lines += [",".join(_format_cell(row[name]) for name in fields)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def rows_to_csv(rows, fields, path):
-    """Write dict rows as CSV with lossless (repr) float formatting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(row[name]) for name in fields) + "\n")
+    """Write dict rows to ``path`` as :func:`csv_text`."""
+    Path(path).write_text(csv_text(rows, fields), encoding="utf-8")
 
 
 def rows_from_csv(path):

@@ -5,7 +5,7 @@ coordinates move the assets, the last n (when present) move the volatility
 factors, and all cross-correlation is carried by the diffusion matrix.
 Simulation runs either under the original measure or, when a drift network
 is supplied, under the shifted measure obtained by adding the finite
-variation part ``pi f dmu`` to the same Gaussian increments; the per-path
+variation part ``pi f dt`` to the same Gaussian increments; the per-path
 log inverse likelihood then accumulates alongside the states.
 """
 
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariation import cameron_martin_map, log_likelihood_inverse
+from .covariation import (cameron_martin_map, log_likelihood_inverse,
+                          sample_increments)
 from .errors import DimensionError, ModelValidationError, SimulationError
 from .network import forward
 
@@ -177,24 +178,14 @@ class PathBatch:
     measure: str
 
 
-def split_driver(increments, n):
-    """Split driver increments into (asset block, volatility block)."""
-    d = increments.shape[-1]
-    if d != 2 * n:
-        raise DimensionError(f"driver dimension {d} is not 2*{n}")
-    return increments[..., :n], increments[..., n:]
-
-
-def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0,
-             driver_increments=None):
+def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0):
     """Euler-Maruyama paths of the model on the given grid.
 
-    With ``drift`` set, the Gaussian increments are shifted by the finite
-    variation part of the measure change and the log inverse likelihood is
+    The driver increments are drawn by :func:`sample_increments` from
+    ``rng``.  With ``drift`` set, they are shifted by the finite variation
+    part of the measure change and the log inverse likelihood is
     accumulated from those same shifted increments, so a zero drift
-    reproduces the unshifted batch exactly.  ``driver_increments`` (shape
-    (n_paths, n_steps, d), standard normal scale) bypasses the rng; passing
-    zeros gives the deterministic skeleton used by tests.
+    reproduces the unshifted batch exactly.
     """
     violations = validate(spec)
     if violations:
@@ -204,25 +195,16 @@ def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0,
     if drift is not None and drift.output_width != spec.d:
         raise DimensionError("drift output width must match the driver dimension")
 
-    n_steps = grid.n_steps
-    masses = grid.step_masses
-    if driver_increments is not None:
-        z = np.asarray(driver_increments, dtype=np.float64)
-        if z.shape != (n_paths, n_steps, spec.d):
-            raise DimensionError(
-                f"driver_increments must have shape ({n_paths}, {n_steps}, {spec.d})")
-    else:
-        z = rng.standard_normal((n_paths, n_steps, spec.d))
-    dm = (z * np.sqrt(masses)[None, :, None]) @ spec.sigma.T
+    dm = sample_increments(cov, rng, n_paths)
 
     drift_eval = None
     if drift is not None:
         drift_eval = cameron_martin_map(forward(drift, grid.left_times), cov)
-        # Finite variation part of the shifted driver: pi f dmu per step.
+        # Finite variation part of the shifted driver: pi f dt per step.
         dm = dm + (drift_eval.cumulative[1:] - drift_eval.cumulative[:-1])
 
     n = spec.n
-    states = np.empty((n_paths, n_steps + 1, spec.n_state))
+    states = np.empty((n_paths, grid.n_steps + 1, spec.n_state))
     states[:, 0, :n] = spec.s0
     if spec.has_volatility:
         states[:, 0, n:] = spec.v0
@@ -230,7 +212,7 @@ def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0,
     mu, theta, m = spec.mu, spec.reversion, spec.mean_level
     # Overflow is detected explicitly below; do not warn along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        _euler_loop(spec, states, dm, masses, mu, theta, m)
+        _euler_loop(spec, states, dm, grid.step_lengths, mu, theta, m)
 
     bad = np.nonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
     if bad.size:
@@ -249,10 +231,10 @@ def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0,
                      log_inverse_likelihood=log_lr, measure=measure)
 
 
-def _euler_loop(spec, states, dm, masses, mu, theta, m):
+def _euler_loop(spec, states, dm, steps, mu, theta, m):
     n = spec.n
     for k in range(dm.shape[1]):
-        h = masses[k]
+        h = steps[k]
         s = states[:, k, :n]
         if spec.tag == BLACK_SCHOLES:
             states[:, k + 1, :n] = s + s * (mu * h) + s * dm[:, k, :]

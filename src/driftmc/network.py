@@ -230,10 +230,10 @@ def adam_step(params, grad, state):
 def antiderivative_net(net):
     """Closed-form evaluator of t -> integral_0^t forward(net, s) ds.
 
-    Only valid for a scalar output with unit covariation density and a
-    Lebesgue clock, where the integral of each hidden unit is the same unit
-    with the activation replaced by its antiderivative (log-cosh for tanh,
-    softplus for logistic) plus a linear term for the output bias.
+    Only valid for a scalar output with unit covariation density, where the
+    integral of each hidden unit is the same unit with the activation
+    replaced by its antiderivative (log-cosh for tanh, softplus for
+    logistic) plus a linear term for the output bias.
     """
     if net.output_width != 1:
         raise UnsupportedConfigError("closed-form integral needs output width 1")

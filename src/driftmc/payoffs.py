@@ -60,6 +60,13 @@ class PayoffSpec:
         return self.tag == ASIAN_BASKET_KNOCKOUT
 
 
+def check_width(spec, n_assets):
+    """Reject a basket whose width differs from the model's asset count."""
+    if spec.n_assets != n_assets:
+        raise DimensionError(f"payoff has {spec.n_assets} weights but the "
+                             f"model has {n_assets} assets")
+
+
 def basket_weights(mu, sigma):
     """Risk-adjusted weights mu_k / |sigma row k|, normalized to sum to 1.
 
@@ -132,21 +139,3 @@ def evaluate_batch(spec, states, grid):
         knocked = ~alive
         values = values * alive
     return PayoffBatch(values=values, above_strike=above, knocked_out=knocked)
-
-
-def evaluate(spec, path, grid):
-    """Payoff of a single trajectory of shape (n_steps+1, n_state)."""
-    path = np.asarray(path, dtype=np.float64)
-    if path.ndim != 2:
-        raise DimensionError("path must have shape (n_steps+1, n_state)")
-    return float(evaluate_batch(spec, path[None], grid).values[0])
-
-
-def knockout_indicator(spec, path, grid):
-    """1 iff the weighted basket stays strictly inside (lower, upper)."""
-    if not spec.has_barriers:
-        raise ValueError("payoff has no barriers")
-    path = np.asarray(path, dtype=np.float64)
-    basket = path[:, :spec.n_assets] @ spec.weights
-    inside = (basket > spec.lower) & (basket < spec.upper)
-    return int(inside.all())

@@ -11,13 +11,11 @@ import json
 import logging
 from pathlib import Path
 
-from .config import (build_grid, build_model, build_payoff, build_train_config,
-                     dump_config, resolve_config)
-from .covariation import CovariationSpec
+from .config import (build_scenario, build_train_config, dump_config,
+                     resolve_config)
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
                      estimate_is, estimate_plain, report_to_dict, rows_to_csv)
-from .errors import DriftmcError, ModelValidationError
-from .models import validate
+from .errors import DriftmcError
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train
 from . import streams
@@ -38,13 +36,15 @@ def run_label(cfg):
     return f"{tag}-{kind}"
 
 
-def train_drift(cfg, model, payoff, out_dir=None):
-    """Train the drift network of a resolved config; optionally persist."""
+def train_drift(cfg, sc, out_dir=None):
+    """Train the drift network of a resolved config on its scenario ``sc``;
+    optionally persist."""
     train_cfg = build_train_config(cfg)
     rng = streams.substream(train_cfg.seed, streams.TRAIN, 999_999)
-    net = init_net(cfg["training"]["hidden_width"], model.d,
+    net = init_net(cfg["training"]["hidden_width"], sc.model.d,
                    activation=cfg["training"]["activation"], rng=rng)
-    trained, trace = train(net, model, payoff, train_cfg)
+    trained, trace = train(net, sc.model, sc.payoff, sc.grid, sc.cov,
+                           train_cfg)
     if out_dir is not None:
         out_dir = Path(out_dir)
         save_checkpoint(trained, out_dir / "checkpoint.json")
@@ -69,13 +69,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
             return []
 
         stage = "validate"
-        model = build_model(cfg)
-        violations = validate(model)
-        if violations:
-            raise ModelValidationError(violations)
-        payoff = build_payoff(cfg)
-        grid = build_grid(cfg)
-        cov = CovariationSpec(model.sigma, grid)
+        sc = build_scenario(cfg)
         label = run_label(cfg)
         sizes = [int(s) for s in cfg["estimation"]["sample_sizes"]]
         est_seed = int(cfg["estimation"]["seed"])
@@ -85,7 +79,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
         plain_reports = []
         for j, n in enumerate(sizes):
             dump = out_dir / f"paths_plain_n{n}.csv" if dump_paths else None
-            report = estimate_plain(model, payoff, grid, cov,
+            report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov,
                                     seed=est_seed + 2 * j, n=n, label=label,
                                     threads=threads, block_size=block_size,
                                     dump_path=dump)
@@ -94,7 +88,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
             plain_reports.append(report)
 
         stage = "train"
-        drift, trace = train_drift(cfg, model, payoff, out_dir=out_dir)
+        drift, trace = train_drift(cfg, sc, out_dir=out_dir)
         if trace.halted_reason:
             log.warning("training halted early: %s", trace.halted_reason)
 
@@ -102,7 +96,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
         is_reports = []
         for j, n in enumerate(sizes):
             dump = out_dir / f"paths_is_n{n}.csv" if dump_paths else None
-            report = estimate_is(model, payoff, grid, cov, drift,
+            report = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift,
                                  seed=est_seed + 2 * j + 1, n=n, label=label,
                                  threads=threads, block_size=block_size,
                                  dump_path=dump)
@@ -135,15 +129,11 @@ def _emit_reports(out_dir, plain_reports, is_reports, rows, formats):
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1,
                           dump_path=None):
-    """One importance-sampled estimate driven by a stored checkpoint."""
-    model = build_model(cfg)
-    violations = validate(model)
-    if violations:
-        raise ModelValidationError(violations)
-    payoff = build_payoff(cfg)
-    grid = build_grid(cfg)
-    cov = CovariationSpec(model.sigma, grid)
+    """One importance-sampled estimate driven by a stored checkpoint, in
+    the blocks of the config's ``estimation.block_size``."""
+    sc = build_scenario(cfg)
     drift = load_checkpoint(checkpoint_path)
-    return estimate_is(model, payoff, grid, cov, drift, seed=seed, n=n,
-                       label=run_label(cfg), threads=threads,
+    return estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift, seed=seed,
+                       n=n, label=run_label(cfg), threads=threads,
+                       block_size=int(cfg["estimation"]["block_size"]),
                        dump_path=dump_path)

@@ -28,13 +28,6 @@ class RunningMoments:
         m2 = float(np.sum((values - mean) ** 2))
         return cls(count=n, mean=mean, m2=m2)
 
-    def update(self, value):
-        """Fold one observation into the accumulator."""
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
     def merge(self, other):
         """Return the accumulator for the concatenated sample."""
         if other.count == 0:

@@ -7,7 +7,7 @@ The objective for a drift with integrand f is
 estimated on batches simulated under the ORIGINAL measure, so the squared
 payoff carries no dependence on the network parameters and the gradient is
 an exact pathwise derivative of the batch estimate: the cotangent of f at
-step k is (-dM_k + pi f_k dmu_k), scaled per path by the weighted squared
+step k is (-dM_k + pi f_k dt_k), scaled per path by the weighted squared
 payoff.  Training is plain Adam on fresh batches, keeping the parameter
 vector whose smoothed objective was lowest.
 """
@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariation import CovariationSpec, TimeGrid, cameron_martin_map
+from .covariation import cameron_martin_map
 from .errors import WeightOverflowError
 from .network import AdamState, adam_step, backward_grid, forward
 from .models import simulate
-from .payoffs import evaluate_batch
+from .payoffs import check_width, evaluate_batch
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -43,8 +43,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    horizon: float = 1.0
-    dt: float = 1.0 / 252.0
     seed: int = 0
     resample: str = "fresh"          # "fresh" or "fixed" training set
     clip_threshold: float | None = None
@@ -57,9 +55,6 @@ class TrainConfig:
             raise ValueError("resample must be 'fresh' or 'fixed'")
         if self.smooth_window < 1:
             raise ValueError("smooth_window must be positive")
-
-    def make_grid(self):
-        return TimeGrid.uniform(self.horizon, max(1, round(self.horizon / self.dt)))
 
 
 @dataclass
@@ -95,16 +90,20 @@ class TrainingBatch:
 
 def simulate_training_batch(model, payoff, grid, cov, rng, batch_size):
     """Draw one training batch under the original measure."""
+    check_width(payoff, model.n)
     batch = simulate(model, grid, cov, drift=None, rng=rng, n_paths=batch_size)
     values = evaluate_batch(payoff, batch.states, grid).values
     return TrainingBatch(payoff_sq=values**2, increments=batch.increments)
 
 
 def objective_on_batch(net, batch, grid, cov):
-    """Objective estimate and exact parameter gradient on a fixed batch.
+    """Objective estimate, exact parameter gradient and drift norm on a
+    fixed batch; returns (v_hat, grad, h_norm_sq).
 
     Separating this from the batch draw gives common-random-number
-    evaluations for free: perturb the net, keep the batch.
+    evaluations for free: perturb the net, keep the batch.  A batch whose
+    payoffs are all zero is uninformative (the deep out-of-the-money
+    regime) and yields a zero objective and gradient.
     """
     b = batch.payoff_sq.size
     drift = cameron_martin_map(forward(net, grid.left_times), cov)
@@ -117,34 +116,22 @@ def objective_on_batch(net, batch, grid, cov):
     per_path = batch.payoff_sq * np.exp(log_w) / b
     v_hat = float(np.sum(per_path))
     if not np.any(batch.payoff_sq):
-        return 0.0, np.zeros(net.n_params)
-    # d log_w / d f_k  =  -dM_k + pi f_k dmu_k; aggregate paths first.
-    pi_f_dmu = drift.cumulative[1:] - drift.cumulative[:-1]
+        return 0.0, np.zeros(net.n_params), drift.h_norm_sq
+    # d log_w / d f_k  =  -dM_k + pi f_k dt_k; aggregate paths first.
+    pi_f_dt = drift.cumulative[1:] - drift.cumulative[:-1]
     upstream = -np.einsum("p,pkd->kd", per_path, batch.increments) \
-        + np.sum(per_path) * pi_f_dmu
+        + np.sum(per_path) * pi_f_dt
     grad = backward_grid(net, grid.left_times, upstream)
-    return v_hat, grad
+    return v_hat, grad, drift.h_norm_sq
 
 
-def objective_batch(net, model, payoff, grid, cov, rng, batch_size):
-    """Draw a fresh batch under the original measure and evaluate V and its
-    gradient on it.  A batch whose payoffs are all zero is uninformative
-    (the deep out-of-the-money regime) and yields (0, 0)."""
-    batch = simulate_training_batch(model, payoff, grid, cov, rng, batch_size)
-    if not np.any(batch.payoff_sq):
-        log.warning("uninformative batch: every payoff is zero")
-    return objective_on_batch(net, batch, grid, cov)
-
-
-def train(net, model, payoff, config):
-    """Run Adam on the objective; returns (best net, trace).
+def train(net, model, payoff, grid, cov, config):
+    """Run Adam on the objective over ``grid``; returns (best net, trace).
 
     Fresh paths per step by default; the "fixed" policy reuses one batch for
     deterministic convergence studies.  A non-finite objective or gradient
     halts the run and the best checkpoint so far is returned.
     """
-    grid = config.make_grid()
-    cov = CovariationSpec(model.sigma, grid)
     trace = TrainTrace()
     total = config.epochs * config.steps_per_epoch
     if total == 0:
@@ -170,7 +157,7 @@ def train(net, model, payoff, config):
             batch = simulate_training_batch(model, payoff, grid, cov, rng,
                                             config.batch_size)
         current = net.with_params(params)
-        v_hat, grad = objective_on_batch(current, batch, grid, cov)
+        v_hat, grad, h_norm_sq = objective_on_batch(current, batch, grid, cov)
         if v_hat == 0.0 and not np.any(grad):
             trace.uninformative_steps += 1
         if not (np.isfinite(v_hat) and np.all(np.isfinite(grad))):
@@ -178,8 +165,7 @@ def train(net, model, payoff, config):
             log.error(trace.halted_reason)
             break
         trace.v_hat.append(v_hat)
-        h_norm = cameron_martin_map(forward(current, grid.left_times), cov).h_norm_sq
-        trace.h_norm_sq.append(h_norm)
+        trace.h_norm_sq.append(h_norm_sq)
 
         window.append(v_hat)
         if len(window) > config.smooth_window:

@@ -109,6 +109,39 @@ class TestPriceCommands:
         assert row["n"] == 400
         assert row["vr"] > 0.0
 
+    def test_price_commands_reproduce_run(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out_dir = tmp_path / "full"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 0
+        reports = json.loads((out_dir / "reports.json").read_text())["reports"]
+        plain, is_ = (next(r for r in reports
+                           if r["n"] == 400 and r["measure"] == measure)
+                      for measure in ("P", "P_h"))
+        mc_file = tmp_path / "mc.json"
+        is_file = tmp_path / "is.json"
+        assert main(["price", "--config", str(cfg), "--n", "400",
+                     "--seed", "7", "--out", str(mc_file)]) == 0
+        assert main(["price-is", "--config", str(cfg), "--checkpoint",
+                     str(out_dir / "checkpoint.json"), "--n", "400",
+                     "--out", str(is_file)]) == 0
+        assert json.loads(mc_file.read_text()) == plain
+        assert json.loads(is_file.read_text()) == is_
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_sample_size_is_config_error(self, tmp_path, n):
+        cfg = write_config(tmp_path)
+        assert main(["price", "--config", str(cfg), "--n", n]) == 2
+
+    def test_price_csv_to_stdout(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["price", "--config", str(cfg), "--n", "64",
+                     "--format", "csv"]) == 0
+        header, row, end = capsys.readouterr().out.split("\n")
+        assert header.split(",")[:3] == ["label", "measure", "n"]
+        assert row.split(",")[1:3] == ["P", "64"]
+        assert end == ""
+
     def test_price_dump_paths(self, tmp_path):
         cfg = write_config(tmp_path)
         dump = tmp_path / "paths.csv"

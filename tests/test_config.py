@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
-                            build_train_config, default_recipe, dump_config,
-                            resolve_config, sample_parameters)
+                            build_scenario, build_train_config,
+                            default_recipe, dump_config, resolve_config,
+                            sample_parameters)
 from driftmc.errors import ConfigError
 from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, validate
 
@@ -113,9 +114,13 @@ class TestResolveConfig:
         grid = build_grid(cfg)
         assert grid.n_steps == 252
         train_cfg = build_train_config(cfg)
-        assert train_cfg.dt == cfg["grid"]["dt"]
+        assert train_cfg.batch_size == cfg["training"]["batch_size"]
         payoff = build_payoff(cfg)
         assert payoff.n_assets == 2
+        sc = build_scenario(cfg)
+        assert (sc.grid.horizon, sc.grid.n_steps) == (1.0, 252)
+        np.testing.assert_array_equal(sc.cov.sigma, model.sigma)
+        assert sc.cov.grid is sc.grid
 
     def test_dump_is_deterministic(self, tmp_path):
         cfg = resolve_config({"model": {"tag": "black_scholes", "n": 2}})

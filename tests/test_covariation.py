@@ -11,33 +11,34 @@ from driftmc.errors import DimensionError, NonFiniteError
 
 def uniform_spec(sigma, horizon=1.0, n_steps=64):
     return CovariationSpec(np.asarray(sigma, dtype=float),
-                           TimeGrid.uniform(horizon, n_steps))
+                           TimeGrid(horizon, n_steps))
 
 
 class TestTimeGrid:
     def test_uniform_masses_sum_to_horizon(self):
-        grid = TimeGrid.uniform(2.0, 10)
+        grid = TimeGrid(2.0, 10)
         assert grid.n_steps == 10
-        np.testing.assert_allclose(grid.step_masses.sum(), 2.0)
-        np.testing.assert_allclose(grid.step_lengths, 0.2)
-
-    def test_rejects_decreasing_times(self):
-        with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, times=[0.0, 0.6, 0.5, 1.0],
-                     step_masses=[0.1, 0.1, 0.1])
+        np.testing.assert_allclose(grid.times, np.linspace(0.0, 2.0, 11))
+        np.testing.assert_allclose(grid.step_lengths.sum(), 2.0)
+        np.testing.assert_array_equal(grid.step_lengths, 0.2)
 
     def test_rejects_zero_total_mass(self):
+        # the total step length is the horizon
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, times=[0.0, 0.5, 1.0], step_masses=[0.0, 0.0])
+            TimeGrid(0.0, 2)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
-            TimeGrid(horizon=1.0, times=[0.0, 0.5, 1.0], step_masses=[0.5, -0.5])
+            TimeGrid(-1.0, 2)
 
-    def test_singular_clock_allowed(self):
-        # all mass on one interval is a legal (structurally singular) clock
-        grid = TimeGrid(horizon=1.0, times=[0.0, 0.5, 1.0], step_masses=[0.0, 1.0])
-        assert grid.step_masses[0] == 0.0
+    def test_rejects_no_steps(self):
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, 0)
+
+    def test_read_only(self):
+        grid = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError):
+            grid.step_lengths[0] = 0.5
 
 
 class TestCovariationSpec:
@@ -52,11 +53,6 @@ class TestCovariationSpec:
     def test_rejects_non_finite(self):
         with pytest.raises(NonFiniteError):
             uniform_spec([[np.inf, 0.0], [0.0, 1.0]])
-
-    def test_pi_steps_shape_checked(self):
-        grid = TimeGrid.uniform(1.0, 4)
-        with pytest.raises(DimensionError):
-            CovariationSpec(np.eye(2), grid, pi_steps=np.zeros((3, 2, 2)))
 
 
 class TestLambda2Inner:
@@ -117,18 +113,6 @@ class TestLambda2Inner:
         g[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             lambda2_inner(f, g, spec)
-
-    def test_per_step_pi_table(self):
-        grid = TimeGrid.uniform(1.0, 8)
-        rng = np.random.default_rng(9)
-        base = rng.standard_normal((2, 2))
-        table = np.repeat((base @ base.T)[None], 8, axis=0)
-        spec_const = CovariationSpec(base, grid)
-        spec_table = CovariationSpec(base, grid, pi_steps=table)
-        f = rng.standard_normal((8, 2))
-        g = rng.standard_normal((8, 2))
-        np.testing.assert_allclose(lambda2_inner(f, g, spec_const),
-                                   lambda2_inner(f, g, spec_table), rtol=1e-14)
 
 
 class TestCameronMartinMap:
@@ -254,10 +238,8 @@ class TestLogLikelihoodInverse:
         # split the steps at 10 and 22; H-norm splits with the same partition
         pieces = 0.0
         for lo, hi in ((0, 10), (10, 22), (22, 30)):
-            sub_grid = TimeGrid(
-                horizon=float(spec.grid.times[hi] - spec.grid.times[lo]),
-                times=spec.grid.times[lo:hi + 1] - spec.grid.times[lo],
-                step_masses=spec.grid.step_masses[lo:hi])
+            sub_grid = TimeGrid(spec.grid.times[hi] - spec.grid.times[lo],
+                                hi - lo)
             sub_spec = CovariationSpec(spec.sigma, sub_grid)
             sub_drift = cameron_martin_map(f[lo:hi], sub_spec)
             pieces += log_likelihood_inverse(sub_drift, dm[lo:hi], sub_spec)

@@ -1,26 +1,30 @@
 """Tests for the block-parallel estimators and report plumbing."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from driftmc import streams
 from driftmc.covariation import CovariationSpec, TimeGrid
-from driftmc.engine import (COMPARISON_FIELDS, EstimatorReport, compare,
-                            comparison_to_dict, estimate_is, estimate_plain,
-                            report_from_dict, report_to_dict, rows_from_csv,
-                            rows_to_csv, _block_plan)
-from driftmc.models import BLACK_SCHOLES, ModelSpec, simulate
+from driftmc.engine import (COMPARISON_FIELDS, REPORT_FIELDS, EstimatorReport,
+                            compare, comparison_to_dict, estimate_is,
+                            estimate_plain, report_from_dict, report_to_dict,
+                            rows_from_csv, rows_to_csv, _block_plan)
+from driftmc.errors import DimensionError
+from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
 from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
                              PayoffSpec, evaluate_batch)
+from driftmc.training import simulate_training_batch
 
 
 def bs_setup(vol=0.2, strike=1.1, n_steps=32):
     model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[vol]], s0=[1.0],
                       rate=0.05)
     payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[1.0], strike=strike)
-    grid = TimeGrid.uniform(1.0, n_steps)
+    grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
     return model, payoff, grid, cov
 
@@ -80,20 +84,35 @@ class TestEstimatePlain:
         ratio = small.se_pct / large.se_pct
         assert 2.0 * 0.8 <= ratio <= 2.0 * 1.2
 
-    def test_constant_payoff_under_zero_noise(self):
+    def test_constant_payoff_under_zero_noise(self, fixed_normals,
+                                              monkeypatch):
         # forced zero increments give a deterministic path, hence a constant
         # payoff c: the report must be exactly 100 * exp(-r u) * c with SE 0
         model, payoff, grid, cov = bs_setup(strike=0.5)
-        batch = simulate(model, grid, cov, n_paths=1,
-                         driver_increments=np.zeros((1, grid.n_steps, 1)))
+        batch = simulate(model, grid, cov, rng=fixed_normals(), n_paths=1)
         c = evaluate_batch(payoff, batch.states, grid).values[0]
         assert c > 0.0
+        monkeypatch.setattr(streams, "substream",
+                            lambda *ids: fixed_normals())
         rep = estimate_plain(model, payoff, grid, cov, seed=0, n=64,
-                             block_size=16, zero_noise=True)
+                             block_size=16)
         assert rep.mean_cents == pytest.approx(100 * math.exp(-0.05) * c,
                                                rel=1e-12)
         assert rep.se_pct == 0.0
         assert rep.per_sample_variance == pytest.approx(0.0, abs=1e-20)
+
+    def test_all_zero_sample_is_not_exact(self, tmp_path):
+        # no path reaches a strike of 50: mean 0 has no relative error
+        model, payoff, grid, cov = bs_setup(strike=50.0)
+        rep = estimate_plain(model, payoff, grid, cov, seed=0, n=256,
+                             label="bs")
+        assert rep.mean_cents == 0.0
+        assert rep.se_pct == math.inf
+        row = report_to_dict(rep)
+        assert json.loads(json.dumps(row))["se_pct"] == math.inf
+        path = tmp_path / "report.csv"
+        rows_to_csv([row], REPORT_FIELDS, path)
+        assert rows_from_csv(path) == [row]
 
     def test_path_dump_written(self, tmp_path):
         model, payoff, grid, cov = bs_setup(n_steps=4)
@@ -106,6 +125,31 @@ class TestEstimatePlain:
         # block-ordered path ids
         ids = [int(line.split(",")[0]) for line in lines[1:]]
         assert ids == sorted(ids)
+
+
+def heston_two_assets():
+    sigma = np.diag([0.5, 0.5, 0.2, 0.2])
+    return ModelSpec(tag=HESTON, mu=[0.05, 0.05], sigma=sigma, s0=[1.0, 1.0],
+                     rate=0.05, mean_level=[0.04, 0.04], reversion=[2.0, 2.0],
+                     v0=[0.04, 0.04])
+
+
+@pytest.mark.parametrize("entry", ["plain", "is", "training"])
+def test_payoff_wider_than_model_rejected(entry):
+    # four weights on two assets would average the variance columns
+    model = heston_two_assets()
+    grid = TimeGrid(1.0, 8)
+    cov = CovariationSpec(model.sigma, grid)
+    payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[0.25] * 4, strike=1.0)
+    drift = init_net(2, model.d, rng=np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        if entry == "plain":
+            estimate_plain(model, payoff, grid, cov, seed=0, n=16)
+        elif entry == "is":
+            estimate_is(model, payoff, grid, cov, drift, seed=0, n=16)
+        else:
+            simulate_training_batch(model, payoff, grid, cov,
+                                    np.random.default_rng(0), 16)
 
 
 class TestEstimateIs:

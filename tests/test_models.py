@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from driftmc.covariation import CovariationSpec, TimeGrid
-from driftmc.errors import DimensionError, ModelValidationError, SimulationError
+from driftmc.covariation import CovariationSpec, TimeGrid, sample_increments
+from driftmc.errors import ModelValidationError, SimulationError
 from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
-                            ModelSpec, simulate, split_driver, validate)
+                            ModelSpec, simulate, validate)
 from driftmc.network import ShallowNet, init_net
 
 
@@ -27,7 +27,7 @@ def heston_model(n=1, feller_slack=1.0):
 
 
 def grid_and_cov(model, n_steps=252, horizon=1.0):
-    grid = TimeGrid.uniform(horizon, n_steps)
+    grid = TimeGrid(horizon, n_steps)
     return grid, CovariationSpec(model.sigma, grid)
 
 
@@ -91,31 +91,17 @@ class TestValidate:
 
 
 class TestSplitDriver:
-    def test_coordinate_split(self):
-        inc = np.arange(6.0).reshape(1, 1, 6)
-        assets, vols = split_driver(inc, 3)
-        np.testing.assert_array_equal(assets[0, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(vols[0, 0], [3.0, 4.0, 5.0])
-
-    def test_concat_identity(self):
-        rng = np.random.default_rng(0)
-        inc = rng.standard_normal((4, 5, 8))
-        a, v = split_driver(inc, 4)
-        np.testing.assert_array_equal(np.concatenate([a, v], axis=-1), inc)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(DimensionError):
-            split_driver(np.zeros((1, 1, 5)), 2)
+    """The asset block (first n) and volatility block (last n) of the
+    driver increments."""
 
     def test_cross_block_correlation_from_sigma(self):
         # lower-triangular sigma with nonzero (n+k, k) entry correlates the
         # asset and volatility driver blocks through pi
         sigma = np.array([[0.3, 0.0], [0.12, 0.25]])
-        grid = TimeGrid.uniform(1.0, 1)
+        grid = TimeGrid(1.0, 1)
         spec = CovariationSpec(sigma, grid)
-        from driftmc.covariation import sample_increments
         dm = sample_increments(spec, np.random.default_rng(1), 200_000)
-        a, v = split_driver(dm, 1)
+        a, v = dm[..., :1], dm[..., 1:]
         prod = a[:, 0, 0] * v[:, 0, 0]
         target = spec.pi[0, 1] * 1.0
         se = prod.std(ddof=1) / np.sqrt(prod.size)
@@ -123,11 +109,10 @@ class TestSplitDriver:
 
 
 class TestSimulateBlackScholes:
-    def test_zero_noise_recursion(self):
+    def test_zero_noise_recursion(self, fixed_normals):
         model = bs_model(n=2, mu=0.1)
         grid, cov = grid_and_cov(model, n_steps=10)
-        batch = simulate(model, grid, cov, rng=None, n_paths=3,
-                         driver_increments=np.zeros((3, 10, 2)))
+        batch = simulate(model, grid, cov, rng=fixed_normals(), n_paths=3)
         expected = 1.0 * (1.0 + 0.1 * 0.1) ** 10
         np.testing.assert_allclose(batch.states[:, -1, :], expected, rtol=1e-12)
         np.testing.assert_array_equal(batch.log_inverse_likelihood, 0.0)
@@ -151,19 +136,19 @@ class TestSimulateBlackScholes:
 
     def test_validation_refuses_simulation(self):
         spec = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[0.2]], s0=[-1.0])
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         cov = CovariationSpec([[0.2]], grid)
         with pytest.raises(ModelValidationError):
             simulate(spec, grid, cov, rng=np.random.default_rng(0), n_paths=1)
 
-    def test_explosion_aborts_with_path_index(self):
+    def test_explosion_aborts_with_path_index(self, fixed_normals):
         model = bs_model(mu=0.05)
         grid, cov = grid_and_cov(model, n_steps=4)
         z = np.zeros((2, 4, 1))
         z[1, 0, 0] = 1e200  # force one path over the edge
         z[1, 1, 0] = 1e200
         with pytest.raises(SimulationError) as err:
-            simulate(model, grid, cov, n_paths=2, driver_increments=z)
+            simulate(model, grid, cov, rng=fixed_normals(z), n_paths=2)
         assert err.value.path_indices == (1,)
 
 
@@ -189,7 +174,7 @@ class TestSimulateWithDrift:
         batch = simulate(model, grid, cov, drift=net,
                          rng=np.random.default_rng(2), n_paths=200_000)
         step = batch.increments[:, 3, 0]
-        target = cov.pi[0, 0] * c * grid.step_masses[3]
+        target = cov.pi[0, 0] * c * grid.step_lengths[3]
         se = step.std(ddof=1) / np.sqrt(step.size)
         assert abs(step.mean() - target) <= 4 * se
 

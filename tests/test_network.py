@@ -228,7 +228,7 @@ class TestAntiderivative:
         h = antiderivative_net(net)
         errors = []
         for n_steps in (252, 504, 1008):
-            grid = TimeGrid.uniform(1.0, n_steps)
+            grid = TimeGrid(1.0, n_steps)
             spec = CovariationSpec([[1.0]], grid)
             f = forward(net, grid.left_times)
             out = cameron_martin_map(f, spec)

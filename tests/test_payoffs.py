@@ -6,11 +6,20 @@ import pytest
 from driftmc.covariation import TimeGrid
 from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
                              LEFT_RIEMANN, PayoffSpec, basket_weights,
-                             evaluate, evaluate_batch, knockout_indicator)
+                             evaluate_batch)
 
 
 def constant_path(value, n_steps=4, n_state=1):
     return np.full((n_steps + 1, n_state), value, dtype=float)
+
+
+def evaluate(spec, path, grid):
+    """Payoff of one trajectory of shape (n_steps+1, n_state)."""
+    return float(evaluate_batch(spec, path[None], grid).values[0])
+
+
+def knocked_out(spec, path, grid):
+    return bool(evaluate_batch(spec, path[None], grid).knocked_out[0])
 
 
 def call_spec(strike, weights=(1.0,), averaging="trapezoid"):
@@ -75,23 +84,23 @@ class TestBasketWeights:
 
 class TestEvaluate:
     def test_at_the_money_constant_path(self):
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         assert evaluate(call_spec(2.0), constant_path(2.0), grid) == 0.0
 
     def test_in_the_money_constant_path(self):
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         assert evaluate(call_spec(2.0), constant_path(3.0), grid) == 1.0
 
     def test_two_node_path_documents_quadrature_rule(self):
         k = 5.0
-        grid = TimeGrid.uniform(1.0, 1)
+        grid = TimeGrid(1.0, 1)
         path = np.array([[k], [k + 2.0]])
         assert evaluate(call_spec(k, averaging=LEFT_RIEMANN), path, grid) == 0.0
         assert evaluate(call_spec(k), path, grid) == 1.0  # trapezoid
 
     def test_monotone_in_strike(self):
         rng = np.random.default_rng(0)
-        grid = TimeGrid.uniform(1.0, 16)
+        grid = TimeGrid(1.0, 16)
         path = np.exp(rng.normal(0, 0.2, (17, 1)).cumsum(axis=0))
         strikes = np.linspace(0.1, 3.0, 15)
         values = [evaluate(call_spec(k), path, grid) for k in strikes]
@@ -101,7 +110,7 @@ class TestEvaluate:
         # scaling the path scales the average, so payoff(c*path, strike=c*K)
         # equals c * payoff(path, strike=K)
         rng = np.random.default_rng(1)
-        grid = TimeGrid.uniform(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         path = np.exp(rng.normal(0, 0.3, (9, 2)).cumsum(axis=0))
         c, k = 2.7, 0.9
         base = evaluate(call_spec(k, weights=(0.4, 0.6)), path, grid)
@@ -110,19 +119,20 @@ class TestEvaluate:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
-        grid = TimeGrid.uniform(1.0, 8)
+        grid = TimeGrid(1.0, 8)
         for _ in range(50):
             path = np.exp(rng.normal(0, 0.5, (9, 1)).cumsum(axis=0))
             assert evaluate(call_spec(float(rng.uniform(0.5, 2))), path, grid) >= 0.0
 
     def test_volatility_block_ignored(self):
-        grid = TimeGrid.uniform(1.0, 2)
+        grid = TimeGrid(1.0, 2)
         path = np.array([[3.0, 99.0], [3.0, -77.0], [3.0, 0.0]])
         assert evaluate(call_spec(2.0), path, grid) == 1.0
 
     def test_batch_matches_single(self):
+        # paths are priced row by row: a batch equals its paths one at a time
         rng = np.random.default_rng(3)
-        grid = TimeGrid.uniform(1.0, 12)
+        grid = TimeGrid(1.0, 12)
         spec = call_spec(1.1, weights=(0.5, 0.5))
         states = np.exp(rng.normal(0, 0.2, (6, 13, 2)).cumsum(axis=1))
         batch = evaluate_batch(spec, states, grid)
@@ -134,28 +144,28 @@ class TestEvaluate:
 
 class TestKnockout:
     def test_inside_path_survives(self):
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         spec = knockout_spec(2.0, lower=1.0, upper=4.0)
-        assert knockout_indicator(spec, constant_path(3.0), grid) == 1
+        assert not knocked_out(spec, constant_path(3.0), grid)
 
     def test_touching_upper_barrier_exactly_kills(self):
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         spec = knockout_spec(2.0, lower=1.0, upper=4.0)
         path = constant_path(3.0)
         path[2, 0] = 4.0  # strict inequality: touching is out
-        assert knockout_indicator(spec, path, grid) == 0
+        assert knocked_out(spec, path, grid)
 
     def test_grazing_final_node_kills(self):
-        grid = TimeGrid.uniform(1.0, 4)
+        grid = TimeGrid(1.0, 4)
         spec = knockout_spec(2.0, lower=1.0, upper=4.0)
         path = constant_path(3.0)
         path[-1, 0] = 1.0
-        assert knockout_indicator(spec, path, grid) == 0
+        assert knocked_out(spec, path, grid)
         assert evaluate(spec, path, grid) == 0.0
 
     def test_knockout_dominated_by_vanilla(self):
         rng = np.random.default_rng(4)
-        grid = TimeGrid.uniform(1.0, 16)
+        grid = TimeGrid(1.0, 16)
         vanilla = call_spec(1.0)
         ko = knockout_spec(1.0, lower=0.5, upper=1.8)
         for _ in range(50):
@@ -163,7 +173,7 @@ class TestKnockout:
             assert evaluate(ko, path, grid) <= evaluate(vanilla, path, grid)
 
     def test_batch_counts_knockouts(self):
-        grid = TimeGrid.uniform(1.0, 2)
+        grid = TimeGrid(1.0, 2)
         spec = knockout_spec(2.0, lower=1.0, upper=4.0)
         states = np.stack([constant_path(3.0, n_steps=2),
                            constant_path(5.0, n_steps=2)])

@@ -14,16 +14,6 @@ class TestRunningMoments:
         np.testing.assert_allclose(acc.mean, x.mean(), rtol=1e-12)
         np.testing.assert_allclose(acc.variance(), x.var(ddof=1), rtol=1e-10)
 
-    def test_sequential_updates_match_batch(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal(257)
-        acc = RunningMoments()
-        for value in x:
-            acc.update(float(value))
-        batch = RunningMoments.from_array(x)
-        np.testing.assert_allclose(acc.mean, batch.mean, rtol=1e-12)
-        np.testing.assert_allclose(acc.m2, batch.m2, rtol=1e-9)
-
     def test_merge_equals_concatenation(self):
         rng = np.random.default_rng(2)
         parts = [rng.standard_normal(n) for n in (3, 100, 1, 57)]

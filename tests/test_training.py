@@ -8,7 +8,7 @@ from driftmc.errors import WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, ModelSpec
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import ASIAN_BASKET_CALL, PayoffSpec
-from driftmc.training import (TrainConfig, objective_batch, objective_on_batch,
+from driftmc.training import (TrainConfig, objective_on_batch,
                               simulate_training_batch, train, variance_ratio)
 
 
@@ -17,7 +17,7 @@ def bs_setup(strike_ratio=1.1, n_steps=32, vol=0.25):
                       rate=0.05)
     payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[1.0],
                         strike=strike_ratio)
-    grid = TimeGrid.uniform(1.0, n_steps)
+    grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
     return model, payoff, grid, cov
 
@@ -28,8 +28,9 @@ class TestObjective:
         rng = np.random.default_rng(0)
         batch = simulate_training_batch(model, payoff, grid, cov, rng, 512)
         net = init_net(2, 1, rng=np.random.default_rng(1))  # output layer zero
-        v_hat, grad = objective_on_batch(net, batch, grid, cov)
+        v_hat, grad, h_norm_sq = objective_on_batch(net, batch, grid, cov)
         np.testing.assert_allclose(v_hat, batch.payoff_sq.mean(), rtol=1e-12)
+        assert h_norm_sq == 0.0
 
     def test_gradient_matches_central_differences(self):
         model, payoff, grid, cov = bs_setup(strike_ratio=0.95)
@@ -40,14 +41,18 @@ class TestObjective:
             net = init_net(2, 1, rng=rng)
             theta = net.to_flat() + rng.normal(0, 0.4, net.n_params)
             net = net.with_params(theta)
-            _, grad = objective_on_batch(net, batch, grid, cov)
+            _, grad, h_norm_sq = objective_on_batch(net, batch, grid, cov)
+            assert h_norm_sq == cameron_martin_map(
+                forward(net, grid.left_times), cov).h_norm_sq
             fd = np.empty_like(grad)
             for i in range(theta.size):
                 plus, minus = theta.copy(), theta.copy()
                 plus[i] += step
                 minus[i] -= step
-                vp, _ = objective_on_batch(net.with_params(plus), batch, grid, cov)
-                vm, _ = objective_on_batch(net.with_params(minus), batch, grid, cov)
+                vp = objective_on_batch(net.with_params(plus), batch, grid,
+                                        cov)[0]
+                vm = objective_on_batch(net.with_params(minus), batch, grid,
+                                        cov)[0]
                 fd[i] = (vp - vm) / (2 * step)
             assert np.linalg.norm(fd - grad) / np.linalg.norm(fd) <= 1e-5
 
@@ -58,7 +63,7 @@ class TestObjective:
         rng = np.random.default_rng(3)
         batch = simulate_training_batch(model, payoff, grid, cov, rng, 128)
         net = init_net(2, 1, rng=np.random.default_rng(4))
-        _, grad = objective_on_batch(net, batch, grid, cov)
+        grad = objective_on_batch(net, batch, grid, cov)[1]
         from driftmc.network import backward_grid
         upstream = -np.einsum("p,pkd->kd", batch.payoff_sq,
                               batch.increments) / batch.payoff_sq.size
@@ -68,8 +73,9 @@ class TestObjective:
     def test_all_zero_payoffs_flagged_as_uninformative(self):
         model, payoff, grid, cov = bs_setup(strike_ratio=50.0)
         rng = np.random.default_rng(5)
+        batch = simulate_training_batch(model, payoff, grid, cov, rng, 64)
         net = init_net(2, 1, rng=np.random.default_rng(6))
-        v_hat, grad = objective_batch(net, model, payoff, grid, cov, rng, 64)
+        v_hat, grad, _ = objective_on_batch(net, batch, grid, cov)
         assert v_hat == 0.0
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -87,28 +93,27 @@ class TestTrain:
     def test_zero_epochs_returns_net_unchanged(self):
         model, payoff, grid, cov = bs_setup()
         net = init_net(2, 1, rng=np.random.default_rng(8))
-        cfg = TrainConfig(epochs=0, horizon=1.0, dt=1.0 / 32)
-        out, trace = train(net, model, payoff, cfg)
+        cfg = TrainConfig(epochs=0)
+        out, trace = train(net, model, payoff, grid, cov, cfg)
         np.testing.assert_array_equal(out.to_flat(), net.to_flat())
         assert trace.n_steps == 0
 
     def test_deterministic_replay(self):
-        model, payoff, _, _ = bs_setup()
-        cfg = TrainConfig(epochs=1, steps_per_epoch=12, batch_size=32,
-                          horizon=1.0, dt=1.0 / 32, seed=5, smooth_window=4)
+        model, payoff, grid, cov = bs_setup()
+        cfg = TrainConfig(epochs=1, steps_per_epoch=12, batch_size=32, seed=5,
+                          smooth_window=4)
         net = init_net(2, 1, rng=np.random.default_rng(9))
-        out1, trace1 = train(net, model, payoff, cfg)
-        out2, trace2 = train(net, model, payoff, cfg)
+        out1, trace1 = train(net, model, payoff, grid, cov, cfg)
+        out2, trace2 = train(net, model, payoff, grid, cov, cfg)
         np.testing.assert_array_equal(out1.to_flat(), out2.to_flat())
         assert trace1.v_hat == trace2.v_hat
 
     def test_fixed_resampling_reuses_one_batch(self):
-        model, payoff, _, _ = bs_setup(strike_ratio=0.9)
-        cfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=64,
-                          horizon=1.0, dt=1.0 / 16, seed=1, resample="fixed",
-                          smooth_window=2, learning_rate=0.0)
+        model, payoff, grid, cov = bs_setup(strike_ratio=0.9, n_steps=16)
+        cfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=64, seed=1,
+                          resample="fixed", smooth_window=2, learning_rate=0.0)
         net = init_net(2, 1, rng=np.random.default_rng(10))
-        _, trace = train(net, model, payoff, cfg)
+        _, trace = train(net, model, payoff, grid, cov, cfg)
         # zero learning rate and a fixed batch: the objective never moves
         assert len(set(trace.v_hat)) == 1
 
@@ -119,9 +124,9 @@ class TestTrain:
         model, payoff, grid, cov = bs_setup(strike_ratio=1.35, n_steps=64,
                                             vol=0.2)
         cfg = TrainConfig(epochs=6, steps_per_epoch=100, batch_size=256,
-                          horizon=1.0, dt=1.0 / 64, seed=2, smooth_window=100)
+                          seed=2, smooth_window=100)
         net = init_net(1, 1, rng=np.random.default_rng(11))
-        trained, trace = train(net, model, payoff, cfg)
+        trained, trace = train(net, model, payoff, grid, cov, cfg)
         v_init = np.mean(trace.v_hat[:100])
         assert trace.best_v_smoothed <= 0.5 * v_init
         # and the drift it found is a genuine upward push
@@ -134,9 +139,9 @@ class TestCoercivityAndConvexity:
     def test_scaling_trained_drift_up_increases_objective(self):
         model, payoff, grid, cov = bs_setup(strike_ratio=1.2, n_steps=64)
         cfg = TrainConfig(epochs=4, steps_per_epoch=100, batch_size=256,
-                          horizon=1.0, dt=1.0 / 64, seed=3, smooth_window=100)
+                          seed=3, smooth_window=100)
         net = init_net(1, 1, rng=np.random.default_rng(12))
-        trained, _ = train(net, model, payoff, cfg)
+        trained, _ = train(net, model, payoff, grid, cov, cfg)
 
         def scale_output(base, factor):
             return ShallowNet(w_in=base.w_in, b_in=base.b_in,
@@ -155,8 +160,8 @@ class TestCoercivityAndConvexity:
         assert h_sq(scaled) >= 8.0
         rng = np.random.default_rng(13)
         batch = simulate_training_batch(model, payoff, grid, cov, rng, 20_000)
-        v_trained, _ = objective_on_batch(trained, batch, grid, cov)
-        v_scaled, _ = objective_on_batch(scaled, batch, grid, cov)
+        v_trained = objective_on_batch(trained, batch, grid, cov)[0]
+        v_scaled = objective_on_batch(scaled, batch, grid, cov)[0]
         assert v_scaled > v_trained
 
     def test_midpoint_convexity_in_drift_grid(self):
