@@ -12,13 +12,13 @@ from .covariation import (CovariationSpec, DriftEvaluation, TimeGrid,
                           cameron_martin_map, lambda2_inner,
                           log_likelihood_inverse, sample_increments)
 from .engine import (ComparisonRow, EstimatorReport, compare, estimate_is,
-                     estimate_plain)
+                     estimate_plain, variance_ratio)
 from .models import ModelSpec, PathBatch, Violation, simulate, validate
 from .network import (AdamState, ShallowNet, adam_step, antiderivative_net,
                       backward, forward, init_net, load_checkpoint,
                       save_checkpoint)
 from .payoffs import PayoffSpec, basket_weights, evaluate_batch
-from .training import TrainConfig, TrainTrace, train, variance_ratio
+from .training import TrainConfig, TrainTrace, train
 from .config import default_recipe, resolve_config, sample_parameters
 
 __version__ = "0.1.0"

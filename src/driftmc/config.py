@@ -11,11 +11,12 @@ import copy
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .covariation import CovariationSpec, TimeGrid
+from .engine import DEFAULT_BLOCK_SIZE
 from .errors import ConfigError, ModelValidationError
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec, validate)
@@ -24,7 +25,7 @@ from .payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT, PayoffSpec,
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v1"
+SCHEMA_ID = "driftmc-run-v2"
 
 MAX_SAMPLE_RETRIES = 200
 
@@ -40,36 +41,24 @@ DEFAULTS = {
     },
     "payoff": {
         "weights": None,
-        "weight_rule": "risk_adjusted",
         "strike": None,
         "moneyness": 1.3,
         "barriers": None,
         "barrier_moneyness": None,
-        "averaging": "trapezoid",
     },
     "grid": {
         "horizon": 1.0,
         "dt": 1.0 / 252.0,
     },
     "training": {
-        "batch_size": 256,
-        "epochs": 50,
-        "steps_per_epoch": 100,
-        "learning_rate": 1e-2,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "eps": 1e-8,
-        "seed": 0,
-        "resample": "fresh",
-        "clip_threshold": None,
-        "smooth_window": 200,
+        **{f.name: f.default for f in fields(TrainConfig)},
         "hidden_width": None,
         "activation": "scaled_tanh",
     },
     "estimation": {
         "sample_sizes": [5000, 20000, 100000],
         "seed": 7,
-        "block_size": 2048,
+        "block_size": DEFAULT_BLOCK_SIZE,
     },
     "output": {
         "formats": ["csv", "json"],
@@ -138,20 +127,23 @@ def _range(recipe, key, rng, size=None):
     return rng.uniform(lo, hi, size=size)
 
 
-def sample_parameters(recipe, seed, tag=None, n=None, rate=0.05):
+def sample_parameters(recipe, seed, tag, n, rate):
     """Draw a valid model spec from the recipe, deterministically in seed.
 
-    Specs violating a structural invariant are rejected and redrawn; after
-    ``MAX_SAMPLE_RETRIES`` failures the error names the constraint that
-    rejected most drafts.
+    The model family, asset count and rate come from the caller only; a
+    recipe that carries any of them is refused, so a risk-neutral drift and
+    the discount rate cannot disagree.  Specs violating a structural
+    invariant are rejected and redrawn; after ``MAX_SAMPLE_RETRIES``
+    failures the error names the constraint that rejected most drafts.
     """
-    tag = tag or recipe.get("tag")
-    n = n or recipe.get("n")
-    rate = recipe.get("rate", rate)
+    for key in ("tag", "n", "rate"):
+        if key in recipe:
+            raise ConfigError(f"recipe may not set {key!r}; it comes from "
+                              "the model block")
     if tag not in MODEL_TAGS:
         raise ConfigError(f"unknown model tag {tag!r}")
-    if not n or n < 1:
-        raise ConfigError("recipe needs a positive asset count n")
+    if n < 1:
+        raise ConfigError("the model needs a positive asset count n")
     d = n if tag == BLACK_SCHOLES else 2 * n
 
     rejected = Counter()
@@ -216,8 +208,16 @@ def resolve_config(raw):
     """Fill defaults, sample parameters, materialize derived fields."""
     schema = raw.get("schema", SCHEMA_ID)
     if schema != SCHEMA_ID:
-        raise ConfigError(f"unsupported config schema {schema!r}")
+        raise ConfigError(f"unsupported config schema {schema!r}; this "
+                          f"version reads {SCHEMA_ID!r}, so resolve the "
+                          "raw config again")
     cfg = _merge_defaults(raw, DEFAULTS)
+    for key in ("horizon", "dt"):
+        value = cfg["grid"][key]
+        if not (isinstance(value, (int, float)) and math.isfinite(value)
+                and value > 0):
+            raise ConfigError(f"grid.{key} must be a positive finite "
+                              f"number, got {value!r}")
 
     model_block = cfg["model"]
     tag = model_block["tag"]
@@ -234,9 +234,6 @@ def resolve_config(raw):
 
     payoff_block = cfg["payoff"]
     if payoff_block["weights"] is None:
-        if payoff_block["weight_rule"] != "risk_adjusted":
-            raise ConfigError(
-                f"unknown weight rule {payoff_block['weight_rule']!r}")
         try:
             weights = basket_weights(model.mu, model.sigma)
         except ValueError as exc:
@@ -292,11 +289,10 @@ def build_payoff(cfg):
     try:
         if barriers is None:
             return PayoffSpec(tag=ASIAN_BASKET_CALL, weights=block["weights"],
-                              strike=block["strike"],
-                              averaging=block["averaging"])
+                              strike=block["strike"])
         return PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=block["weights"],
                           strike=block["strike"], lower=barriers[0],
-                          upper=barriers[1], averaging=block["averaging"])
+                          upper=barriers[1])
     except ValueError as exc:
         raise ConfigError(f"invalid payoff: {exc}") from exc
 
@@ -330,20 +326,10 @@ def build_scenario(cfg):
 
 
 def build_train_config(cfg):
+    """The TrainConfig of a resolved config, each field cast to its type."""
     block = cfg["training"]
-    return TrainConfig(
-        batch_size=int(block["batch_size"]),
-        epochs=int(block["epochs"]),
-        steps_per_epoch=int(block["steps_per_epoch"]),
-        learning_rate=block["learning_rate"],
-        beta1=block["beta1"],
-        beta2=block["beta2"],
-        eps=block["eps"],
-        seed=int(block["seed"]),
-        resample=block["resample"],
-        clip_threshold=block["clip_threshold"],
-        smooth_window=int(block["smooth_window"]),
-    )
+    return TrainConfig(**{f.name: f.type(block[f.name])
+                          for f in fields(TrainConfig)})
 
 
 def dump_config(cfg, path):

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError, NonFiniteError, WeightOverflowError
+
+# Per-path log-weights above this abort the run: the drift has drifted off.
+MAX_LOG_WEIGHT = 50.0
 
 
 def _readonly(a):
@@ -158,7 +161,9 @@ def log_likelihood_inverse(drift, increments, spec):
     Returns -sum_k f_k' dM_k + h_norm_sq / 2 with the left-endpoint (Ito)
     reading of the stochastic integral.  The increments must be the same
     ones that drove the path, under whichever measure it was simulated.
-    Accepts one path (n_steps, d) or a batch (..., n_steps, d).
+    Accepts one path (n_steps, d) or a batch (..., n_steps, d).  Raises
+    :class:`WeightOverflowError` when a log-weight exceeds
+    ``MAX_LOG_WEIGHT``.
     """
     increments = np.asarray(increments, dtype=np.float64)
     want = (spec.grid.n_steps, spec.d)
@@ -168,4 +173,9 @@ def log_likelihood_inverse(drift, increments, spec):
     if drift.values.shape != want:
         raise DimensionError("drift was evaluated on a different grid")
     stochastic = np.einsum("kd,...kd->...", drift.values, increments)
-    return -stochastic + 0.5 * drift.h_norm_sq
+    log_w = -stochastic + 0.5 * drift.h_norm_sq
+    if np.any(log_w > MAX_LOG_WEIGHT):
+        raise WeightOverflowError(
+            f"log weight reached {np.max(log_w):.1f} (> {MAX_LOG_WEIGHT:.0f}); "
+            "the drift adjustment is too large")
+    return log_w

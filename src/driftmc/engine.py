@@ -6,6 +6,7 @@ partition depends only on the sample size, so results are bit-identical
 across worker-thread counts.  Prices are reported discounted, in cents.
 """
 
+import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -14,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import WeightOverflowError
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
-from .training import MAX_LOG_WEIGHT, variance_ratio
 from . import streams
+
+log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 2048
 
@@ -79,12 +80,8 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, index, size,
     if drift is None:
         values = pay.values * discount_cents
     else:
-        log_w = batch.log_inverse_likelihood
-        if np.any(log_w > MAX_LOG_WEIGHT):
-            raise WeightOverflowError(
-                f"log likelihood ratio reached {log_w.max():.1f} in block "
-                f"{index}; drift adjustment too large")
-        values = pay.values * np.exp(log_w) * discount_cents
+        values = (pay.values * np.exp(batch.log_inverse_likelihood)
+                  * discount_cents)
     knocked = None if pay.knocked_out is None else int(pay.knocked_out.sum())
     return _BlockResult(
         moments=RunningMoments.from_array(values),
@@ -195,6 +192,28 @@ class ComparisonRow:
     vr: float
     mc_seed: int
     is_seed: int
+
+
+def variance_ratio(report_mc, report_is):
+    """Plain-MC per-sample variance over importance-sampled variance.
+
+    Both reports must describe the same scenario; a zero importance-sampled
+    variance against a non-degenerate plain estimator is flagged as
+    suspicious and returns infinity.
+    """
+    if report_mc.label != report_is.label:
+        raise ValueError(
+            f"reports describe different scenarios: "
+            f"{report_mc.label!r} vs {report_is.label!r}")
+    var_mc = report_mc.per_sample_variance
+    var_is = report_is.per_sample_variance
+    if var_is == 0.0:
+        if var_mc > 0.0:
+            log.warning("importance-sampled variance is zero while the plain "
+                        "estimator varies; ratio reported as inf")
+            return math.inf
+        return 1.0
+    return var_mc / var_is
 
 
 def compare(report_mc, report_is):

@@ -190,24 +190,26 @@ def backward_grid(net, times, upstreams):
     return np.concatenate([g_w_in, g_b_in, g_w_out.ravel(), g_b_out])
 
 
+# Adam's moment decay rates and denominator offset, at the defaults of
+# Kingma & Ba (2015); only the learning rate is a run setting.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam moment estimates and hyperparameters for one parameter vector."""
+    """Adam moment estimates and learning rate for one parameter vector."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, n_params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-              eps=1e-8):
+    def fresh(cls, n_params, learning_rate=1e-3):
         return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   learning_rate=learning_rate, beta1=beta1, beta2=beta2,
-                   eps=eps)
+                   learning_rate=learning_rate)
 
 
 def adam_step(params, grad, state):
@@ -217,14 +219,13 @@ def adam_step(params, grad, state):
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise DimensionError("params, grad and state sizes differ")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
-    new_state = AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate,
-                          beta1=state.beta1, beta2=state.beta2, eps=state.eps)
-    return new_params, new_state
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(m=m, v=v, step=t,
+                                 learning_rate=state.learning_rate)
 
 
 def antiderivative_net(net):

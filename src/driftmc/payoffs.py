@@ -1,9 +1,9 @@
 """Path functionals: arithmetic Asian basket calls, with optional knock-out.
 
-The basket average is a quadrature of the weighted asset value over the
-grid (trapezoidal by default, left Riemann behind a switch) divided by the
-horizon.  Knock-out barriers are monitored discretely at every grid node,
-endpoints included, with strict inequalities.
+The basket average is the trapezoidal quadrature of the weighted asset
+value over the grid divided by the horizon.  Knock-out barriers are
+monitored discretely at every grid node, endpoints included, with strict
+inequalities.
 """
 
 from dataclasses import dataclass
@@ -15,20 +15,16 @@ from .errors import DimensionError, NonFiniteError
 ASIAN_BASKET_CALL = "asian_basket_call"
 ASIAN_BASKET_KNOCKOUT = "asian_basket_knockout"
 
-TRAPEZOID = "trapezoid"
-LEFT_RIEMANN = "left"
-
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Weights, strike, optional barriers and the averaging rule."""
+    """Weights, strike and optional barriers."""
 
     tag: str
     weights: np.ndarray
     strike: float
     lower: float | None = None
     upper: float | None = None
-    averaging: str = TRAPEZOID
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
@@ -36,8 +32,6 @@ class PayoffSpec:
         object.__setattr__(self, "weights", w)
         if self.tag not in (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT):
             raise ValueError(f"unknown payoff tag {self.tag!r}")
-        if self.averaging not in (TRAPEZOID, LEFT_RIEMANN):
-            raise ValueError(f"unknown averaging rule {self.averaging!r}")
         if not np.isclose(w.sum(), 1.0, atol=1e-9):
             raise ValueError("basket weights must sum to 1")
         if not self.strike > 0.0:
@@ -85,17 +79,12 @@ def basket_weights(mu, sigma):
     return raw / total
 
 
-def node_quadrature(grid, averaging):
-    """Per-node quadrature weights for integrating over the grid."""
+def node_quadrature(grid):
+    """Per-node trapezoid weights for integrating over the grid."""
     steps = grid.step_lengths
     w = np.zeros(grid.n_steps + 1)
-    if averaging == TRAPEZOID:
-        w[:-1] += 0.5 * steps
-        w[1:] += 0.5 * steps
-    elif averaging == LEFT_RIEMANN:
-        w[:-1] = steps
-    else:
-        raise ValueError(f"unknown averaging rule {averaging!r}")
+    w[:-1] += 0.5 * steps
+    w[1:] += 0.5 * steps
     return w
 
 
@@ -128,7 +117,7 @@ def evaluate_batch(spec, states, grid):
     if not np.all(np.isfinite(states)):
         raise NonFiniteError("states contain non-finite values")
     basket = states[:, :, :spec.n_assets] @ spec.weights
-    quad = node_quadrature(grid, spec.averaging)
+    quad = node_quadrature(grid)
     average = (basket @ quad) / grid.horizon
     above = average > spec.strike
     values = np.maximum(average - spec.strike, 0.0)

@@ -8,8 +8,8 @@ estimated on batches simulated under the ORIGINAL measure, so the squared
 payoff carries no dependence on the network parameters and the gradient is
 an exact pathwise derivative of the batch estimate: the cotangent of f at
 step k is (-dM_k + pi f_k dt_k), scaled per path by the weighted squared
-payoff.  Training is plain Adam on fresh batches, keeping the parameter
-vector whose smoothed objective was lowest.
+payoff.  Training is plain Adam on a fresh batch every step, keeping the
+parameter vector whose smoothed objective was lowest.
 """
 
 import logging
@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariation import cameron_martin_map
-from .errors import WeightOverflowError
+from .covariation import cameron_martin_map, log_likelihood_inverse
 from .network import AdamState, adam_step, backward_grid, forward
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
@@ -27,32 +26,23 @@ from . import streams
 
 log = logging.getLogger(__name__)
 
-# Per-path log-weights above this abort the run: the drift has drifted off.
-MAX_LOG_WEIGHT = 50.0
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.  All defaults are conventions
-    of this package and are recorded into every emitted report."""
+    """Hyperparameters of one training run.  The fields and their defaults
+    are also the ``training`` block of the run config, so every resolved
+    config records them."""
 
     batch_size: int = 256
     epochs: int = 50
     steps_per_epoch: int = 100
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
-    resample: str = "fresh"          # "fresh" or "fixed" training set
-    clip_threshold: float | None = None
     smooth_window: int = 200
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
-        if self.resample not in ("fresh", "fixed"):
-            raise ValueError("resample must be 'fresh' or 'fixed'")
         if self.smooth_window < 1:
             raise ValueError("smooth_window must be positive")
 
@@ -107,12 +97,7 @@ def objective_on_batch(net, batch, grid, cov):
     """
     b = batch.payoff_sq.size
     drift = cameron_martin_map(forward(net, grid.left_times), cov)
-    log_w = -np.einsum("kd,pkd->p", drift.values, batch.increments) \
-        + 0.5 * drift.h_norm_sq
-    if np.any(log_w > MAX_LOG_WEIGHT):
-        raise WeightOverflowError(
-            f"log weight reached {log_w.max():.1f} (> {MAX_LOG_WEIGHT:.0f}); "
-            "the drift adjustment is too large")
+    log_w = log_likelihood_inverse(drift, batch.increments, cov)
     per_path = batch.payoff_sq * np.exp(log_w) / b
     v_hat = float(np.sum(per_path))
     if not np.any(batch.payoff_sq):
@@ -128,9 +113,9 @@ def objective_on_batch(net, batch, grid, cov):
 def train(net, model, payoff, grid, cov, config):
     """Run Adam on the objective over ``grid``; returns (best net, trace).
 
-    Fresh paths per step by default; the "fixed" policy reuses one batch for
-    deterministic convergence studies.  A non-finite objective or gradient
-    halts the run and the best checkpoint so far is returned.
+    Every step draws a fresh batch from its own substream of
+    ``config.seed``.  A non-finite objective or gradient halts the run and
+    the best checkpoint so far is returned.
     """
     trace = TrainTrace()
     total = config.epochs * config.steps_per_epoch
@@ -138,24 +123,14 @@ def train(net, model, payoff, grid, cov, config):
         return net, trace
 
     params = net.to_flat()
-    state = AdamState.fresh(params.size, learning_rate=config.learning_rate,
-                            beta1=config.beta1, beta2=config.beta2,
-                            eps=config.eps)
+    state = AdamState.fresh(params.size, learning_rate=config.learning_rate)
     best_params = params.copy()
     window = []
-    fixed_batch = None
-    if config.resample == "fixed":
-        fixed_batch = simulate_training_batch(
-            model, payoff, grid, cov, streams.substream(config.seed, streams.TRAIN, 0),
-            config.batch_size)
 
     for step in range(total):
-        if fixed_batch is not None:
-            batch = fixed_batch
-        else:
-            rng = streams.substream(config.seed, streams.TRAIN, step)
-            batch = simulate_training_batch(model, payoff, grid, cov, rng,
-                                            config.batch_size)
+        rng = streams.substream(config.seed, streams.TRAIN, step)
+        batch = simulate_training_batch(model, payoff, grid, cov, rng,
+                                        config.batch_size)
         current = net.with_params(params)
         v_hat, grad, h_norm_sq = objective_on_batch(current, batch, grid, cov)
         if v_hat == 0.0 and not np.any(grad):
@@ -176,32 +151,6 @@ def train(net, model, payoff, grid, cov, config):
             trace.best_step = step
             best_params = params.copy()
 
-        if config.clip_threshold is not None:
-            norm = float(np.linalg.norm(grad))
-            if norm > config.clip_threshold:
-                grad = grad * (config.clip_threshold / norm)
         params, state = adam_step(params, grad, state)
 
     return net.with_params(best_params), trace
-
-
-def variance_ratio(report_mc, report_is):
-    """Plain-MC per-sample variance over importance-sampled variance.
-
-    Both reports must describe the same scenario; a zero importance-sampled
-    variance against a non-degenerate plain estimator is flagged as
-    suspicious and returns infinity.
-    """
-    if report_mc.label != report_is.label:
-        raise ValueError(
-            f"reports describe different scenarios: "
-            f"{report_mc.label!r} vs {report_is.label!r}")
-    var_mc = report_mc.per_sample_variance
-    var_is = report_is.per_sample_variance
-    if var_is == 0.0:
-        if var_mc > 0.0:
-            log.warning("importance-sampled variance is zero while the plain "
-                        "estimator varies; ratio reported as inf")
-            return math.inf
-        return 1.0
-    return var_mc / var_is

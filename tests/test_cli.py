@@ -58,6 +58,32 @@ class TestValidateCommand:
         path.write_text(json.dumps({"modle": {}}))
         assert main(["validate", "--config", str(path)]) == 2
 
+    def test_v1_resolved_config_names_schema(self, tmp_path, capsys):
+        out_dir = tmp_path / "dry"
+        main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
+              str(out_dir), "--dry-run"])
+        resolved = json.loads((out_dir / "resolved_config.json").read_text())
+        resolved["schema"] = "driftmc-run-v1"
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(resolved))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "driftmc-run-v1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, field, value", [
+        ("payoff", "weight_rule", "risk_adjusted"),
+        ("payoff", "averaging", "trapezoid"),
+        ("training", "resample", "fresh"),
+        ("training", "clip_threshold", None),
+        ("training", "beta1", 0.9),
+        ("training", "beta2", 0.999),
+        ("training", "eps", 1e-8),
+    ])
+    def test_removed_field_is_config_error(self, tmp_path, capsys, block,
+                                           field, value):
+        cfg = write_config(tmp_path, overrides={block: {field: value}})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert repr(field) in capsys.readouterr().err
+
 
 class TestSampleParamsCommand:
     def test_prints_parameters(self, tmp_path, capsys):
@@ -132,6 +158,13 @@ class TestPriceCommands:
     def test_non_positive_sample_size_is_config_error(self, tmp_path, n):
         cfg = write_config(tmp_path)
         assert main(["price", "--config", str(cfg), "--n", n]) == 2
+
+    @pytest.mark.parametrize("dt", [0, -0.01])
+    def test_non_positive_grid_step_is_config_error(self, tmp_path, capsys,
+                                                    dt):
+        cfg = write_config(tmp_path, overrides={"grid": {"dt": dt}})
+        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert "grid.dt" in capsys.readouterr().err
 
     def test_price_csv_to_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

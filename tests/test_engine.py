@@ -12,7 +12,7 @@ from driftmc.engine import (COMPARISON_FIELDS, REPORT_FIELDS, EstimatorReport,
                             compare, comparison_to_dict, estimate_is,
                             estimate_plain, report_from_dict, report_to_dict,
                             rows_from_csv, rows_to_csv, _block_plan)
-from driftmc.errors import DimensionError
+from driftmc.errors import DimensionError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
 from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
@@ -175,6 +175,20 @@ class TestEstimateIs:
         se = math.hypot(plain.se_pct * plain.mean_cents,
                         weighted.se_pct * weighted.mean_cents) / 100
         assert abs(plain.mean_cents - weighted.mean_cents) <= 3 * se
+
+    def test_weight_overflow_guard(self, fixed_normals, monkeypatch):
+        # Under P_h a deterministic drift has log-weights N(-|h|^2/2, |h|^2),
+        # so the guard needs draws forced against the drift: z = -5 on every
+        # step gives log-weights near 330 for this oversized constant drift.
+        model, payoff, grid, cov = bs_setup()
+        big = ShallowNet(w_in=np.zeros(1), b_in=np.zeros(1),
+                         w_out=np.zeros((1, 1)), b_out=[200.0])
+        z = np.full((16, grid.n_steps, 1), -5.0)
+        monkeypatch.setattr(streams, "substream",
+                            lambda *ids: fixed_normals(z))
+        with pytest.raises(WeightOverflowError):
+            estimate_is(model, payoff, grid, cov, big, seed=0, n=16,
+                        block_size=16)
 
 
 class TestCompareAndSerialization:

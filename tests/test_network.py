@@ -6,10 +6,10 @@ import pytest
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
 from driftmc.errors import (CheckpointError, DimensionError, NonFiniteError,
                             UnsupportedConfigError)
-from driftmc.network import (ACTIVATIONS, AdamState, ShallowNet, adam_step,
-                             antiderivative_net, backward, backward_grid,
-                             forward, init_net, load_checkpoint, log_cosh,
-                             save_checkpoint, softplus)
+from driftmc.network import (ACTIVATIONS, ADAM_EPS, AdamState, ShallowNet,
+                             adam_step, antiderivative_net, backward,
+                             backward_grid, forward, init_net, load_checkpoint,
+                             log_cosh, save_checkpoint, softplus)
 
 
 def random_net(rng, hidden=None, output=None, activation=None):
@@ -168,11 +168,12 @@ class TestAdam:
 
     def test_first_step_hand_computed(self):
         # g = 1: m_hat = 1, v_hat = 1, update = lr / (1 + eps)
-        lr, eps = 1e-3, 1e-8
+        lr = 1e-3
         params = np.zeros(4)
-        state = AdamState.fresh(4, learning_rate=lr, eps=eps)
+        state = AdamState.fresh(4, learning_rate=lr)
         new_params, _ = adam_step(params, np.ones(4), state)
-        np.testing.assert_allclose(new_params, -lr / (1.0 + eps), rtol=1e-15)
+        np.testing.assert_allclose(new_params, -lr / (1.0 + ADAM_EPS),
+                                   rtol=1e-15)
 
     def test_second_identical_step_not_larger(self):
         params = np.zeros(2)

@@ -5,8 +5,7 @@ import pytest
 
 from driftmc.covariation import TimeGrid
 from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
-                             LEFT_RIEMANN, PayoffSpec, basket_weights,
-                             evaluate_batch)
+                             PayoffSpec, basket_weights, evaluate_batch)
 
 
 def constant_path(value, n_steps=4, n_state=1):
@@ -22,9 +21,9 @@ def knocked_out(spec, path, grid):
     return bool(evaluate_batch(spec, path[None], grid).knocked_out[0])
 
 
-def call_spec(strike, weights=(1.0,), averaging="trapezoid"):
+def call_spec(strike, weights=(1.0,)):
     return PayoffSpec(tag=ASIAN_BASKET_CALL, weights=list(weights),
-                      strike=strike, averaging=averaging)
+                      strike=strike)
 
 
 def knockout_spec(strike, lower, upper, weights=(1.0,)):
@@ -95,7 +94,6 @@ class TestEvaluate:
         k = 5.0
         grid = TimeGrid(1.0, 1)
         path = np.array([[k], [k + 2.0]])
-        assert evaluate(call_spec(k, averaging=LEFT_RIEMANN), path, grid) == 0.0
         assert evaluate(call_spec(k), path, grid) == 1.0  # trapezoid
 
     def test_monotone_in_strike(self):

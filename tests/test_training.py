@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
+from driftmc.engine import variance_ratio
 from driftmc.errors import WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, ModelSpec
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import ASIAN_BASKET_CALL, PayoffSpec
 from driftmc.training import (TrainConfig, objective_on_batch,
-                              simulate_training_batch, train, variance_ratio)
+                              simulate_training_batch, train)
 
 
 def bs_setup(strike_ratio=1.1, n_steps=32, vol=0.25):
@@ -107,15 +108,6 @@ class TestTrain:
         out2, trace2 = train(net, model, payoff, grid, cov, cfg)
         np.testing.assert_array_equal(out1.to_flat(), out2.to_flat())
         assert trace1.v_hat == trace2.v_hat
-
-    def test_fixed_resampling_reuses_one_batch(self):
-        model, payoff, grid, cov = bs_setup(strike_ratio=0.9, n_steps=16)
-        cfg = TrainConfig(epochs=1, steps_per_epoch=6, batch_size=64, seed=1,
-                          resample="fixed", smooth_window=2, learning_rate=0.0)
-        net = init_net(2, 1, rng=np.random.default_rng(10))
-        _, trace = train(net, model, payoff, grid, cov, cfg)
-        # zero learning rate and a fixed batch: the objective never moves
-        assert len(set(trace.v_hat)) == 1
 
     @pytest.mark.slow
     def test_deep_otm_training_halves_objective(self):
