@@ -49,4 +49,4 @@ unit = CovariationSpec(np.array([[1.0]]), grid)
 discrete = cameron_martin_map(forward(net, grid.left_times), unit)
 gap = np.max(np.abs(discrete.cumulative[:, 0] - exact(grid.times)))
 print(f"\ntanh net: max |discrete drift - closed form| = {gap:.2e}"
-      f"  (first order in dt = {grid.step_lengths[0]:.5f})")
+      f"  (first order in dt = {grid.dt:.5f})")

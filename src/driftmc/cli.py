@@ -13,12 +13,13 @@ from pathlib import Path
 from .config import (build_model, build_scenario, dump_config, load_config,
                      resolve_config)
 from .engine import (COMPARISON_FIELDS, REPORT_FIELDS, compare,
-                     comparison_to_dict, csv_text, estimate_plain,
-                     report_from_dict, report_to_dict)
+                     comparison_to_dict, csv_text, report_from_dict,
+                     report_to_dict)
 from .errors import (ConfigError, DriftmcError, ModelValidationError,
                      NonFiniteError, SimulationError, WeightOverflowError)
 from .models import validate
-from .pipeline import price_with_checkpoint, run, run_label, train_drift
+from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
+                       train_drift)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,6 +29,22 @@ EXIT_VALIDATION = 4
 
 def _add_config(parser):
     parser.add_argument("--config", required=True, help="run config JSON file")
+
+
+def _add_pricing(parser):
+    """The options ``price`` and ``price-is`` share."""
+    _add_config(parser)
+    parser.add_argument("--n", type=int, default=None,
+                        help="sample size (default: first configured size)")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--format", choices=("csv", "json"), default="json")
+    parser.add_argument("--out", default=None,
+                        help="report file (default stdout)")
+    parser.add_argument("--dump-paths", default=None, metavar="FILE",
+                        help="also write the priced trajectories as CSV; "
+                             "they are simulated a second time from the "
+                             "estimate's random streams")
 
 
 def _build_parser():
@@ -48,29 +65,15 @@ def _build_parser():
                    help="override the model sampling seed")
 
     p = sub.add_parser("price", help="plain Monte Carlo estimate")
-    _add_config(p)
-    p.add_argument("--n", type=int, default=None,
-                   help="sample size (default: first configured size)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None, help="report file (default stdout)")
-    p.add_argument("--dump-paths", default=None, metavar="FILE",
-                   help="also dump simulated trajectories as CSV")
+    _add_pricing(p)
 
     p = sub.add_parser("train", help="train the drift network")
     _add_config(p)
     p.add_argument("--out-dir", required=True)
 
     p = sub.add_parser("price-is", help="importance-sampled estimate from a checkpoint")
-    _add_config(p)
+    _add_pricing(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
-    p.add_argument("--dump-paths", default=None, metavar="FILE")
 
     p = sub.add_parser("compare", help="combine two report files into a table row")
     p.add_argument("--mc-report", required=True)
@@ -89,7 +92,8 @@ def _build_parser():
     p.add_argument("--dry-run", action="store_true",
                    help="resolve and write the config, simulate nothing")
     p.add_argument("--dump-paths", action="store_true",
-                   help="dump trajectories of every estimate (debugging)")
+                   help="also write the trajectories of every estimate as "
+                        "CSV, simulated a second time (debugging)")
     return parser
 
 
@@ -104,12 +108,15 @@ def _emit(row, fields, fmt, out):
         sys.stdout.write(text)
 
 
-def _sample_size(args, cfg):
-    """``--n`` if given (a non-positive value is refused by the estimator),
-    else the first configured sample size."""
-    if args.n is not None:
-        return args.n
-    return int(cfg["estimation"]["sample_sizes"][0])
+def _sample(args, cfg, importance):
+    """``(n, seed)`` of a price command: ``--n`` and ``--seed`` if given,
+    else the first configured sample size and the seed ``run`` prices it
+    with.  The estimator refuses a non-positive ``--n``."""
+    n = int(cfg["estimation"]["sample_sizes"][0]) if args.n is None else args.n
+    seed = args.seed
+    if seed is None:
+        seed = estimate_seed(cfg, 0, importance)
+    return n, seed
 
 
 def _load_report(path):
@@ -139,14 +146,17 @@ def _cmd_sample_params(args):
 
 
 def _cmd_price(args):
+    """``price``, and ``price-is`` with the drift of a checkpoint."""
     cfg = resolve_config(load_config(args.config))
-    sc = build_scenario(cfg)
-    seed = args.seed if args.seed is not None else int(cfg["estimation"]["seed"])
-    report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, seed=seed,
-                            n=_sample_size(args, cfg), label=run_label(cfg),
-                            threads=args.threads,
-                            block_size=int(cfg["estimation"]["block_size"]),
-                            dump_path=args.dump_paths)
+    importance = args.command == "price-is"
+    n, seed = _sample(args, cfg, importance)
+    if importance:
+        report = price_with_checkpoint(cfg, args.checkpoint, n, seed,
+                                       threads=args.threads,
+                                       dump_path=args.dump_paths)
+    else:
+        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads,
+                       dump_path=args.dump_paths)
     _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
     return EXIT_OK
 
@@ -160,17 +170,6 @@ def _cmd_train(args):
     if trace.halted_reason:
         raise NonFiniteError(trace.halted_reason)
     print(f"checkpoint written to {out_dir / 'checkpoint.json'}")
-    return EXIT_OK
-
-
-def _cmd_price_is(args):
-    cfg = resolve_config(load_config(args.config))
-    seed = args.seed if args.seed is not None else int(cfg["estimation"]["seed"]) + 1
-    report = price_with_checkpoint(cfg, args.checkpoint,
-                                   n=_sample_size(args, cfg), seed=seed,
-                                   threads=args.threads,
-                                   dump_path=args.dump_paths)
-    _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
     return EXIT_OK
 
 
@@ -197,7 +196,7 @@ _COMMANDS = {
     "sample-params": _cmd_sample_params,
     "price": _cmd_price,
     "train": _cmd_train,
-    "price-is": _cmd_price_is,
+    "price-is": _cmd_price,
     "compare": _cmd_compare,
     "run": _cmd_run,
 }

@@ -218,6 +218,10 @@ def resolve_config(raw):
                 and value > 0):
             raise ConfigError(f"grid.{key} must be a positive finite "
                               f"number, got {value!r}")
+    steps = cfg["grid"]["horizon"] / cfg["grid"]["dt"]
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ConfigError(f"grid.dt must divide grid.horizon into whole "
+                          f"steps; horizon / dt = {steps!r}")
 
     model_block = cfg["model"]
     tag = model_block["tag"]
@@ -253,6 +257,8 @@ def resolve_config(raw):
     sizes = cfg["estimation"]["sample_sizes"]
     if not sizes or any(int(s) <= 0 for s in sizes):
         raise ConfigError("estimation.sample_sizes must be positive")
+    if int(cfg["estimation"]["block_size"]) <= 0:
+        raise ConfigError("estimation.block_size must be positive")
     for fmt in cfg["output"]["formats"]:
         if fmt not in ("csv", "json"):
             raise ConfigError(f"unknown output format {fmt!r}")
@@ -299,7 +305,7 @@ def build_payoff(cfg):
 
 def build_grid(cfg):
     block = cfg["grid"]
-    n_steps = max(1, round(block["horizon"] / block["dt"]))
+    n_steps = round(block["horizon"] / block["dt"])
     return TimeGrid(block["horizon"], n_steps)
 
 

@@ -32,7 +32,7 @@ def _readonly(a):
 class TimeGrid:
     """Uniform grid 0 = t_0 < ... < t_K = horizon with K = n_steps.
 
-    ``step_lengths[k]`` is the length horizon / n_steps of the interval
+    ``dt`` = horizon / n_steps is the length of every interval
     (t_k, t_{k+1}]; the Euler scheme, increment sampling, the drift map and
     the payoff quadrature all read it.
     """
@@ -40,7 +40,7 @@ class TimeGrid:
     horizon: float
     n_steps: int
     times: np.ndarray = field(init=False)
-    step_lengths: np.ndarray = field(init=False)
+    dt: float = field(init=False)
 
     def __post_init__(self):
         if not self.horizon > 0.0:
@@ -51,8 +51,7 @@ class TimeGrid:
         object.__setattr__(self, "n_steps", int(self.n_steps))
         object.__setattr__(self, "times", _readonly(
             np.linspace(0.0, self.horizon, self.n_steps + 1)))
-        object.__setattr__(self, "step_lengths", _readonly(
-            np.full(self.n_steps, self.horizon / self.n_steps)))
+        object.__setattr__(self, "dt", self.horizon / self.n_steps)
 
     @property
     def left_times(self):
@@ -111,7 +110,7 @@ def _check_grid_values(f, spec, name):
 
 
 def lambda2_inner(f, g, spec):
-    """Weighted inner product  sum_k f_k' pi g_k  dt_k.
+    """Weighted inner product  sum_k f_k' pi g_k  dt.
 
     The induced seminorm can vanish on nonzero integrands when ``pi`` is
     singular; equality of drifts is always tested through this form, never
@@ -119,20 +118,20 @@ def lambda2_inner(f, g, spec):
     """
     f = _check_grid_values(f, spec, "f")
     g = _check_grid_values(g, spec, "g")
-    terms = np.sum((f @ spec.pi) * g, axis=1) * spec.grid.step_lengths
+    terms = np.sum((f @ spec.pi) * g, axis=1) * spec.grid.dt
     return float(np.sum(terms))
 
 
 def cameron_martin_map(f, spec):
     """Map a grid-sampled integrand to its cumulative drift adjustment.
 
-    Increments are pi f_k dt_k, accumulated from zero.  The squared norm
+    Increments are pi f_k dt, accumulated from zero.  The squared norm
     is recovered from the accumulated increments rather than from
     ``lambda2_inner`` so the discrete isometry is validated through two
     separate floating-point routes.
     """
     f = _check_grid_values(f, spec, "f")
-    increments = (f @ spec.pi) * spec.grid.step_lengths[:, None]
+    increments = (f @ spec.pi) * spec.grid.dt
     cumulative = np.zeros((spec.grid.n_steps + 1, spec.d))
     np.cumsum(increments, axis=0, out=cumulative[1:])
     steps = cumulative[1:] - cumulative[:-1]
@@ -144,14 +143,14 @@ def cameron_martin_map(f, spec):
 def sample_increments(spec, rng, n_paths):
     """Draw driver increments for ``n_paths`` paths.
 
-    Step k is sigma z sqrt(dt_k) with z standard normal, so its covariance
-    is pi dt_k; increments are independent across steps and paths.  Returns
+    Step k is sigma z sqrt(dt) with z standard normal, so its covariance
+    is pi dt; increments are independent across steps and paths.  Returns
     shape (n_paths, n_steps, d); ``n_paths = 0`` yields an empty batch.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
     z = rng.standard_normal((n_paths, spec.grid.n_steps, spec.d))
-    scaled = z * np.sqrt(spec.grid.step_lengths)[None, :, None]
+    scaled = z * np.sqrt(spec.grid.dt)
     return scaled @ spec.sigma.T
 
 

@@ -53,59 +53,36 @@ class EstimatorReport:
     wall_seconds: float
 
 
-@dataclass(frozen=True)
-class _BlockResult:
-    moments: RunningMoments
-    above: int
-    knocked: int | None
-    states: np.ndarray | None
-
-
 def _block_plan(total, block_size):
     """Fixed partition of the sample into (index, start, size) blocks."""
-    blocks = []
-    start = 0
-    while start < total:
-        size = min(block_size, total - start)
-        blocks.append((len(blocks), start, size))
-        start += size
-    return blocks
+    return [(index, start, min(block_size, total - start))
+            for index, start in enumerate(range(0, total, block_size))]
+
+
+def _block_paths(model, grid, cov, drift, seed, index, size):
+    """Paths of block ``index``, drawn from that block's own substream; the
+    estimators and :func:`dump_paths` both simulate through here."""
+    rng = streams.substream(seed, streams.ESTIMATE, index)
+    return simulate(model, grid, cov, rng, size, drift=drift)
 
 
 def _simulate_block(model, payoff, grid, cov, drift, seed, index, size,
-                    discount_cents, keep_states):
-    rng = streams.substream(seed, streams.ESTIMATE, index)
-    batch = simulate(model, grid, cov, drift=drift, rng=rng, n_paths=size)
+                    discount_cents):
+    """Moments, above-strike count and knocked-out count (None without
+    barriers) of one block's weighted discounted payoffs."""
+    batch = _block_paths(model, grid, cov, drift, seed, index, size)
     pay = evaluate_batch(payoff, batch.states, grid)
-    if drift is None:
-        values = pay.values * discount_cents
-    else:
-        values = (pay.values * np.exp(batch.log_inverse_likelihood)
-                  * discount_cents)
+    # Under P the log-weights are zero and v * exp(0) == v exactly, so a
+    # plain block is an IS block with unit weights, bit for bit.
+    values = (pay.values * np.exp(batch.log_inverse_likelihood)
+              * discount_cents)
     knocked = None if pay.knocked_out is None else int(pay.knocked_out.sum())
-    return _BlockResult(
-        moments=RunningMoments.from_array(values),
-        above=int(pay.above_strike.sum()),
-        knocked=knocked,
-        states=batch.states if keep_states else None,
-    )
-
-
-def _write_dump_header(fh, n_state):
-    cols = ",".join(f"state_{j}" for j in range(n_state))
-    fh.write(f"path_id,step,{cols}\n")
-
-
-def _dump_block(fh, states, start):
-    n_paths, n_nodes, n_state = states.shape
-    for p in range(n_paths):
-        for k in range(n_nodes):
-            row = ",".join(repr(float(x)) for x in states[p, k])
-            fh.write(f"{start + p},{k},{row}\n")
+    return (RunningMoments.from_array(values), int(pay.above_strike.sum()),
+            knocked)
 
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
-              block_size, dump_path):
+              block_size):
     if n <= 0:
         raise ValueError("sample size must be positive")
     check_width(payoff, model.n)
@@ -114,9 +91,9 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     blocks = _block_plan(n, block_size)
 
     def worker(block):
-        index, start, size = block
+        index, _, size = block
         return _simulate_block(model, payoff, grid, cov, drift, seed, index,
-                               size, discount_cents, dump_path is not None)
+                               size, discount_cents)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -127,16 +104,11 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     moments = RunningMoments()
     above = 0
     knocked = 0 if payoff.has_barriers else None
-    for res in results:
-        moments = moments.merge(res.moments)
-        above += res.above
+    for block_moments, block_above, block_knocked in results:
+        moments = moments.merge(block_moments)
+        above += block_above
         if knocked is not None:
-            knocked += res.knocked
-    if dump_path is not None:
-        with open(dump_path, "w", encoding="utf-8") as fh:
-            _write_dump_header(fh, results[0].states.shape[2])
-            for (index, start, size), res in zip(blocks, results):
-                _dump_block(fh, res.states, start)
+            knocked += block_knocked
 
     mean = moments.mean
     # An all-zero sample has no relative error to speak of: never "exact".
@@ -159,20 +131,35 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
 
 
 def estimate_plain(model, payoff, grid, cov, seed, n, label="run", threads=1,
-                   block_size=DEFAULT_BLOCK_SIZE, dump_path=None):
+                   block_size=DEFAULT_BLOCK_SIZE):
     """Plain Monte Carlo price estimate under the original measure."""
     return _estimate(model, payoff, grid, cov, None, seed, n, label, threads,
-                     block_size, dump_path)
+                     block_size)
 
 
 def estimate_is(model, payoff, grid, cov, drift, seed, n, label="run",
-                threads=1, block_size=DEFAULT_BLOCK_SIZE, dump_path=None):
+                threads=1, block_size=DEFAULT_BLOCK_SIZE):
     """Importance-sampled estimate: simulate under the drift-adjusted
     measure and reweight every payoff by the inverse likelihood ratio."""
-    if drift.output_width != cov.d:
-        raise ValueError("drift output width must match the driver dimension")
     return _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
-                     block_size, dump_path)
+                     block_size)
+
+
+def dump_paths(model, grid, cov, drift, seed, n, block_size, path):
+    """Write the paths of the estimate at ``(drift, seed, n, block_size)``
+    to ``path`` as CSV, one row per path and grid node.  The blocks are
+    simulated again from the estimator's substreams, so the rows are the
+    priced paths, and each is written before the next is simulated."""
+    cols = ",".join(f"state_{j}" for j in range(model.n_state))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"path_id,step,{cols}\n")
+        for index, start, size in _block_plan(n, block_size):
+            states = _block_paths(model, grid, cov, drift, seed, index,
+                                  size).states
+            for p in range(size):
+                for k in range(grid.n_steps + 1):
+                    row = ",".join(repr(float(x)) for x in states[p, k])
+                    fh.write(f"{start + p},{k},{row}\n")
 
 
 @dataclass(frozen=True)
@@ -197,9 +184,10 @@ class ComparisonRow:
 def variance_ratio(report_mc, report_is):
     """Plain-MC per-sample variance over importance-sampled variance.
 
-    Both reports must describe the same scenario; a zero importance-sampled
-    variance against a non-degenerate plain estimator is flagged as
-    suspicious and returns infinity.
+    Both reports must describe the same scenario.  A zero importance-sampled
+    variance against a plain estimator that varies is degenerate, not an
+    infinite reduction (every weight may have underflowed to zero): the
+    ratio is undefined and returned as NaN.
     """
     if report_mc.label != report_is.label:
         raise ValueError(
@@ -210,8 +198,8 @@ def variance_ratio(report_mc, report_is):
     if var_is == 0.0:
         if var_mc > 0.0:
             log.warning("importance-sampled variance is zero while the plain "
-                        "estimator varies; ratio reported as inf")
-            return math.inf
+                        "estimator varies; ratio reported as NaN")
+            return math.nan
         return 1.0
     return var_mc / var_is
 

@@ -178,7 +178,7 @@ class PathBatch:
     measure: str
 
 
-def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0):
+def simulate(spec, grid, cov, rng, n_paths, drift=None):
     """Euler-Maruyama paths of the model on the given grid.
 
     The driver increments are drawn by :func:`sample_increments` from
@@ -212,7 +212,7 @@ def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0):
     mu, theta, m = spec.mu, spec.reversion, spec.mean_level
     # Overflow is detected explicitly below; do not warn along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        _euler_loop(spec, states, dm, grid.step_lengths, mu, theta, m)
+        _euler_loop(spec, states, dm, grid.dt, mu, theta, m)
 
     bad = np.nonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
     if bad.size:
@@ -221,20 +221,14 @@ def simulate(spec, grid, cov, drift=None, rng=None, n_paths=0):
             f"{int(bad[0])}", path_indices=bad)
 
     if drift_eval is None:
-        log_lr = np.zeros(n_paths)
-        measure = "P"
-    else:
-        log_lr = np.asarray(log_likelihood_inverse(drift_eval, dm, cov),
-                            dtype=np.float64).reshape(n_paths)
-        measure = "P_h"
-    return PathBatch(states=states, increments=dm,
-                     log_inverse_likelihood=log_lr, measure=measure)
+        return PathBatch(states, dm, np.zeros(n_paths), "P")
+    return PathBatch(states, dm, log_likelihood_inverse(drift_eval, dm, cov),
+                     "P_h")
 
 
-def _euler_loop(spec, states, dm, steps, mu, theta, m):
+def _euler_loop(spec, states, dm, h, mu, theta, m):
     n = spec.n
     for k in range(dm.shape[1]):
-        h = steps[k]
         s = states[:, k, :n]
         if spec.tag == BLACK_SCHOLES:
             states[:, k + 1, :n] = s + s * (mu * h) + s * dm[:, k, :]

@@ -127,14 +127,12 @@ class ShallowNet:
         )
 
 
-def init_net(hidden, output, activation="scaled_tanh", rng=None):
+def init_net(hidden, output, rng, activation="scaled_tanh"):
     """Fresh net with uniform hidden layer and zero output layer.
 
     The zero output layer makes the initial map identically zero, so drift
     training starts exactly at the unadjusted sampling measure.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     bound = np.sqrt(6.0 / (1.0 + hidden))
     return ShallowNet(
         w_in=rng.uniform(-bound, bound, size=hidden),
@@ -203,11 +201,11 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     step: int = 0
-    learning_rate: float = 1e-3
 
     @classmethod
-    def fresh(cls, n_params, learning_rate=1e-3):
+    def fresh(cls, n_params, learning_rate):
         return cls(m=np.zeros(n_params), v=np.zeros(n_params),
                    learning_rate=learning_rate)
 

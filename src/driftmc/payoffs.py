@@ -81,10 +81,10 @@ def basket_weights(mu, sigma):
 
 def node_quadrature(grid):
     """Per-node trapezoid weights for integrating over the grid."""
-    steps = grid.step_lengths
+    half = 0.5 * grid.dt
     w = np.zeros(grid.n_steps + 1)
-    w[:-1] += 0.5 * steps
-    w[1:] += 0.5 * steps
+    w[:-1] += half
+    w[1:] += half
     return w
 
 

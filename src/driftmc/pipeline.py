@@ -14,7 +14,8 @@ from pathlib import Path
 from .config import (build_scenario, build_train_config, dump_config,
                      resolve_config)
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
-                     estimate_is, estimate_plain, report_to_dict, rows_to_csv)
+                     dump_paths, estimate_is, estimate_plain, report_to_dict,
+                     rows_to_csv)
 from .errors import DriftmcError
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train
@@ -36,13 +37,37 @@ def run_label(cfg):
     return f"{tag}-{kind}"
 
 
+def estimate_seed(cfg, index, importance):
+    """Seed of the estimate at the ``index``-th configured sample size;
+    plain and importance-sampled ones alternate from ``estimation.seed``."""
+    return int(cfg["estimation"]["seed"]) + 2 * index + int(importance)
+
+
+def price(cfg, sc, n, seed, drift=None, threads=1, dump_path=None):
+    """Estimate a resolved config's scenario ``sc`` at ``(n, seed)``: plain
+    without ``drift``, importance-sampled with it.  With ``dump_path`` the
+    priced paths are simulated again and written there."""
+    block_size = int(cfg["estimation"]["block_size"])
+    common = dict(seed=seed, n=n, label=run_label(cfg), threads=threads,
+                  block_size=block_size)
+    if drift is None:
+        report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, **common)
+    else:
+        report = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift,
+                             **common)
+    if dump_path is not None:
+        dump_paths(sc.model, sc.grid, sc.cov, drift, seed, n, block_size,
+                   dump_path)
+    return report
+
+
 def train_drift(cfg, sc, out_dir=None):
     """Train the drift network of a resolved config on its scenario ``sc``;
     optionally persist."""
     train_cfg = build_train_config(cfg)
     rng = streams.substream(train_cfg.seed, streams.TRAIN, 999_999)
-    net = init_net(cfg["training"]["hidden_width"], sc.model.d,
-                   activation=cfg["training"]["activation"], rng=rng)
+    net = init_net(cfg["training"]["hidden_width"], sc.model.d, rng,
+                   activation=cfg["training"]["activation"])
     trained, trace = train(net, sc.model, sc.payoff, sc.grid, sc.cov,
                            train_cfg)
     if out_dir is not None:
@@ -70,22 +95,22 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
 
         stage = "validate"
         sc = build_scenario(cfg)
-        label = run_label(cfg)
         sizes = [int(s) for s in cfg["estimation"]["sample_sizes"]]
-        est_seed = int(cfg["estimation"]["seed"])
-        block_size = int(cfg["estimation"]["block_size"])
+
+        def price_all(drift, tag):
+            reports = []
+            for j, n in enumerate(sizes):
+                seed = estimate_seed(cfg, j, importance=drift is not None)
+                dump = out_dir / f"paths_{tag}_n{n}.csv" if dump_paths else None
+                report = price(cfg, sc, n, seed, drift=drift, threads=threads,
+                               dump_path=dump)
+                log.info("%s n=%d mean=%.4g cents se=%.3g%%", tag, n,
+                         report.mean_cents, report.se_pct)
+                reports.append(report)
+            return reports
 
         stage = "plain"
-        plain_reports = []
-        for j, n in enumerate(sizes):
-            dump = out_dir / f"paths_plain_n{n}.csv" if dump_paths else None
-            report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov,
-                                    seed=est_seed + 2 * j, n=n, label=label,
-                                    threads=threads, block_size=block_size,
-                                    dump_path=dump)
-            log.info("plain n=%d mean=%.4g cents se=%.3g%%", n,
-                     report.mean_cents, report.se_pct)
-            plain_reports.append(report)
+        plain_reports = price_all(None, "plain")
 
         stage = "train"
         drift, trace = train_drift(cfg, sc, out_dir=out_dir)
@@ -93,16 +118,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
             log.warning("training halted early: %s", trace.halted_reason)
 
         stage = "importance"
-        is_reports = []
-        for j, n in enumerate(sizes):
-            dump = out_dir / f"paths_is_n{n}.csv" if dump_paths else None
-            report = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift,
-                                 seed=est_seed + 2 * j + 1, n=n, label=label,
-                                 threads=threads, block_size=block_size,
-                                 dump_path=dump)
-            log.info("is n=%d mean=%.4g cents se=%.3g%%", n,
-                     report.mean_cents, report.se_pct)
-            is_reports.append(report)
+        is_reports = price_all(drift, "is")
 
         stage = "compare"
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
@@ -129,11 +145,9 @@ def _emit_reports(out_dir, plain_reports, is_reports, rows, formats):
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1,
                           dump_path=None):
-    """One importance-sampled estimate driven by a stored checkpoint, in
-    the blocks of the config's ``estimation.block_size``."""
+    """One importance-sampled :func:`price` driven by a stored
+    checkpoint."""
     sc = build_scenario(cfg)
     drift = load_checkpoint(checkpoint_path)
-    return estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift, seed=seed,
-                       n=n, label=run_label(cfg), threads=threads,
-                       block_size=int(cfg["estimation"]["block_size"]),
-                       dump_path=dump_path)
+    return price(cfg, sc, n, seed, drift=drift, threads=threads,
+                 dump_path=dump_path)

@@ -81,7 +81,7 @@ class TrainingBatch:
 def simulate_training_batch(model, payoff, grid, cov, rng, batch_size):
     """Draw one training batch under the original measure."""
     check_width(payoff, model.n)
-    batch = simulate(model, grid, cov, drift=None, rng=rng, n_paths=batch_size)
+    batch = simulate(model, grid, cov, rng, batch_size)
     values = evaluate_batch(payoff, batch.states, grid).values
     return TrainingBatch(payoff_sq=values**2, increments=batch.increments)
 

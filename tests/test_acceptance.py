@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from driftmc.config import build_scenario, resolve_config
-from driftmc.engine import estimate_is, estimate_plain
+from driftmc.engine import compare, estimate_is, estimate_plain
 from driftmc.network import ShallowNet
 
 pytestmark = pytest.mark.acceptance
@@ -39,10 +39,15 @@ def basket_drift(sc, scale):
                       b_out=scale * direction)
 
 
+def reduced_scenario(name):
+    raw, _ = SCENARIOS[name]
+    return build_scenario(resolve_config(dict(raw, grid={"dt": 1.0 / 50})))
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_is_mean_agrees_with_plain(name):
-    raw, scale = SCENARIOS[name]
-    sc = build_scenario(resolve_config(dict(raw, grid={"dt": 1.0 / 50})))
+    sc = reduced_scenario(name)
+    scale = SCENARIOS[name][1]
     plain = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, seed=11,
                            n=N_PATHS)
     weighted = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov,
@@ -51,3 +56,20 @@ def test_is_mean_agrees_with_plain(name):
     se = math.hypot(plain.se_pct * plain.mean_cents,
                     weighted.se_pct * weighted.mean_cents) / 100
     assert abs(plain.mean_cents - weighted.mean_cents) <= 3 * se
+
+
+def test_underflowed_weights_give_undefined_vr(caplog):
+    # c = 12 is far too large for the Heston knock-out: every IS path is
+    # knocked out or carries a weight that underflows to zero, so the IS
+    # sample is constant at zero.  That is a failed estimate, not an
+    # infinite variance reduction.
+    sc = reduced_scenario("heston-knockout")
+    plain = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, seed=11,
+                           n=2048)
+    weighted = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov,
+                           basket_drift(sc, 12.0), seed=12, n=2048)
+    assert plain.per_sample_variance > 0.0
+    assert weighted.mean_cents == 0.0
+    assert weighted.se_pct == math.inf
+    assert math.isnan(compare(plain, weighted).vr)
+    assert "variance is zero" in caplog.text

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from driftmc.cli import main
+from driftmc.config import build_scenario, resolve_config
+from driftmc.payoffs import evaluate_batch
 
 TINY_CONFIG = {
     "model": {"tag": "black_scholes", "n": 2, "seed": 1},
@@ -166,6 +168,22 @@ class TestPriceCommands:
         assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
         assert "grid.dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt", [0.3, 2.0])
+    def test_grid_step_must_divide_horizon(self, tmp_path, capsys, dt):
+        # 1 / 0.3 and 1 / 2.0 are no whole step counts; rounding them would
+        # price a grid other than the one the resolved config records
+        cfg = write_config(tmp_path, overrides={"grid": {"dt": dt}})
+        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert "grid.dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block_size", [0, -128])
+    def test_non_positive_block_size_is_config_error(self, tmp_path, capsys,
+                                                     block_size):
+        cfg = write_config(tmp_path,
+                           overrides={"estimation": {"block_size": block_size}})
+        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert "estimation.block_size" in capsys.readouterr().err
+
     def test_price_csv_to_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["price", "--config", str(cfg), "--n", "64",
@@ -183,6 +201,27 @@ class TestPriceCommands:
                      str(tmp_path / "r.json")]) == 0
         header = dump.read_text().splitlines()[0]
         assert header == "path_id,step,state_0,state_1"
+
+    def test_dumped_paths_are_the_priced_paths(self, tmp_path):
+        # the payoff of the dumped paths reproduces the reported mean, over
+        # three blocks of 128 paths, the last one partial
+        cfg = write_config(tmp_path)
+        dump = tmp_path / "paths.csv"
+        out = tmp_path / "r.json"
+        assert main(["price", "--config", str(cfg), "--n", "300",
+                     "--dump-paths", str(dump), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        sc = build_scenario(resolve_config(json.loads(cfg.read_text())))
+        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+        nodes = sc.grid.n_steps + 1
+        np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(300),
+                                                            nodes))
+        states = rows[:, 2:].reshape(300, nodes, sc.model.n_state)
+        values = evaluate_batch(sc.payoff, states, sc.grid).values
+        discount_cents = 100.0 * np.exp(-sc.model.rate * sc.grid.horizon)
+        assert report["mean_cents"] > 0.0
+        assert np.mean(values * discount_cents) == pytest.approx(
+            report["mean_cents"], rel=1e-12)
 
 
 class TestRunCommand:

@@ -19,8 +19,8 @@ class TestTimeGrid:
         grid = TimeGrid(2.0, 10)
         assert grid.n_steps == 10
         np.testing.assert_allclose(grid.times, np.linspace(0.0, 2.0, 11))
-        np.testing.assert_allclose(grid.step_lengths.sum(), 2.0)
-        np.testing.assert_array_equal(grid.step_lengths, 0.2)
+        assert grid.dt == 0.2
+        np.testing.assert_allclose(grid.n_steps * grid.dt, 2.0)
 
     def test_rejects_zero_total_mass(self):
         # the total step length is the horizon
@@ -38,7 +38,9 @@ class TestTimeGrid:
     def test_read_only(self):
         grid = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
-            grid.step_lengths[0] = 0.5
+            grid.times[0] = 0.5
+        with pytest.raises(AttributeError):
+            grid.dt = 0.5
 
 
 class TestCovariationSpec:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ import pytest
 from driftmc import streams
 from driftmc.covariation import CovariationSpec, TimeGrid
 from driftmc.engine import (COMPARISON_FIELDS, REPORT_FIELDS, EstimatorReport,
-                            compare, comparison_to_dict, estimate_is,
-                            estimate_plain, report_from_dict, report_to_dict,
-                            rows_from_csv, rows_to_csv, _block_plan)
+                            compare, comparison_to_dict, dump_paths,
+                            estimate_is, estimate_plain, report_from_dict,
+                            report_to_dict, rows_from_csv, rows_to_csv,
+                            _block_plan)
 from driftmc.errors import DimensionError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
@@ -115,16 +117,55 @@ class TestEstimatePlain:
         assert rows_from_csv(path) == [row]
 
     def test_path_dump_written(self, tmp_path):
-        model, payoff, grid, cov = bs_setup(n_steps=4)
+        model, _, grid, cov = bs_setup(n_steps=4)
         dump = tmp_path / "paths.csv"
-        estimate_plain(model, payoff, grid, cov, seed=1, n=8, block_size=3,
-                       dump_path=dump)
+        dump_paths(model, grid, cov, None, seed=1, n=8, block_size=3,
+                   path=dump)
         lines = dump.read_text().splitlines()
         assert lines[0] == "path_id,step,state_0"
         assert len(lines) == 1 + 8 * (grid.n_steps + 1)
         # block-ordered path ids
         ids = [int(line.split(",")[0]) for line in lines[1:]]
         assert ids == sorted(ids)
+
+
+class TestDumpPaths:
+    def test_rows_are_the_simulated_blocks(self, tmp_path):
+        # block i is re-simulated from the estimator's substream i
+        model, _, grid, cov = bs_setup(n_steps=4)
+        drift = ShallowNet(w_in=[0.5], b_in=[0.1], w_out=[[1.0]], b_out=[0.5],
+                           activation="tanh")
+        dump = tmp_path / "paths.csv"
+        dump_paths(model, grid, cov, drift, seed=2, n=5, block_size=3,
+                   path=dump)
+        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+        blocks = [simulate(model, grid, cov,
+                           streams.substream(2, streams.ESTIMATE, i), size,
+                           drift=drift).states
+                  for i, size in ((0, 3), (1, 2))]
+        np.testing.assert_array_equal(
+            rows[:, 2].reshape(5, grid.n_steps + 1),
+            np.concatenate(blocks)[:, :, 0])
+
+    def test_memory_stays_at_one_block(self, tmp_path):
+        # the dump writes each block before simulating the next, so eight
+        # times the blocks must not take eight times the memory
+        model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05] * 4,
+                          sigma=np.diag([0.2] * 4), s0=[1.0] * 4, rate=0.05)
+        grid = TimeGrid(1.0, 8)
+        cov = CovariationSpec(model.sigma, grid)
+
+        def peak(n_blocks):
+            tracemalloc.start()
+            try:
+                dump_paths(model, grid, cov, None, seed=0, n=32 * n_blocks,
+                           block_size=32, path=tmp_path / "paths.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations are not the dump's
+        assert peak(64) <= 1.5 * peak(8)
 
 
 def heston_two_assets():

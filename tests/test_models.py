@@ -174,7 +174,7 @@ class TestSimulateWithDrift:
         batch = simulate(model, grid, cov, drift=net,
                          rng=np.random.default_rng(2), n_paths=200_000)
         step = batch.increments[:, 3, 0]
-        target = cov.pi[0, 0] * c * grid.step_lengths[3]
+        target = cov.pi[0, 0] * c * grid.dt
         se = step.std(ddof=1) / np.sqrt(step.size)
         assert abs(step.mean() - target) <= 4 * se
 

@@ -161,7 +161,7 @@ class TestFlattening:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = np.array([1.0, -2.0, 3.0])
-        state = AdamState.fresh(3)
+        state = AdamState.fresh(3, learning_rate=1e-3)
         new_params, new_state = adam_step(params, np.zeros(3), state)
         np.testing.assert_array_equal(new_params, params)
         assert new_state.step == 1
@@ -177,7 +177,7 @@ class TestAdam:
 
     def test_second_identical_step_not_larger(self):
         params = np.zeros(2)
-        state = AdamState.fresh(2)
+        state = AdamState.fresh(2, learning_rate=1e-3)
         g = np.full(2, 0.37)
         p1, state = adam_step(params, g, state)
         p2, state = adam_step(p1, g, state)
@@ -185,7 +185,8 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            adam_step(np.zeros(3), np.zeros(4), AdamState.fresh(3))
+            adam_step(np.zeros(3), np.zeros(4),
+                      AdamState.fresh(3, learning_rate=1e-3))
 
 
 class TestAntiderivative:
