@@ -150,8 +150,8 @@ def sample_increments(spec, rng, n_paths):
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
     z = rng.standard_normal((n_paths, spec.grid.n_steps, spec.d))
-    scaled = z * np.sqrt(spec.grid.dt)
-    return scaled @ spec.sigma.T
+    z *= np.sqrt(spec.grid.dt)
+    return z @ spec.sigma.T
 
 
 def log_likelihood_inverse(drift, increments, spec):

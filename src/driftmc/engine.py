@@ -1,9 +1,14 @@
 """Plain and importance-sampled price estimators with table-style reports.
 
-Paths are simulated in fixed-size blocks, each block on its own derived
-random substream, and block statistics are merged in block order.  The
-partition depends only on the sample size, so results are bit-identical
-across worker-thread counts.  Prices are reported discounted, in cents.
+The block is the unit of reproducibility: paths are simulated in
+fixed-size blocks, each block on its own derived random substream, and
+block statistics are merged in block order.  The partition depends only on
+the sample size, so results are bit-identical across worker-thread counts.
+The chunk is the unit of memory: a block is simulated and priced
+``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
+the block's one substream, so no array is larger than a chunk and the
+numbers are those of one draw of the whole block.  Prices are reported
+discounted, in cents.
 """
 
 import logging
@@ -15,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SimulationError
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
@@ -23,6 +29,8 @@ from . import streams
 log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 2048
+# Paths simulated at once within a block; bounds the memory of a block.
+CHUNK_SIZE = 512
 
 # Stable field names of emitted report rows.
 REPORT_FIELDS = ("label", "measure", "n", "mean_cents", "se_pct", "kappa",
@@ -38,7 +46,8 @@ class EstimatorReport:
     the knocked-out fraction (barrier payoffs only) and
     ``per_sample_variance`` the sample variance of one discounted per-path
     estimate in cents squared (the quantity variance ratios compare).
-    ``wall_seconds`` is diagnostic only and never written to artifacts.
+    ``wall_seconds`` is diagnostic only: a run writes it to
+    ``timings.json``, outside the byte-identical artifacts.
     """
 
     label: str
@@ -59,26 +68,40 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
-def _block_paths(model, grid, cov, drift, seed, index, size):
-    """Paths of block ``index``, drawn from that block's own substream; the
-    estimators and :func:`dump_paths` both simulate through here."""
+def _block_paths(model, grid, cov, drift, seed, block):
+    """Chunk batches of ``block = (index, start, size)`` in path order, all
+    drawn from that block's own substream; the estimators and
+    :func:`dump_paths` both simulate through here.  A path that blows up is
+    reported by its estimate-wide id, ``start`` plus its place in the
+    block."""
+    index, start, size = block
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    return simulate(model, grid, cov, rng, size, drift=drift)
+    for offset in range(0, size, CHUNK_SIZE):
+        try:
+            yield simulate(model, grid, cov, rng,
+                           min(CHUNK_SIZE, size - offset), drift=drift)
+        except SimulationError as exc:
+            raise exc.shifted(start + offset) from exc
 
 
-def _simulate_block(model, payoff, grid, cov, drift, seed, index, size,
+def _simulate_block(model, payoff, grid, cov, drift, seed, block,
                     discount_cents):
     """Moments, above-strike count and knocked-out count (None without
     barriers) of one block's weighted discounted payoffs."""
-    batch = _block_paths(model, grid, cov, drift, seed, index, size)
-    pay = evaluate_batch(payoff, batch.states, grid)
-    # Under P the log-weights are zero and v * exp(0) == v exactly, so a
-    # plain block is an IS block with unit weights, bit for bit.
-    values = (pay.values * np.exp(batch.log_inverse_likelihood)
-              * discount_cents)
-    knocked = None if pay.knocked_out is None else int(pay.knocked_out.sum())
-    return (RunningMoments.from_array(values), int(pay.above_strike.sum()),
-            knocked)
+    values = []
+    above = 0
+    knocked = 0 if payoff.has_barriers else None
+    for batch in _block_paths(model, grid, cov, drift, seed, block):
+        pay = evaluate_batch(payoff, batch.states, grid)
+        # Under P the log-weights are zero and v * exp(0) == v exactly, so a
+        # plain block is an IS block with unit weights, bit for bit.
+        values.append(pay.values * np.exp(batch.log_inverse_likelihood)
+                      * discount_cents)
+        above += int(pay.above_strike.sum())
+        if knocked is not None:
+            knocked += int(pay.knocked_out.sum())
+        del batch  # free this chunk's paths before the next is drawn
+    return RunningMoments.from_array(np.concatenate(values)), above, knocked
 
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
@@ -91,9 +114,8 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     blocks = _block_plan(n, block_size)
 
     def worker(block):
-        index, _, size = block
-        return _simulate_block(model, payoff, grid, cov, drift, seed, index,
-                               size, discount_cents)
+        return _simulate_block(model, payoff, grid, cov, drift, seed, block,
+                               discount_cents)
 
     if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -148,18 +170,20 @@ def estimate_is(model, payoff, grid, cov, drift, seed, n, label="run",
 def dump_paths(model, grid, cov, drift, seed, n, block_size, path):
     """Write the paths of the estimate at ``(drift, seed, n, block_size)``
     to ``path`` as CSV, one row per path and grid node.  The blocks are
-    simulated again from the estimator's substreams, so the rows are the
-    priced paths, and each is written before the next is simulated."""
+    simulated again, chunk by chunk, from the estimator's substreams, so
+    the rows are the priced paths, and each chunk is written before the
+    next is simulated."""
     cols = ",".join(f"state_{j}" for j in range(model.n_state))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"path_id,step,{cols}\n")
-        for index, start, size in _block_plan(n, block_size):
-            states = _block_paths(model, grid, cov, drift, seed, index,
-                                  size).states
-            for p in range(size):
-                for k in range(grid.n_steps + 1):
-                    row = ",".join(repr(float(x)) for x in states[p, k])
-                    fh.write(f"{start + p},{k},{row}\n")
+        for block in _block_plan(n, block_size):
+            path_id = block[1]
+            for batch in _block_paths(model, grid, cov, drift, seed, block):
+                for states in batch.states:
+                    for k, node in enumerate(states):
+                        row = ",".join(repr(float(x)) for x in node)
+                        fh.write(f"{path_id},{k},{row}\n")
+                    path_id += 1
 
 
 @dataclass(frozen=True)

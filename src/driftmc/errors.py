@@ -27,11 +27,22 @@ class ModelValidationError(DriftmcError):
 
 
 class SimulationError(DriftmcError):
-    """A path blew up to a non-finite state during simulation."""
+    """Paths blew up to a non-finite state during simulation.
 
-    def __init__(self, message, path_indices=()):
+    ``path_indices`` index the simulated batch; the estimators re-raise
+    :meth:`shifted` to estimate-wide path ids, the ``path_id`` of
+    ``--dump-paths``.
+    """
+
+    def __init__(self, path_indices):
         self.path_indices = tuple(int(i) for i in path_indices)
-        super().__init__(message)
+        super().__init__(f"{len(self.path_indices)} path(s) reached a "
+                         f"non-finite state, first at index "
+                         f"{self.path_indices[0]}")
+
+    def shifted(self, offset):
+        """The same error with every path index moved by ``offset``."""
+        return SimulationError(offset + i for i in self.path_indices)
 
 
 class WeightOverflowError(DriftmcError):

@@ -201,7 +201,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     if drift is not None:
         drift_eval = cameron_martin_map(forward(drift, grid.left_times), cov)
         # Finite variation part of the shifted driver: pi f dt per step.
-        dm = dm + (drift_eval.cumulative[1:] - drift_eval.cumulative[:-1])
+        dm += drift_eval.cumulative[1:] - drift_eval.cumulative[:-1]
 
     n = spec.n
     states = np.empty((n_paths, grid.n_steps + 1, spec.n_state))
@@ -216,9 +216,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
 
     bad = np.nonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
     if bad.size:
-        raise SimulationError(
-            f"{bad.size} path(s) reached a non-finite state, first at index "
-            f"{int(bad[0])}", path_indices=bad)
+        raise SimulationError(bad)
 
     if drift_eval is None:
         return PathBatch(states, dm, np.zeros(n_paths), "P")

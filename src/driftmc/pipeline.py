@@ -2,13 +2,15 @@
 
 Every artifact (resolved config, checkpoint, training trace, report tables)
 is written with deterministic formatting, so a rerun of the same config is
-byte-identical, including across worker-thread counts.  On failure the
-artifacts produced so far are kept and a machine-readable error file is
-written next to them.
+byte-identical, including across worker-thread counts.  The one exception
+is ``timings.json``, the wall times of the training and of each estimate.
+On failure the artifacts produced so far are kept and a machine-readable
+error file is written next to them.
 """
 
 import json
 import logging
+import time
 from pathlib import Path
 
 from .config import (build_scenario, build_train_config, dump_config,
@@ -24,11 +26,16 @@ from . import streams
 log = logging.getLogger(__name__)
 
 
-def _write_error(out_dir, stage, exc):
-    record = {"stage": stage, "error": type(exc).__name__, "message": str(exc)}
-    with open(Path(out_dir) / "error.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_error(out_dir, stage, exc):
+    _write_json(Path(out_dir) / "error.json",
+                {"stage": stage, "error": type(exc).__name__,
+                 "message": str(exc)})
 
 
 def run_label(cfg):
@@ -113,7 +120,9 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
         plain_reports = price_all(None, "plain")
 
         stage = "train"
+        begin = time.perf_counter()
         drift, trace = train_drift(cfg, sc, out_dir=out_dir)
+        training_seconds = time.perf_counter() - begin
         if trace.halted_reason:
             log.warning("training halted early: %s", trace.halted_reason)
 
@@ -124,6 +133,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
         _emit_reports(out_dir, plain_reports, is_reports, rows,
                       formats or cfg["output"]["formats"])
+        _write_timings(out_dir, plain_reports + is_reports, training_seconds)
         return rows
     except (DriftmcError, OSError, ValueError) as exc:
         _write_error(out_dir, stage, exc)
@@ -135,12 +145,22 @@ def _emit_reports(out_dir, plain_reports, is_reports, rows, formats):
                     + [report_to_dict(r) for r in is_reports])
     row_dicts = [comparison_to_dict(row) for row in rows]
     if "json" in formats:
-        payload = {"reports": report_dicts, "comparison": row_dicts}
-        with open(out_dir / "reports.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "reports.json",
+                    {"reports": report_dicts, "comparison": row_dicts})
     if "csv" in formats:
         rows_to_csv(row_dicts, COMPARISON_FIELDS, out_dir / "reports.csv")
+
+
+def _write_timings(out_dir, reports, training_seconds):
+    """Wall times of a run; they vary from run to run, so they stay out of
+    the byte-identical artifacts."""
+    estimates = [{"label": r.label, "measure": r.measure, "n": r.sample_size,
+                  "seed": r.seed, "wall_seconds": r.wall_seconds,
+                  "paths_per_s": r.sample_size / r.wall_seconds}
+                 for r in reports]
+    _write_json(out_dir / "timings.json",
+                {"training_seconds": training_seconds,
+                 "estimates": estimates})
 
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1,

@@ -34,6 +34,11 @@ def run_artifacts(out_dir):
     return sorted(p.name for p in Path(out_dir).iterdir())
 
 
+def deterministic_artifacts(out_dir):
+    """A run's artifacts but its wall times, which vary from run to run."""
+    return [name for name in run_artifacts(out_dir) if name != "timings.json"]
+
+
 class TestValidateCommand:
     def test_sampled_config_validates(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -239,9 +244,20 @@ class TestRunCommand:
                      str(out_dir)]) == 0
         names = run_artifacts(out_dir)
         assert names == ["checkpoint.json", "reports.csv", "reports.json",
-                         "resolved_config.json", "training_trace.csv"]
+                         "resolved_config.json", "timings.json",
+                         "training_trace.csv"]
         rows = json.loads((out_dir / "reports.json").read_text())["comparison"]
         assert [row["n"] for row in rows] == [400, 800]
+        timings = json.loads((out_dir / "timings.json").read_text())
+        assert sorted(timings) == ["estimates", "training_seconds"]
+        assert timings["training_seconds"] > 0.0
+        estimates = timings["estimates"]
+        assert [(e["measure"], e["n"], e["seed"]) for e in estimates] == [
+            ("P", 400, 7), ("P", 800, 9), ("P_h", 400, 8), ("P_h", 800, 10)]
+        for e in estimates:
+            assert e["label"] == "black_scholes-asian"
+            assert e["wall_seconds"] > 0.0
+            assert e["paths_per_s"] == pytest.approx(e["n"] / e["wall_seconds"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -249,7 +265,7 @@ class TestRunCommand:
         second = tmp_path / "run2"
         assert main(["run", "--config", str(cfg), "--out-dir", str(first)]) == 0
         assert main(["run", "--config", str(cfg), "--out-dir", str(second)]) == 0
-        for name in run_artifacts(first):
+        for name in deterministic_artifacts(first):
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path):
@@ -260,7 +276,7 @@ class TestRunCommand:
                      "--threads", "1"]) == 0
         assert main(["run", "--config", str(cfg), "--out-dir", str(threaded),
                      "--threads", "8"]) == 0
-        for name in run_artifacts(serial):
+        for name in deterministic_artifacts(serial):
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
     def test_resolved_config_is_reusable_fixed_point(self, tmp_path):
@@ -271,7 +287,7 @@ class TestRunCommand:
         rerun_dir = tmp_path / "rerun"
         assert main(["run", "--config", str(resolved), "--out-dir",
                      str(rerun_dir)]) == 0
-        for name in run_artifacts(out_dir):
+        for name in deterministic_artifacts(out_dir):
             assert (out_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
 
     def test_failure_leaves_error_file(self, tmp_path):

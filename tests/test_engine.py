@@ -7,18 +7,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driftmc import streams
+from driftmc import engine, streams
 from driftmc.covariation import CovariationSpec, TimeGrid
-from driftmc.engine import (COMPARISON_FIELDS, REPORT_FIELDS, EstimatorReport,
-                            compare, comparison_to_dict, dump_paths,
-                            estimate_is, estimate_plain, report_from_dict,
-                            report_to_dict, rows_from_csv, rows_to_csv,
-                            _block_plan)
-from driftmc.errors import DimensionError, WeightOverflowError
+from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, REPORT_FIELDS,
+                            EstimatorReport, compare, comparison_to_dict,
+                            dump_paths, estimate_is, estimate_plain,
+                            report_from_dict, report_to_dict, rows_from_csv,
+                            rows_to_csv, _block_plan, _simulate_block)
+from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
 from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
                              PayoffSpec, evaluate_batch)
+from driftmc.stats import RunningMoments
 from driftmc.training import simulate_training_batch
 
 
@@ -173,6 +174,121 @@ def heston_two_assets():
     return ModelSpec(tag=HESTON, mu=[0.05, 0.05], sigma=sigma, s0=[1.0, 1.0],
                      rate=0.05, mean_level=[0.04, 0.04], reversion=[2.0, 2.0],
                      v0=[0.04, 0.04])
+
+
+class BlowUpNormals:
+    """Generator stand-in drawing zero normals, except for the path at
+    ``path`` of the whole sequence of draws, which is forced over the
+    edge on its first two steps."""
+
+    def __init__(self, path):
+        self.path = path
+        self.drawn = 0
+
+    def standard_normal(self, shape):
+        z = np.zeros(shape)
+        if 0 <= self.path - self.drawn < shape[0]:
+            z[self.path - self.drawn, :2] = 1e200
+        self.drawn += shape[0]
+        return z
+
+
+class TestChunks:
+    SIZE = 2 * CHUNK_SIZE + 37  # two full chunks and a partial one
+
+    def ko_setup(self):
+        model = heston_two_assets()
+        payoff = PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=[0.5, 0.5],
+                            strike=1.0, lower=0.8, upper=1.3)
+        grid = TimeGrid(1.0, 16)
+        return model, payoff, grid, CovariationSpec(model.sigma, grid)
+
+    @pytest.mark.parametrize("importance", [False, True])
+    def test_chunks_draw_the_numbers_of_one_shot(self, importance, tmp_path):
+        model, payoff, grid, cov = self.ko_setup()
+        drift = (init_net(3, model.d, rng=np.random.default_rng(4))
+                 if importance else None)
+        one_shot = simulate(model, grid, cov,
+                            streams.substream(6, streams.ESTIMATE, 0),
+                            self.SIZE, drift=drift)
+        pay = evaluate_batch(payoff, one_shot.states, grid)
+        values = pay.values * np.exp(one_shot.log_inverse_likelihood) * 90.0
+        assert 0 < pay.knocked_out.sum() < self.SIZE
+
+        moments, above, knocked = _simulate_block(
+            model, payoff, grid, cov, drift, 6, (0, 0, self.SIZE), 90.0)
+        assert moments == RunningMoments.from_array(values)
+        assert above == int(pay.above_strike.sum())
+        assert knocked == int(pay.knocked_out.sum())
+
+        dump = tmp_path / "paths.csv"
+        dump_paths(model, grid, cov, drift, seed=6, n=self.SIZE,
+                   block_size=self.SIZE, path=dump)
+        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(
+            rows[:, 0], np.repeat(np.arange(self.SIZE), grid.n_steps + 1))
+        np.testing.assert_array_equal(
+            rows[:, 2:].reshape(one_shot.states.shape), one_shot.states)
+
+    def test_each_chunk_is_priced_through_the_engine_names(self, monkeypatch):
+        # benchmark tracing wraps engine.simulate and engine.evaluate_batch
+        # and counts the work from the states each chunk hands on
+        model, payoff, grid, cov = bs_setup(n_steps=4)
+        drawn, priced = [], []
+
+        def simulate_spy(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            drawn.append(batch.states)
+            return batch
+
+        def evaluate_spy(payoff, states, grid):
+            priced.append(states)
+            return evaluate_batch(payoff, states, grid)
+
+        monkeypatch.setattr(engine, "simulate", simulate_spy)
+        monkeypatch.setattr(engine, "evaluate_batch", evaluate_spy)
+        estimate_plain(model, payoff, grid, cov, seed=0, n=self.SIZE,
+                       block_size=self.SIZE)
+        assert [len(states) for states in drawn] == [CHUNK_SIZE, CHUNK_SIZE,
+                                                     37]
+        assert all(a is b for a, b in zip(priced, drawn, strict=True))
+
+    def test_blow_up_reports_estimate_wide_path_id(self, monkeypatch):
+        # the second chunk of the second block: block start + chunk offset
+        # + index within the chunk
+        model, payoff, grid, cov = bs_setup(n_steps=4)
+        local = CHUNK_SIZE + 7
+        monkeypatch.setattr(
+            streams, "substream",
+            lambda seed, purpose, index: BlowUpNormals(
+                local if index == 1 else -1))
+        with pytest.raises(SimulationError) as err:
+            estimate_plain(model, payoff, grid, cov, seed=0,
+                           n=4 * CHUNK_SIZE, block_size=2 * CHUNK_SIZE)
+        path_id = 2 * CHUNK_SIZE + local
+        assert err.value.path_indices == (path_id,)
+        assert f"first at index {path_id}" in str(err.value)
+
+    def test_block_memory_is_chunk_bounded(self):
+        # a block four chunks long must not take four chunks' memory
+        model = heston_two_assets()
+        grid = TimeGrid(1.0, 50)
+        cov = CovariationSpec(model.sigma, grid)
+        payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[0.5, 0.5],
+                            strike=1.0)
+        drift = init_net(3, model.d, rng=np.random.default_rng(0))
+
+        def peak(size):
+            tracemalloc.start()
+            try:
+                estimate_is(model, payoff, grid, cov, drift, seed=0, n=size,
+                            block_size=size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(CHUNK_SIZE)  # first-call allocations are not the block's
+        assert peak(4 * CHUNK_SIZE) <= 1.5 * peak(CHUNK_SIZE)
 
 
 @pytest.mark.parametrize("entry", ["plain", "is", "training"])
