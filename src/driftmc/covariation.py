@@ -144,14 +144,18 @@ def sample_increments(spec, rng, n_paths):
     """Draw driver increments for ``n_paths`` paths.
 
     Step k is sigma z sqrt(dt) with z standard normal, so its covariance
-    is pi dt; increments are independent across steps and paths.  Returns
-    shape (n_paths, n_steps, d); ``n_paths = 0`` yields an empty batch.
+    is pi dt; increments are independent across steps and paths.  The
+    normals are drawn in shape (n_paths, n_steps, d) and mixed by one small
+    matrix product per step into a paths-innermost (n_steps, d, n_paths)
+    buffer.  Returns that buffer as an (n_paths, n_steps, d) view, which is
+    not C-contiguous: copy before reshaping.  ``n_paths = 0`` yields an
+    empty batch.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
     z = rng.standard_normal((n_paths, spec.grid.n_steps, spec.d))
     z *= np.sqrt(spec.grid.dt)
-    return z @ spec.sigma.T
+    return np.matmul(spec.sigma, z.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def log_likelihood_inverse(drift, increments, spec):
@@ -160,7 +164,8 @@ def log_likelihood_inverse(drift, increments, spec):
     Returns -sum_k f_k' dM_k + h_norm_sq / 2 with the left-endpoint (Ito)
     reading of the stochastic integral.  The increments must be the same
     ones that drove the path, under whichever measure it was simulated.
-    Accepts one path (n_steps, d) or a batch (..., n_steps, d).  Raises
+    Accepts one path (n_steps, d) or a batch (..., n_steps, d) in any
+    memory layout; the sum is einsum's own loop, not BLAS.  Raises
     :class:`WeightOverflowError` when a log-weight exceeds
     ``MAX_LOG_WEIGHT``.
     """

@@ -108,6 +108,8 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
               block_size):
     if n <= 0:
         raise ValueError("sample size must be positive")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     check_width(payoff, model.n)
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
@@ -180,9 +182,8 @@ def dump_paths(model, grid, cov, drift, seed, n, block_size, path):
             path_id = block[1]
             for batch in _block_paths(model, grid, cov, drift, seed, block):
                 for states in batch.states:
-                    for k, node in enumerate(states):
-                        row = ",".join(repr(float(x)) for x in node)
-                        fh.write(f"{path_id},{k},{row}\n")
+                    for k, node in enumerate(states.tolist()):
+                        fh.write(f"{path_id},{k},{','.join(map(repr, node))}\n")
                     path_id += 1
 
 

@@ -7,6 +7,12 @@ Simulation runs either under the original measure or, when a drift network
 is supplied, under the shifted measure obtained by adding the finite
 variation part ``pi f dt`` to the same Gaussian increments; the per-path
 log inverse likelihood then accumulates alongside the states.
+
+Paths are stored innermost: increments and states live in
+(n_steps, d, n_paths) and (n_steps+1, n_state, n_paths) buffers, so each
+Euler step reads and writes contiguous rows of all paths.  Callers see
+them as (n_paths, ...)-shaped views, which are not C-contiguous; copy
+before reshaping.
 """
 
 from dataclasses import dataclass
@@ -167,9 +173,11 @@ class PathBatch:
     """Simulated trajectories plus the data needed to reweight them.
 
     ``states`` has shape (n_paths, n_steps+1, n_state) with the assets in
-    the leading n coordinates; ``increments`` are the driver increments that
-    produced the states; ``log_inverse_likelihood`` is zero under the
-    original measure.
+    the leading n coordinates; ``increments``, shape (n_paths, n_steps, d),
+    are the driver increments that produced the states;
+    ``log_inverse_likelihood`` is zero under the original measure.  Both
+    arrays are views of paths-innermost buffers, so they are not
+    C-contiguous: copy before reshaping.
     """
 
     states: np.ndarray
@@ -185,7 +193,11 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     ``rng``.  With ``drift`` set, they are shifted by the finite variation
     part of the measure change and the log inverse likelihood is
     accumulated from those same shifted increments, so a zero drift
-    reproduces the unshifted batch exactly.
+    reproduces the unshifted batch exactly.  The recursion runs on a
+    paths-innermost (n_steps+1, n_state, n_paths) buffer, so every step
+    works on contiguous rows of all paths; the returned
+    :class:`PathBatch` holds (n_paths, ...)-shaped views of the buffers,
+    which are not C-contiguous: copy before reshaping.
     """
     violations = validate(spec)
     if violations:
@@ -196,52 +208,60 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
         raise DimensionError("drift output width must match the driver dimension")
 
     dm = sample_increments(cov, rng, n_paths)
+    rows = dm.transpose(1, 2, 0)  # the (n_steps, d, n_paths) buffer
 
     drift_eval = None
     if drift is not None:
         drift_eval = cameron_martin_map(forward(drift, grid.left_times), cov)
         # Finite variation part of the shifted driver: pi f dt per step.
-        dm += drift_eval.cumulative[1:] - drift_eval.cumulative[:-1]
+        shift = drift_eval.cumulative[1:] - drift_eval.cumulative[:-1]
+        rows += shift[:, :, None]
 
     n = spec.n
-    states = np.empty((n_paths, grid.n_steps + 1, spec.n_state))
-    states[:, 0, :n] = spec.s0
+    states = np.empty((grid.n_steps + 1, spec.n_state, n_paths))
+    states[0, :n] = spec.s0[:, None]
     if spec.has_volatility:
-        states[:, 0, n:] = spec.v0
+        states[0, n:] = spec.v0[:, None]
 
-    mu, theta, m = spec.mu, spec.reversion, spec.mean_level
     # Overflow is detected explicitly below; do not warn along the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        _euler_loop(spec, states, dm, grid.dt, mu, theta, m)
+        _euler_loop(spec, states, rows, grid.dt)
 
-    bad = np.nonzero(~np.isfinite(states).all(axis=(1, 2)))[0]
+    bad = np.nonzero(~np.isfinite(states).all(axis=(0, 1)))[0]
     if bad.size:
         raise SimulationError(bad)
 
+    states = states.transpose(2, 0, 1)
     if drift_eval is None:
         return PathBatch(states, dm, np.zeros(n_paths), "P")
     return PathBatch(states, dm, log_likelihood_inverse(drift_eval, dm, cov),
                      "P_h")
 
 
-def _euler_loop(spec, states, dm, h, mu, theta, m):
+def _euler_loop(spec, states, dm, h):
+    """Euler steps on paths-innermost ``states`` (n_steps+1, n_state,
+    n_paths) driven by ``dm`` (n_steps, d, n_paths)."""
     n = spec.n
-    for k in range(dm.shape[1]):
-        s = states[:, k, :n]
+    # Parameters as columns, to broadcast along the paths.
+    mu = spec.mu[:, None]
+    if spec.has_volatility:
+        theta, m = spec.reversion[:, None], spec.mean_level[:, None]
+    for k in range(dm.shape[0]):
+        s = states[k, :n]
         if spec.tag == BLACK_SCHOLES:
-            states[:, k + 1, :n] = s + s * (mu * h) + s * dm[:, k, :]
+            states[k + 1, :n] = s + s * (mu * h) + s * dm[k]
             continue
-        v = states[:, k, n:]
-        dm1, dm2 = dm[:, k, :n], dm[:, k, n:]
+        v = states[k, n:]
+        dm1, dm2 = dm[k, :n], dm[k, n:]
         if spec.tag == HESTON:
             vp = np.maximum(v, 0.0)
             root = np.sqrt(vp)
-            states[:, k + 1, :n] = s + s * (mu * h) + s * root * dm1
-            states[:, k + 1, n:] = v + theta * (m - vp) * h + root * dm2
+            states[k + 1, :n] = s + s * (mu * h) + s * root * dm1
+            states[k + 1, n:] = v + theta * (m - vp) * h + root * dm2
         elif spec.tag == THREE_HALVES:
             vp = np.maximum(v, 0.0)
-            states[:, k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
-            states[:, k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
+            states[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            states[k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
         else:  # STEIN_STEIN, volatility signed
-            states[:, k + 1, :n] = s + s * (mu * h) + s * v * dm1
-            states[:, k + 1, n:] = v + theta * (m - v) * h + dm2
+            states[k + 1, :n] = s + s * (mu * h) + s * v * dm1
+            states[k + 1, n:] = v + theta * (m - v) * h + dm2

@@ -105,8 +105,11 @@ class PayoffBatch:
 def evaluate_batch(spec, states, grid):
     """Vectorized payoff of a batch of trajectories.
 
-    ``states`` has shape (n_paths, n_steps+1, n_state); only the leading
-    asset block enters the basket.
+    ``states`` has shape (n_paths, n_steps+1, n_state), in any memory
+    layout; only the leading asset block enters the basket.  The basket is
+    one matrix-vector product per grid node, over the (n_assets, n_paths)
+    asset rows, which are contiguous for a paths-innermost batch from
+    :func:`~driftmc.models.simulate`.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 3 or states.shape[1] != grid.n_steps + 1:
@@ -116,15 +119,15 @@ def evaluate_batch(spec, states, grid):
         raise DimensionError("state dimension smaller than the basket size")
     if not np.all(np.isfinite(states)):
         raise NonFiniteError("states contain non-finite values")
-    basket = states[:, :, :spec.n_assets] @ spec.weights
-    quad = node_quadrature(grid)
-    average = (basket @ quad) / grid.horizon
+    # (n_steps+1, n_paths): node first, paths innermost.
+    basket = spec.weights @ states.transpose(1, 2, 0)[:, :spec.n_assets]
+    average = (node_quadrature(grid) @ basket) / grid.horizon
     above = average > spec.strike
     values = np.maximum(average - spec.strike, 0.0)
     knocked = None
     if spec.has_barriers:
         inside = (basket > spec.lower) & (basket < spec.upper)
-        alive = inside.all(axis=1)
+        alive = inside.all(axis=0)
         knocked = ~alive
         values = values * alive
     return PayoffBatch(values=values, above_strike=above, knocked_out=knocked)

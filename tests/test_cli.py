@@ -229,6 +229,20 @@ class TestPriceCommands:
             report["mean_cents"], rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["price", "price-is", "run"])
+def test_non_positive_threads_exit_config(tmp_path, capsys, command, threads):
+    extra = {"price": [], "price-is": ["--checkpoint", str(tmp_path / "c")],
+             "run": ["--out-dir", str(tmp_path / "out")]}[command]
+    argv = [command, "--config", str(write_config(tmp_path)), *extra,
+            "--threads", threads]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestRunCommand:
     def test_dry_run_writes_only_config(self, tmp_path):
         cfg = write_config(tmp_path)

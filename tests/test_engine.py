@@ -60,6 +60,17 @@ class TestEstimatePlain:
         with pytest.raises(ValueError):
             estimate_plain(model, payoff, grid, cov, seed=0, n=0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_non_positive_thread_count_rejected(self, threads):
+        model, payoff, grid, cov = bs_setup(n_steps=4)
+        drift = init_net(3, model.d, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="threads"):
+            estimate_plain(model, payoff, grid, cov, seed=0, n=10,
+                           threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            estimate_is(model, payoff, grid, cov, drift, seed=0, n=10,
+                        threads=threads)
+
     def test_thread_counts_agree_bitwise(self):
         model, payoff, grid, cov = bs_setup()
         kwargs = dict(seed=3, n=10_000, label="bs", block_size=1024)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
-from driftmc.covariation import CovariationSpec, TimeGrid, sample_increments
+from driftmc.config import build_scenario, resolve_config
+from driftmc.covariation import (CovariationSpec, TimeGrid, cameron_martin_map,
+                                 log_likelihood_inverse, sample_increments)
 from driftmc.errors import ModelValidationError, SimulationError
-from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
-                            ModelSpec, simulate, validate)
-from driftmc.network import ShallowNet, init_net
+from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
+                            THREE_HALVES, ModelSpec, simulate, validate)
+from driftmc.network import ShallowNet, forward, init_net
+from driftmc.payoffs import evaluate_batch
 
 
 def bs_model(n=1, vol=0.2, mu=0.05, s0=1.0, rate=0.05):
@@ -244,3 +247,93 @@ class TestVolatilityModels:
         # Euler bias on the OU mean is O(dt); allow for it explicitly
         bias = abs(v0 - m) * theta**2 / (2 * 252)
         assert abs(vu.mean() - target) <= 3 * se + bias
+
+
+def sampled_scenario(tag, barriers=False):
+    """A small config-sampled scenario: correlated sigma, 3 assets, 16
+    steps."""
+    payoff = {"moneyness": 1.0}
+    if barriers:
+        payoff["barrier_moneyness"] = [0.8, 1.25]
+    return build_scenario(resolve_config({
+        "model": {"tag": tag, "n": 3, "seed": 2}, "payoff": payoff,
+        "grid": {"horizon": 1.0, "dt": 1.0 / 16}}))
+
+
+def euler_one_path(spec, dm, h):
+    """The Euler recursion one path at a time, on (n_steps, d) increments."""
+    n = spec.n
+    x = np.empty((dm.shape[0] + 1, spec.n_state))
+    x[0, :n] = spec.s0
+    if spec.has_volatility:
+        x[0, n:] = spec.v0
+    mu, theta, m = spec.mu, spec.reversion, spec.mean_level
+    for k, step in enumerate(dm):
+        s, v = x[k, :n], x[k, n:]
+        dm1, dm2 = step[:n], step[n:]
+        if spec.tag == BLACK_SCHOLES:
+            x[k + 1] = s + s * (mu * h) + s * step
+        elif spec.tag == HESTON:
+            vp = np.maximum(v, 0.0)
+            x[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            x[k + 1, n:] = v + theta * (m - vp) * h + np.sqrt(vp) * dm2
+        elif spec.tag == THREE_HALVES:
+            vp = np.maximum(v, 0.0)
+            x[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            x[k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
+        else:
+            x[k + 1, :n] = s + s * (mu * h) + s * v * dm1
+            x[k + 1, n:] = v + theta * (m - v) * h + dm2
+    return x
+
+
+class TestPathsInnermostLayout:
+    """The batch is stored paths-innermost; these pin its numbers to the
+    path-at-a-time reading and to C-contiguous inputs."""
+
+    @pytest.mark.parametrize("with_drift", [False, True])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_states_equal_one_path_recursion(self, tag, with_drift,
+                                             fixed_normals):
+        sc = sampled_scenario(tag)
+        grid, cov = sc.grid, sc.cov
+        z = 0.5 * np.random.default_rng(1).standard_normal(
+            (7, grid.n_steps, cov.d))
+        drift = (init_net(3, cov.d, rng=np.random.default_rng(4))
+                 if with_drift else None)
+        batch = simulate(sc.model, grid, cov, fixed_normals(z), 7, drift=drift)
+
+        expected = (z * np.sqrt(grid.dt)) @ cov.sigma.T
+        if with_drift:
+            cm = cameron_martin_map(forward(drift, grid.left_times), cov)
+            expected += cm.cumulative[1:] - cm.cumulative[:-1]
+        np.testing.assert_array_max_ulp(batch.increments, expected, maxulp=4)
+        assert batch.states.shape == (7, grid.n_steps + 1, sc.model.n_state)
+        for states, dm in zip(batch.states, batch.increments):
+            np.testing.assert_array_equal(
+                states, euler_one_path(sc.model, dm, grid.dt))
+
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_reductions_do_not_depend_on_layout(self, tag):
+        sc = sampled_scenario(tag, barriers=True)
+        grid, cov = sc.grid, sc.cov
+        drift = init_net(3, cov.d, rng=np.random.default_rng(5))
+        batch = simulate(sc.model, grid, cov, np.random.default_rng(6), 300,
+                         drift=drift)
+        assert not batch.states.flags.c_contiguous
+        assert not batch.increments.flags.c_contiguous
+        states = np.ascontiguousarray(batch.states)
+        increments = np.ascontiguousarray(batch.increments)
+
+        view, contiguous = (evaluate_batch(sc.payoff, x, grid)
+                            for x in (batch.states, states))
+        assert 0 < contiguous.knocked_out.sum() < 300
+        np.testing.assert_allclose(view.values, contiguous.values, rtol=1e-12)
+        np.testing.assert_array_equal(view.above_strike,
+                                      contiguous.above_strike)
+        np.testing.assert_array_equal(view.knocked_out, contiguous.knocked_out)
+
+        cm = cameron_martin_map(forward(drift, grid.left_times), cov)
+        np.testing.assert_allclose(
+            log_likelihood_inverse(cm, batch.increments, cov),
+            log_likelihood_inverse(cm, increments, cov), rtol=1e-12)
