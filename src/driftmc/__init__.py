@@ -14,9 +14,8 @@ from .covariation import (CovariationSpec, DriftEvaluation, TimeGrid,
 from .engine import (ComparisonRow, EstimatorReport, compare, estimate_is,
                      estimate_plain, variance_ratio)
 from .models import ModelSpec, PathBatch, Violation, simulate, validate
-from .network import (AdamState, ShallowNet, adam_step, antiderivative_net,
-                      backward, forward, init_net, load_checkpoint,
-                      save_checkpoint)
+from .network import (AdamState, ShallowNet, adam_step, forward, init_net,
+                      load_checkpoint, save_checkpoint)
 from .payoffs import PayoffSpec, basket_weights, evaluate_batch
 from .training import TrainConfig, TrainTrace, train
 from .config import default_recipe, resolve_config, sample_parameters
@@ -27,10 +26,9 @@ __all__ = [
     "AdamState", "ComparisonRow", "CovariationSpec", "DriftEvaluation",
     "EstimatorReport", "ModelSpec", "PathBatch", "PayoffSpec", "ShallowNet",
     "TimeGrid", "TrainConfig", "TrainTrace", "Violation", "adam_step",
-    "antiderivative_net", "backward", "basket_weights", "cameron_martin_map",
-    "compare", "default_recipe", "estimate_is", "estimate_plain",
-    "evaluate_batch", "forward", "init_net", "lambda2_inner",
-    "load_checkpoint", "log_likelihood_inverse", "resolve_config",
-    "sample_increments", "sample_parameters", "save_checkpoint", "simulate",
-    "train", "validate", "variance_ratio",
+    "basket_weights", "cameron_martin_map", "compare", "default_recipe",
+    "estimate_is", "estimate_plain", "evaluate_batch", "forward", "init_net",
+    "lambda2_inner", "load_checkpoint", "log_likelihood_inverse",
+    "resolve_config", "sample_increments", "sample_parameters",
+    "save_checkpoint", "simulate", "train", "validate", "variance_ratio",
 ]

@@ -15,7 +15,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +135,9 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
             knocked += block_knocked
 
     mean = moments.mean
-    # An all-zero sample has no relative error to speak of: never "exact".
-    if mean == 0.0:
+    # An all-zero sample has no relative error to speak of, and a one-path
+    # sample no error estimate: never "exact".
+    if mean == 0.0 or n == 1:
         se_pct = math.inf
     else:
         se_pct = 100.0 * moments.standard_error() / abs(mean)
@@ -204,6 +205,10 @@ class ComparisonRow:
     vr: float
     mc_seed: int
     is_seed: int
+
+
+# Column order of emitted comparison rows: the fields of ComparisonRow.
+COMPARISON_FIELDS = tuple(f.name for f in fields(ComparisonRow))
 
 
 def variance_ratio(report_mc, report_is):
@@ -287,13 +292,9 @@ def report_from_dict(row):
     )
 
 
-COMPARISON_FIELDS = ("label", "n", "mc_mean_cents", "mc_se_pct", "mc_kappa",
-                     "mc_theta", "is_mean_cents", "is_se_pct", "is_kappa",
-                     "is_theta", "vr", "mc_seed", "is_seed")
-
-
 def comparison_to_dict(row):
-    return {name: getattr(row, name) for name in COMPARISON_FIELDS}
+    """Comparison row as a flat mapping in :data:`COMPARISON_FIELDS` order."""
+    return asdict(row)
 
 
 def _format_cell(value):
@@ -302,16 +303,6 @@ def _format_cell(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _parse_cell(name, text):
-    if text == "":
-        return None
-    if name in ("n", "mc_seed", "is_seed", "seed"):
-        return int(text)
-    if name in ("label", "measure"):
-        return text
-    return float(text)
 
 
 def csv_text(rows, fields):
@@ -325,18 +316,3 @@ def csv_text(rows, fields):
 def rows_to_csv(rows, fields, path):
     """Write dict rows to ``path`` as :func:`csv_text`."""
     Path(path).write_text(csv_text(rows, fields), encoding="utf-8")
-
-
-def rows_from_csv(path):
-    """Parse a CSV written by :func:`rows_to_csv` back into dict rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    fields = lines[0].split(",")
-    out = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        cells = line.split(",")
-        out.append({name: _parse_cell(name, text)
-                    for name, text in zip(fields, cells)})
-    return out

@@ -13,10 +13,6 @@ class NonFiniteError(DriftmcError):
     """NaN or infinity found where a finite value is required."""
 
 
-class UnsupportedConfigError(DriftmcError):
-    """A requested combination of options has no implementation."""
-
-
 class ModelValidationError(DriftmcError):
     """A model spec violates a structural invariant."""
 
@@ -50,7 +46,8 @@ class WeightOverflowError(DriftmcError):
 
 
 class ConfigError(DriftmcError):
-    """A run configuration could not be parsed or resolved."""
+    """A run configuration could not be parsed or resolved, or asks for an
+    option that has no implementation."""
 
 
 class CheckpointError(DriftmcError):

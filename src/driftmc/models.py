@@ -183,7 +183,6 @@ class PathBatch:
     states: np.ndarray
     increments: np.ndarray
     log_inverse_likelihood: np.ndarray
-    measure: str
 
 
 def simulate(spec, grid, cov, rng, n_paths, drift=None):
@@ -204,6 +203,8 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
         raise ModelValidationError(violations)
     if cov.d != spec.d:
         raise DimensionError(f"covariation dimension {cov.d} != model {spec.d}")
+    if (cov.grid.horizon, cov.grid.n_steps) != (grid.horizon, grid.n_steps):
+        raise DimensionError("covariation was built on a different grid")
     if drift is not None and drift.output_width != spec.d:
         raise DimensionError("drift output width must match the driver dimension")
 
@@ -231,11 +232,9 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     if bad.size:
         raise SimulationError(bad)
 
-    states = states.transpose(2, 0, 1)
-    if drift_eval is None:
-        return PathBatch(states, dm, np.zeros(n_paths), "P")
-    return PathBatch(states, dm, log_likelihood_inverse(drift_eval, dm, cov),
-                     "P_h")
+    log_w = (np.zeros(n_paths) if drift_eval is None
+             else log_likelihood_inverse(drift_eval, dm, cov))
+    return PathBatch(states.transpose(2, 0, 1), dm, log_w)
 
 
 def _euler_loop(spec, states, dm, h):

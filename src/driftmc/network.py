@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, DimensionError, NonFiniteError, UnsupportedConfigError
+from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
 
 # Scaled tanh constants recommended for unit-variance inputs.
 _ST_A = 1.7159
@@ -33,36 +33,10 @@ def _tanh_prime(x):
     return 1.0 - t * t
 
 
-def _logistic(x):
-    # 0.5*(1+tanh(x/2)) is stable for large |x|.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def _logistic_prime(x):
-    s = _logistic(x)
-    return s * (1.0 - s)
-
-
 ACTIVATIONS = {
     "scaled_tanh": (_scaled_tanh, _scaled_tanh_prime),
     "tanh": (np.tanh, _tanh_prime),
-    "logistic": (_logistic, _logistic_prime),
 }
-
-
-def log_cosh(x):
-    """log(cosh(x)), overflow-safe for large |x|."""
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
-
-
-def softplus(x):
-    """log(1 + exp(x)), overflow-safe for large |x|."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-# Antiderivative of the activation, used by antiderivative_net.
-_ANTIDERIVATIVES = {"tanh": log_cosh, "logistic": softplus}
 
 
 @dataclass(frozen=True)
@@ -88,7 +62,7 @@ class ShallowNet:
         if self.b_out.shape != (self.w_out.shape[0],):
             raise DimensionError("output bias length must match output width")
         if self.activation not in ACTIVATIONS:
-            raise UnsupportedConfigError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}")
         for name in ("w_in", "b_in", "w_out", "b_out"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteError(f"{name} has non-finite entries")
@@ -157,19 +131,12 @@ def forward(net, t):
     return hidden @ net.w_out.T + net.b_out
 
 
-def backward(net, t, upstream):
-    """Gradient of upstream . forward(net, t) w.r.t. the flat parameters."""
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (net.output_width,):
-        raise DimensionError("upstream must have the output width")
-    return backward_grid(net, np.atleast_1d(np.float64(t)), upstream[None, :])
-
-
 def backward_grid(net, times, upstreams):
-    """Gradient of sum_k upstreams[k] . forward(net, times[k]).
+    """Gradient of sum_k upstreams[k] . forward(net, times[k]) w.r.t. the
+    flat parameters.
 
-    This is the batched form of :func:`backward`; linearity in the upstream
-    vector lets callers aggregate per-path cotangents before a single call.
+    Linearity in the upstream vector lets callers aggregate per-path
+    cotangents before a single call; one time point is ``times = [t]``.
     """
     psi, psi_prime = ACTIVATIONS[net.activation]
     times = np.asarray(times, dtype=np.float64)
@@ -224,39 +191,6 @@ def adam_step(params, grad, state):
     new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, AdamState(m=m, v=v, step=t,
                                  learning_rate=state.learning_rate)
-
-
-def antiderivative_net(net):
-    """Closed-form evaluator of t -> integral_0^t forward(net, s) ds.
-
-    Only valid for a scalar output with unit covariation density, where the
-    integral of each hidden unit is the same unit with the activation
-    replaced by its antiderivative (log-cosh for tanh, softplus for
-    logistic) plus a linear term for the output bias.
-    """
-    if net.output_width != 1:
-        raise UnsupportedConfigError("closed-form integral needs output width 1")
-    anti = _ANTIDERIVATIVES.get(net.activation)
-    if anti is None:
-        raise UnsupportedConfigError(
-            f"no closed-form antiderivative for {net.activation!r}")
-    psi, _ = ACTIVATIONS[net.activation]
-    alpha, eta = net.w_in, net.b_in
-    w, b = net.w_out[0], net.b_out[0]
-    moving = alpha != 0.0
-    safe_alpha = np.where(moving, alpha, 1.0)
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=np.float64)
-        tt = t[..., None]
-        unit = np.where(
-            moving,
-            (anti(safe_alpha * tt + eta) - anti(eta)) / safe_alpha,
-            psi(eta) * tt,
-        )
-        return unit @ w + b * t
-
-    return evaluate
 
 
 _CHECKPOINT_SCHEMA = "driftmc-checkpoint-v1"

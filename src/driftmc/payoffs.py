@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonFiniteError
+from .errors import DimensionError
 
 ASIAN_BASKET_CALL = "asian_basket_call"
 ASIAN_BASKET_KNOCKOUT = "asian_basket_knockout"
@@ -106,10 +106,11 @@ def evaluate_batch(spec, states, grid):
     """Vectorized payoff of a batch of trajectories.
 
     ``states`` has shape (n_paths, n_steps+1, n_state), in any memory
-    layout; only the leading asset block enters the basket.  The basket is
-    one matrix-vector product per grid node, over the (n_assets, n_paths)
-    asset rows, which are contiguous for a paths-innermost batch from
-    :func:`~driftmc.models.simulate`.
+    layout, and is finite, as :func:`~driftmc.models.simulate` guarantees
+    by raising on a blow-up; only the leading asset block enters the
+    basket.  The basket is one matrix-vector product per grid node, over
+    the (n_assets, n_paths) asset rows, which are contiguous for a
+    paths-innermost batch from :func:`~driftmc.models.simulate`.
     """
     states = np.asarray(states, dtype=np.float64)
     if states.ndim != 3 or states.shape[1] != grid.n_steps + 1:
@@ -117,8 +118,6 @@ def evaluate_batch(spec, states, grid):
             "states must have shape (n_paths, n_steps+1, n_state)")
     if states.shape[2] < spec.n_assets:
         raise DimensionError("state dimension smaller than the basket size")
-    if not np.all(np.isfinite(states)):
-        raise NonFiniteError("states contain non-finite values")
     # (n_steps+1, n_paths): node first, paths innermost.
     basket = spec.weights @ states.transpose(1, 2, 0)[:, :spec.n_assets]
     average = (node_quadrature(grid) @ basket) / grid.horizon

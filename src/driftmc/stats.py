@@ -40,11 +40,11 @@ class RunningMoments:
         m2 = self.m2 + other.m2 + delta**2 * self.count * other.count / count
         return RunningMoments(count, mean, m2)
 
-    def variance(self, ddof=1):
-        """Sample variance; 0.0 when fewer than ddof+1 observations."""
-        if self.count <= ddof:
+    def variance(self):
+        """Sample variance; 0.0 when fewer than two observations."""
+        if self.count < 2:
             return 0.0
-        return self.m2 / (self.count - ddof)
+        return self.m2 / (self.count - 1)
 
     def standard_error(self):
         if self.count == 0:

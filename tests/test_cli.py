@@ -189,6 +189,15 @@ class TestPriceCommands:
         assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
         assert "estimation.block_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_unknown_activation_is_config_error(self, tmp_path, capsys,
+                                                command):
+        cfg = write_config(tmp_path,
+                           overrides={"training": {"activation": "logistic"}})
+        assert main([command, "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert "unknown activation 'logistic'" in capsys.readouterr().err
+
     def test_price_csv_to_stdout(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["price", "--config", str(cfg), "--n", "64",

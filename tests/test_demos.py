@@ -1,15 +1,18 @@
-"""The demos stay in step with the package: their imports resolve and the
-fast one runs to completion."""
+"""The demos and the benchmark stay in step with the package: the names
+they import from it resolve, and the fast demo runs to completion."""
 
 import ast
 import importlib
+import importlib.util
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).parents[1] / "demos"
+ROOT = Path(__file__).parents[1]
+DEMO_DIR = ROOT / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
+BENCHMARK_FILES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def driftmc_imports(path):
@@ -21,17 +24,36 @@ def driftmc_imports(path):
                 yield node.module, alias.name
 
 
+def resolves(module, name):
+    """``from module import name`` works: an attribute, or a submodule of a
+    package."""
+    mod = importlib.import_module(module)
+    if hasattr(mod, name):
+        return True
+    return (hasattr(mod, "__path__")
+            and importlib.util.find_spec(f"{module}.{name}") is not None)
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_imports_resolve(path):
     names = list(driftmc_imports(path))
     assert names
     for module, name in names:
-        assert hasattr(importlib.import_module(module), name), \
-            f"{path.name}: {module} has no {name!r}"
+        assert resolves(module, name), f"{path.name}: {module} has no {name!r}"
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark runs against this tree; a name it imports must not go
+    names = [(path, module, name) for path in BENCHMARK_FILES
+             for module, name in driftmc_imports(path)]
+    assert names
+    for path, module, name in names:
+        assert resolves(module, name), f"{path.name}: {module} has no {name!r}"
 
 
 def test_isometry_demo_runs(capsys):
     # the measure-change demo simulates 200k paths; it is only import-checked
     runpy.run_path(str(DEMO_DIR / "01_drift_space_isometry.py"),
                    run_name="__main__")
+    # the demo asserts its closed-form tanh drift is within dt of the map
     assert "tanh net" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for the block-parallel estimators and report plumbing."""
 
+import csv
 import json
 import math
 import tracemalloc
@@ -12,8 +13,8 @@ from driftmc.covariation import CovariationSpec, TimeGrid
 from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, REPORT_FIELDS,
                             EstimatorReport, compare, comparison_to_dict,
                             dump_paths, estimate_is, estimate_plain,
-                            report_from_dict, report_to_dict, rows_from_csv,
-                            rows_to_csv, _block_plan, _simulate_block)
+                            report_from_dict, report_to_dict, rows_to_csv,
+                            _block_plan, _simulate_block)
 from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
@@ -30,6 +31,20 @@ def bs_setup(vol=0.2, strike=1.1, n_steps=32):
     grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
     return model, payoff, grid, cov
+
+
+def assert_csv_holds(path, row):
+    """The one-row CSV at ``path``, read back with the stdlib reader, holds
+    ``row`` losslessly: each cell parses to the same value (float repr
+    round-trips, ``inf`` included) and None is an empty cell."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        (cells,) = csv.DictReader(fh)
+    assert list(cells) == list(row)
+    for name, value in row.items():
+        if value is None:
+            assert cells[name] == ""
+        else:
+            assert type(value)(cells[name]) == value
 
 
 class TestBlockPlan:
@@ -126,7 +141,14 @@ class TestEstimatePlain:
         assert json.loads(json.dumps(row))["se_pct"] == math.inf
         path = tmp_path / "report.csv"
         rows_to_csv([row], REPORT_FIELDS, path)
-        assert rows_from_csv(path) == [row]
+        assert_csv_holds(path, row)
+
+    def test_one_path_sample_is_not_exact(self):
+        # one path has no error estimate: its SE must not read as zero
+        model, payoff, grid, cov = bs_setup(strike=0.5)
+        rep = estimate_plain(model, payoff, grid, cov, seed=0, n=1)
+        assert rep.mean_cents > 0.0
+        assert rep.se_pct == math.inf
 
     def test_path_dump_written(self, tmp_path):
         model, _, grid, cov = bs_setup(n_steps=4)
@@ -408,7 +430,17 @@ class TestCompareAndSerialization:
         row = comparison_to_dict(compare(mc, is_))
         path = tmp_path / "rows.csv"
         rows_to_csv([row], COMPARISON_FIELDS, path)
-        assert rows_from_csv(path) == [row]
+        assert_csv_holds(path, row)
+
+    def test_comparison_columns_are_stable(self):
+        # the columns are ComparisonRow's fields in declaration order; this
+        # pins the emitted format against a reordering of the dataclass
+        assert COMPARISON_FIELDS == (
+            "label", "n", "mc_mean_cents", "mc_se_pct", "mc_kappa", "mc_theta",
+            "is_mean_cents", "is_se_pct", "is_kappa", "is_theta", "vr",
+            "mc_seed", "is_seed")
+        row = comparison_to_dict(compare(*self._reports()))
+        assert tuple(row) == COMPARISON_FIELDS
 
     def test_report_dict_round_trip(self):
         mc, _ = self._reports()

@@ -6,7 +6,8 @@ import pytest
 from driftmc.config import build_scenario, resolve_config
 from driftmc.covariation import (CovariationSpec, TimeGrid, cameron_martin_map,
                                  log_likelihood_inverse, sample_increments)
-from driftmc.errors import ModelValidationError, SimulationError
+from driftmc.errors import (DimensionError, ModelValidationError,
+                            SimulationError)
 from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                             THREE_HALVES, ModelSpec, simulate, validate)
 from driftmc.network import ShallowNet, forward, init_net
@@ -119,7 +120,6 @@ class TestSimulateBlackScholes:
         expected = 1.0 * (1.0 + 0.1 * 0.1) ** 10
         np.testing.assert_allclose(batch.states[:, -1, :], expected, rtol=1e-12)
         np.testing.assert_array_equal(batch.log_inverse_likelihood, 0.0)
-        assert batch.measure == "P"
 
     def test_terminal_mean_matches_gbm(self):
         model = bs_model(vol=0.2, mu=0.05)
@@ -144,6 +144,18 @@ class TestSimulateBlackScholes:
         with pytest.raises(ModelValidationError):
             simulate(spec, grid, cov, rng=np.random.default_rng(0), n_paths=1)
 
+    @pytest.mark.parametrize("horizon,n_steps", [(4.0, 16), (1.0, 8)],
+                             ids=["horizon", "steps"])
+    def test_covariation_on_another_grid_rejected(self, horizon, n_steps):
+        # increments drawn on the covariation's grid would have the wrong
+        # variance, or the wrong count, for the Euler steps of ``grid``
+        model = bs_model()
+        grid, _ = grid_and_cov(model, n_steps=16)
+        _, other = grid_and_cov(model, n_steps=n_steps, horizon=horizon)
+        with pytest.raises(DimensionError, match="different grid"):
+            simulate(model, grid, other, rng=np.random.default_rng(1),
+                     n_paths=4)
+
     def test_explosion_aborts_with_path_index(self, fixed_normals):
         model = bs_model(mu=0.05)
         grid, cov = grid_and_cov(model, n_steps=4)
@@ -166,7 +178,6 @@ class TestSimulateWithDrift:
                            rng=np.random.default_rng(9), n_paths=20)
         np.testing.assert_array_equal(plain.states, shifted.states)
         np.testing.assert_array_equal(shifted.log_inverse_likelihood, 0.0)
-        assert shifted.measure == "P_h"
 
     def test_constant_drift_shifts_increment_mean(self):
         model = bs_model(vol=0.2)

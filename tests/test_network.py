@@ -1,15 +1,16 @@
-"""Tests for the shallow network: forward, backprop, Adam, antiderivative."""
+"""Tests for the shallow network: forward, backprop, Adam, checkpoints."""
+
+import json
 
 import numpy as np
 import pytest
 
-from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
-from driftmc.errors import (CheckpointError, DimensionError, NonFiniteError,
-                            UnsupportedConfigError)
+from driftmc.errors import (CheckpointError, ConfigError, DimensionError,
+                            NonFiniteError)
 from driftmc.network import (ACTIVATIONS, ADAM_EPS, AdamState, ShallowNet,
-                             adam_step, antiderivative_net, backward,
+                             _CHECKPOINT_SCHEMA, _checkpoint_digest, adam_step,
                              backward_grid, forward, init_net, load_checkpoint,
-                             log_cosh, save_checkpoint, softplus)
+                             save_checkpoint)
 
 
 def random_net(rng, hidden=None, output=None, activation=None):
@@ -89,6 +90,11 @@ class TestForward:
         with pytest.raises(NonFiniteError):
             ShallowNet(w_in=[np.nan], b_in=[0.0], w_out=[[1.0]], b_out=[0.0])
 
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(ConfigError, match="unknown activation"):
+            ShallowNet(w_in=[1.0], b_in=[0.0], w_out=[[1.0]], b_out=[0.0],
+                       activation="logistic")
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
@@ -100,14 +106,14 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream(self):
         net = random_net(np.random.default_rng(4))
-        g = backward(net, 0.5, np.zeros(net.output_width))
+        g = backward_grid(net, [0.5], np.zeros((1, net.output_width)))
         np.testing.assert_array_equal(g, np.zeros(net.n_params))
 
     def test_output_bias_gradient_is_upstream(self):
         rng = np.random.default_rng(5)
         net = random_net(rng)
         upstream = rng.standard_normal(net.output_width)
-        g = backward(net, 0.3, upstream)
+        g = backward_grid(net, [0.3], upstream[None])
         np.testing.assert_array_equal(g[-net.output_width:], upstream)
 
     def test_against_central_differences(self):
@@ -117,7 +123,7 @@ class TestBackward:
             net = random_net(rng)
             t = float(rng.uniform(0, 1))
             upstream = rng.standard_normal(net.output_width)
-            grad = backward(net, t, upstream)
+            grad = backward_grid(net, [t], upstream[None])
             theta = net.to_flat()
             fd = np.empty_like(grad)
             for i in range(theta.size):
@@ -135,7 +141,8 @@ class TestBackward:
         times = rng.uniform(0, 1, 9)
         ups = rng.standard_normal((9, net.output_width))
         total = backward_grid(net, times, ups)
-        summed = sum(backward(net, float(t), u) for t, u in zip(times, ups))
+        summed = sum(backward_grid(net, [t], u[None])
+                     for t, u in zip(times, ups))
         np.testing.assert_allclose(total, summed, rtol=1e-12, atol=1e-12)
 
 
@@ -189,77 +196,6 @@ class TestAdam:
                       AdamState.fresh(3, learning_rate=1e-3))
 
 
-class TestAntiderivative:
-    def test_zero_net(self):
-        net = ShallowNet(w_in=np.zeros(2), b_in=np.zeros(2),
-                         w_out=np.zeros((1, 2)), b_out=np.zeros(1),
-                         activation="tanh")
-        h = antiderivative_net(net)
-        np.testing.assert_array_equal(h(np.linspace(0, 1, 5)), np.zeros(5))
-
-    def test_single_tanh_unit_is_log_cosh(self):
-        net = ShallowNet(w_in=[1.0], b_in=[0.0], w_out=[[1.0]], b_out=[0.0],
-                         activation="tanh")
-        h = antiderivative_net(net)
-        t = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_allclose(h(t), np.log(np.cosh(t)), rtol=1e-12,
-                                   atol=1e-15)
-
-    def test_flat_unit_integrates_linearly(self):
-        net = ShallowNet(w_in=[0.0], b_in=[0.3], w_out=[[2.0]], b_out=[0.5],
-                         activation="logistic")
-        h = antiderivative_net(net)
-        psi, _ = ACTIVATIONS["logistic"]
-        np.testing.assert_allclose(h(2.0), 2.0 * (2.0 * psi(0.3) + 0.5),
-                                   rtol=1e-14)
-
-    def test_derivative_recovers_forward(self):
-        rng = np.random.default_rng(11)
-        for activation in ("tanh", "logistic"):
-            net = random_net(rng, output=1, activation=activation)
-            h = antiderivative_net(net)
-            t = rng.uniform(0.05, 0.95, 100)
-            eps = 1e-6
-            numeric = (h(t + eps) - h(t - eps)) / (2 * eps)
-            exact = forward(net, t)[:, 0]
-            np.testing.assert_allclose(numeric, exact, rtol=1e-6, atol=1e-9)
-
-    def test_matches_discrete_map_at_first_order(self):
-        rng = np.random.default_rng(12)
-        net = random_net(rng, output=1, activation="tanh")
-        h = antiderivative_net(net)
-        errors = []
-        for n_steps in (252, 504, 1008):
-            grid = TimeGrid(1.0, n_steps)
-            spec = CovariationSpec([[1.0]], grid)
-            f = forward(net, grid.left_times)
-            out = cameron_martin_map(f, spec)
-            errors.append(np.max(np.abs(out.cumulative[:, 0] - h(grid.times))))
-        errors = np.array(errors)
-        assert np.all(np.log2(errors[:-1] / errors[1:]) > 0.9)
-
-    def test_rejects_vector_output(self):
-        net = random_net(np.random.default_rng(13), output=3, activation="tanh")
-        with pytest.raises(UnsupportedConfigError):
-            antiderivative_net(net)
-
-    def test_rejects_scaled_tanh(self):
-        net = random_net(np.random.default_rng(14), output=1,
-                         activation="scaled_tanh")
-        with pytest.raises(UnsupportedConfigError):
-            antiderivative_net(net)
-
-
-class TestStableForms:
-    def test_log_cosh_large_arguments(self):
-        x = np.array([-500.0, 500.0])
-        np.testing.assert_allclose(log_cosh(x), np.abs(x) - np.log(2.0))
-
-    def test_softplus_large_arguments(self):
-        assert softplus(700.0) == pytest.approx(700.0)
-        assert softplus(-700.0) == pytest.approx(0.0, abs=1e-300)
-
-
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         net = random_net(np.random.default_rng(15))
@@ -278,6 +214,20 @@ class TestCheckpoint:
         text = text.replace(repr(float(first)), repr(float(first) + 1.0), 1)
         path.write_text(text)
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_unknown_activation_is_config_error(self, tmp_path):
+        # an intact checkpoint of an activation this version lacks
+        net = random_net(np.random.default_rng(17))
+        record = {"schema": _CHECKPOINT_SCHEMA, "hidden": net.hidden_width,
+                  "output": net.output_width, "activation": "logistic",
+                  "params": net.to_flat().tolist(),
+                  "sha256": _checkpoint_digest(net.hidden_width,
+                                               net.output_width, "logistic",
+                                               net.to_flat())}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ConfigError, match="unknown activation"):
             load_checkpoint(path)
 
     def test_rejects_other_schema(self, tmp_path):
