@@ -10,8 +10,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import (build_model, build_scenario, dump_config, load_config,
-                     resolve_config)
+from .config import (build_model, build_scenario, load_config,
+                     resolve_config, write_json)
 from .engine import (COMPARISON_FIELDS, REPORT_FIELDS, compare,
                      comparison_to_dict, csv_text, report_from_dict,
                      report_to_dict)
@@ -165,7 +165,7 @@ def _cmd_train(args):
     cfg = resolve_config(load_config(args.config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dump_config(cfg, out_dir / "resolved_config.json")
+    write_json(out_dir / "resolved_config.json", cfg)
     _, trace = train_drift(cfg, build_scenario(cfg), out_dir=out_dir)
     if trace.halted_reason:
         raise NonFiniteError(trace.halted_reason)

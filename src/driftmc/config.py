@@ -25,7 +25,7 @@ from .payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT, PayoffSpec,
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v2"
+SCHEMA_ID = "driftmc-run-v3"
 
 MAX_SAMPLE_RETRIES = 200
 
@@ -254,6 +254,7 @@ def resolve_config(raw):
 
     if cfg["training"]["hidden_width"] is None:
         cfg["training"]["hidden_width"] = model.d
+    build_train_config(cfg)  # a bad training block fails here, not mid-run
     sizes = cfg["estimation"]["sample_sizes"]
     if not sizes or any(int(s) <= 0 for s in sizes):
         raise ConfigError("estimation.sample_sizes must be positive")
@@ -332,14 +333,24 @@ def build_scenario(cfg):
 
 
 def build_train_config(cfg):
-    """The TrainConfig of a resolved config, each field cast to its type."""
-    block = cfg["training"]
-    return TrainConfig(**{f.name: f.type(block[f.name])
-                          for f in fields(TrainConfig)})
+    """The TrainConfig of a resolved config, each field cast to its type; a
+    value the cast would change or cannot make is a ConfigError."""
+    values = {}
+    for f in fields(TrainConfig):
+        value = cfg["training"][f.name]
+        try:
+            values[f.name] = f.type(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"training.{f.name} must be a number, got "
+                              f"{value!r}") from None
+        if f.type is int and values[f.name] != value:
+            raise ConfigError(f"training.{f.name} must be an integer, got "
+                              f"{value!r}")
+    return TrainConfig(**values)
 
 
-def dump_config(cfg, path):
-    """Write a config with deterministic formatting."""
+def write_json(path, payload):
+    """Write ``payload`` as JSON with deterministic formatting."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

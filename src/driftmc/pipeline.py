@@ -8,13 +8,12 @@ On failure the artifacts produced so far are kept and a machine-readable
 error file is written next to them.
 """
 
-import json
 import logging
 import time
 from pathlib import Path
 
-from .config import (build_scenario, build_train_config, dump_config,
-                     resolve_config)
+from .config import (build_scenario, build_train_config, resolve_config,
+                     write_json)
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
                      dump_paths, estimate_is, estimate_plain, report_to_dict,
                      rows_to_csv)
@@ -26,16 +25,10 @@ from . import streams
 log = logging.getLogger(__name__)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_error(out_dir, stage, exc):
-    _write_json(Path(out_dir) / "error.json",
-                {"stage": stage, "error": type(exc).__name__,
-                 "message": str(exc)})
+    write_json(Path(out_dir) / "error.json",
+               {"stage": stage, "error": type(exc).__name__,
+                "message": str(exc)})
 
 
 def run_label(cfg):
@@ -80,7 +73,10 @@ def train_drift(cfg, sc, out_dir=None):
     if out_dir is not None:
         out_dir = Path(out_dir)
         save_checkpoint(trained, out_dir / "checkpoint.json")
-        trace.to_csv(out_dir / "training_trace.csv")
+        rows = [{"step": k, "v_hat": v, "h_norm_sq": h} for k, (v, h)
+                in enumerate(zip(trace.v_hat, trace.h_norm_sq))]
+        rows_to_csv(rows, ("step", "v_hat", "h_norm_sq"),
+                    out_dir / "training_trace.csv")
     return trained, trace
 
 
@@ -96,7 +92,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
     stage = "resolve"
     try:
         cfg = resolve_config(raw_config)
-        dump_config(cfg, out_dir / "resolved_config.json")
+        write_json(out_dir / "resolved_config.json", cfg)
         if dry_run:
             return []
 
@@ -145,8 +141,8 @@ def _emit_reports(out_dir, plain_reports, is_reports, rows, formats):
                     + [report_to_dict(r) for r in is_reports])
     row_dicts = [comparison_to_dict(row) for row in rows]
     if "json" in formats:
-        _write_json(out_dir / "reports.json",
-                    {"reports": report_dicts, "comparison": row_dicts})
+        write_json(out_dir / "reports.json",
+                   {"reports": report_dicts, "comparison": row_dicts})
     if "csv" in formats:
         rows_to_csv(row_dicts, COMPARISON_FIELDS, out_dir / "reports.csv")
 
@@ -158,9 +154,9 @@ def _write_timings(out_dir, reports, training_seconds):
                   "seed": r.seed, "wall_seconds": r.wall_seconds,
                   "paths_per_s": r.sample_size / r.wall_seconds}
                  for r in reports]
-    _write_json(out_dir / "timings.json",
-                {"training_seconds": training_seconds,
-                 "estimates": estimates})
+    write_json(out_dir / "timings.json",
+               {"training_seconds": training_seconds,
+                "estimates": estimates})
 
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1,

@@ -8,8 +8,11 @@ estimated on batches simulated under the ORIGINAL measure, so the squared
 payoff carries no dependence on the network parameters and the gradient is
 an exact pathwise derivative of the batch estimate: the cotangent of f at
 step k is (-dM_k + pi f_k dt_k), scaled per path by the weighted squared
-payoff.  Training is plain Adam on a fresh batch every step, keeping the
-parameter vector whose smoothed objective was lowest.
+payoff.  Training is plain Adam on a fresh batch every step and returns
+the last iterate, as stochastic-approximation importance sampling does
+(Arouna 2004).  Selecting the step with the lowest fresh-batch objective
+instead would keep the untrained net whenever the first batch has no
+positive payoff, since such a batch has objective zero.
 """
 
 import logging
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariation import cameron_martin_map, log_likelihood_inverse
+from .errors import ConfigError
 from .network import AdamState, adam_step, backward_grid, forward
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
@@ -31,20 +35,24 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Hyperparameters of one training run.  The fields and their defaults
     are also the ``training`` block of the run config, so every resolved
-    config records them."""
+    config records them; a value out of range is a ConfigError naming its
+    ``training.<field>``."""
 
     batch_size: int = 256
     epochs: int = 50
     steps_per_epoch: int = 100
     learning_rate: float = 1e-2
     seed: int = 0
-    smooth_window: int = 200
 
     def __post_init__(self):
+        for name in ("epochs", "steps_per_epoch"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"training.{name} must be at least 0")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
-        if self.smooth_window < 1:
-            raise ValueError("smooth_window must be positive")
+            raise ConfigError("training.batch_size must be at least 2")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("training.learning_rate must be positive and "
+                              f"finite, got {self.learning_rate!r}")
 
 
 @dataclass
@@ -53,8 +61,6 @@ class TrainTrace:
 
     v_hat: list = field(default_factory=list)
     h_norm_sq: list = field(default_factory=list)
-    best_step: int | None = None
-    best_v_smoothed: float = math.inf
     uninformative_steps: int = 0
     halted_reason: str | None = None
 
@@ -62,11 +68,11 @@ class TrainTrace:
     def n_steps(self):
         return len(self.v_hat)
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("step,v_hat,h_norm_sq\n")
-            for k, (v, h) in enumerate(zip(self.v_hat, self.h_norm_sq)):
-                fh.write(f"{k},{v!r},{h!r}\n")
+    @property
+    def best_step(self):
+        """Adam updates in the returned net, which is the last iterate;
+        ``perfbench`` reads it."""
+        return self.n_steps
 
 
 @dataclass(frozen=True)
@@ -111,23 +117,18 @@ def objective_on_batch(net, batch, grid, cov):
 
 
 def train(net, model, payoff, grid, cov, config):
-    """Run Adam on the objective over ``grid``; returns (best net, trace).
+    """Run Adam on the objective over ``grid``; returns (trained net, trace).
 
     Every step draws a fresh batch from its own substream of
-    ``config.seed``.  A non-finite objective or gradient halts the run and
-    the best checkpoint so far is returned.
+    ``config.seed``.  The trained net carries the parameters after the last
+    Adam update.  A non-finite objective or gradient at step s halts the
+    run, and the net is returned as it was before that step's update.
     """
     trace = TrainTrace()
-    total = config.epochs * config.steps_per_epoch
-    if total == 0:
-        return net, trace
-
     params = net.to_flat()
     state = AdamState.fresh(params.size, learning_rate=config.learning_rate)
-    best_params = params.copy()
-    window = []
 
-    for step in range(total):
+    for step in range(config.epochs * config.steps_per_epoch):
         rng = streams.substream(config.seed, streams.TRAIN, step)
         batch = simulate_training_batch(model, payoff, grid, cov, rng,
                                         config.batch_size)
@@ -141,16 +142,6 @@ def train(net, model, payoff, grid, cov, config):
             break
         trace.v_hat.append(v_hat)
         trace.h_norm_sq.append(h_norm_sq)
-
-        window.append(v_hat)
-        if len(window) > config.smooth_window:
-            window.pop(0)
-        smoothed = float(np.mean(window))
-        if smoothed < trace.best_v_smoothed:
-            trace.best_v_smoothed = smoothed
-            trace.best_step = step
-            best_params = params.copy()
-
         params, state = adam_step(params, grad, state)
 
-    return net.with_params(best_params), trace
+    return net.with_params(params), trace

@@ -1,10 +1,13 @@
-"""Acceptance: importance sampling is unbiased on reduced default scenarios.
+"""Acceptance: importance sampling is unbiased on reduced default scenarios,
+and a trained drift reduces the variance.
 
 Each scenario is a default config on a coarser grid, built by
-``build_scenario``.  The drift is fixed, c * (basket weights on the assets,
-0 on the volatilities), so no training is involved: the check isolates the
-change of measure and the reweighting.  Each c gives a variance ratio above
-one on its scenario (about 21 and 2.4 at these seeds).
+``build_scenario``.  The first checks use a fixed drift, c * (basket weights
+on the assets, 0 on the volatilities), so no training is involved: they
+isolate the change of measure and the reweighting.  Each c gives a variance
+ratio above one on its scenario (about 21 and 2.4 at these seeds).  The
+trained-drift checks price as ``run`` does, with its seed rule, after 200
+Adam steps.
 """
 
 import math
@@ -15,6 +18,7 @@ import pytest
 from driftmc.config import build_scenario, resolve_config
 from driftmc.engine import compare, estimate_is, estimate_plain
 from driftmc.network import ShallowNet
+from driftmc.pipeline import estimate_seed, price, train_drift
 
 pytestmark = pytest.mark.acceptance
 
@@ -39,9 +43,21 @@ def basket_drift(sc, scale):
                       b_out=scale * direction)
 
 
+def reduced_config(raw):
+    return resolve_config(dict(raw, grid={"dt": 1.0 / 50}))
+
+
 def reduced_scenario(name):
     raw, _ = SCENARIOS[name]
-    return build_scenario(resolve_config(dict(raw, grid={"dt": 1.0 / 50})))
+    return build_scenario(reduced_config(raw))
+
+
+def assert_means_agree(plain, weighted):
+    """Both means positive and within 3 combined standard errors."""
+    assert plain.mean_cents > 0.0 and weighted.mean_cents > 0.0
+    se = math.hypot(plain.se_pct * plain.mean_cents,
+                    weighted.se_pct * weighted.mean_cents) / 100
+    assert abs(plain.mean_cents - weighted.mean_cents) <= 3 * se
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -52,10 +68,25 @@ def test_is_mean_agrees_with_plain(name):
                            n=N_PATHS)
     weighted = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov,
                            basket_drift(sc, scale), seed=12, n=N_PATHS)
-    assert plain.mean_cents > 0.0 and weighted.mean_cents > 0.0
-    se = math.hypot(plain.se_pct * plain.mean_cents,
-                    weighted.se_pct * weighted.mean_cents) / 100
-    assert abs(plain.mean_cents - weighted.mean_cents) <= 3 * se
+    assert_means_agree(plain, weighted)
+
+
+# (model tag, training seed) of the default Asian call; the variance ratios
+# are about 221, 81 and 97.
+@pytest.mark.parametrize("tag, train_seed", [
+    ("black_scholes", 0), ("black_scholes", 1), ("heston", 0)])
+def test_trained_drift_reduces_variance(tag, train_seed):
+    cfg = reduced_config({
+        "model": {"tag": tag},
+        "training": {"epochs": 2, "steps_per_epoch": 100, "seed": train_seed},
+        "estimation": {"sample_sizes": [N_PATHS]}})
+    sc = build_scenario(cfg)
+    drift, _ = train_drift(cfg, sc)
+    plain = price(cfg, sc, N_PATHS, estimate_seed(cfg, 0, importance=False))
+    weighted = price(cfg, sc, N_PATHS, estimate_seed(cfg, 0, importance=True),
+                     drift=drift)
+    assert compare(plain, weighted).vr >= 10.0
+    assert_means_agree(plain, weighted)
 
 
 def test_underflowed_weights_give_undefined_vr(caplog):

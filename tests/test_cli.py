@@ -15,7 +15,7 @@ TINY_CONFIG = {
     "payoff": {"moneyness": 1.05},
     "grid": {"horizon": 1.0, "dt": 1.0 / 16},
     "training": {"epochs": 1, "steps_per_epoch": 5, "batch_size": 32,
-                 "smooth_window": 2, "seed": 3},
+                 "seed": 3},
     "estimation": {"sample_sizes": [400, 800], "seed": 7,
                    "block_size": 128},
 }
@@ -65,16 +65,17 @@ class TestValidateCommand:
         path.write_text(json.dumps({"modle": {}}))
         assert main(["validate", "--config", str(path)]) == 2
 
-    def test_v1_resolved_config_names_schema(self, tmp_path, capsys):
+    @pytest.mark.parametrize("schema", ["driftmc-run-v1", "driftmc-run-v2"])
+    def test_v1_resolved_config_names_schema(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "dry"
         main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
               str(out_dir), "--dry-run"])
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
-        resolved["schema"] = "driftmc-run-v1"
-        path = tmp_path / "v1.json"
+        resolved["schema"] = schema
+        path = tmp_path / "old.json"
         path.write_text(json.dumps(resolved))
         assert main(["validate", "--config", str(path)]) == 2
-        assert "driftmc-run-v1" in capsys.readouterr().err
+        assert schema in capsys.readouterr().err
 
     @pytest.mark.parametrize("block, field, value", [
         ("payoff", "weight_rule", "risk_adjusted"),
@@ -84,6 +85,7 @@ class TestValidateCommand:
         ("training", "beta1", 0.9),
         ("training", "beta2", 0.999),
         ("training", "eps", 1e-8),
+        ("training", "smooth_window", 200),
     ])
     def test_removed_field_is_config_error(self, tmp_path, capsys, block,
                                            field, value):
@@ -326,6 +328,29 @@ class TestRunCommand:
         error = json.loads((out_dir / "error.json").read_text())
         assert error["stage"] == "validate"
         assert error["error"] == "ModelValidationError"
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", -1),
+        ("steps_per_epoch", -5),
+        ("learning_rate", -0.01),
+        ("learning_rate", float("nan")),
+        ("batch_size", 1),
+        ("batch_size", None),
+        ("steps_per_epoch", 2.5),
+    ])
+    def test_bad_training_block_fails_at_resolve(self, tmp_path, capsys,
+                                                 field, value):
+        # refused before anything is simulated: the only artifact is the
+        # error file, and it names the resolve stage
+        cfg = write_config(tmp_path, overrides={"training": {field: value}})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 2
+        assert f"training.{field}" in capsys.readouterr().err
+        assert run_artifacts(out_dir) == ["error.json"]
+        error = json.loads((out_dir / "error.json").read_text())
+        assert error["stage"] == "resolve"
+        assert error["error"] == "ConfigError"
 
     def test_format_flag_restricts_outputs(self, tmp_path):
         cfg = write_config(tmp_path)

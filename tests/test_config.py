@@ -7,8 +7,8 @@ import pytest
 
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             build_scenario, build_train_config,
-                            default_recipe, dump_config, resolve_config,
-                            sample_parameters)
+                            default_recipe, resolve_config, sample_parameters,
+                            write_json)
 from driftmc.errors import ConfigError
 from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, validate
 
@@ -147,6 +147,6 @@ class TestResolveConfig:
     def test_dump_is_deterministic(self, tmp_path):
         cfg = resolve_config({"model": {"tag": "black_scholes", "n": 2}})
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        dump_config(cfg, a)
-        dump_config(cfg, b)
+        write_json(a, cfg)
+        write_json(b, cfg)
         assert a.read_bytes() == b.read_bytes()
