@@ -87,8 +87,6 @@ def _build_parser():
     p.add_argument("--seed", type=int, default=None,
                    help="override the estimation seed")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="restrict report output to one format")
     p.add_argument("--dry-run", action="store_true",
                    help="resolve and write the config, simulate nothing")
     p.add_argument("--dump-paths", action="store_true",
@@ -185,9 +183,8 @@ def _cmd_run(args):
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("estimation", {})["seed"] = args.seed
-    formats = [args.format] if args.format else None
     run(raw, args.out_dir, threads=args.threads, dry_run=args.dry_run,
-        dump_paths=args.dump_paths, formats=formats)
+        dump_paths=args.dump_paths)
     return EXIT_OK
 
 

@@ -1,10 +1,11 @@
 """Run configuration: parsing, defaulting, parameter sampling, resolution.
 
 A run config is a single JSON document with a schema id.  Resolution fills
-every default, samples model parameters when a recipe is given instead of
-explicit values, and materializes derived quantities (weights, strike,
-barriers), producing a config that is a fixed point: running the resolved
-document reproduces the run bit for bit.
+every default, samples risk-neutral model parameters from the family's
+:func:`default_recipe` unless explicit values are given, and materializes
+derived quantities (weights, strike, barriers), producing a config that is
+a fixed point: running the resolved document reproduces the run bit for
+bit.
 """
 
 import copy
@@ -20,12 +21,11 @@ from .engine import DEFAULT_BLOCK_SIZE
 from .errors import ConfigError, ModelValidationError
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec, validate)
-from .payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT, PayoffSpec,
-                      basket_weights)
+from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v3"
+SCHEMA_ID = "driftmc-run-v4"
 
 MAX_SAMPLE_RETRIES = 200
 
@@ -37,7 +37,6 @@ DEFAULTS = {
         "rate": 0.05,
         "seed": 0,
         "params": None,
-        "recipe": None,
     },
     "payoff": {
         "weights": None,
@@ -59,9 +58,6 @@ DEFAULTS = {
         "sample_sizes": [5000, 20000, 100000],
         "seed": 7,
         "block_size": DEFAULT_BLOCK_SIZE,
-    },
-    "output": {
-        "formats": ["csv", "json"],
     },
 }
 
@@ -87,10 +83,7 @@ def default_recipe(tag, n):
     Asian basket call at a positive-payoff fraction below two percent and a
     plain-MC standard error of a few tens of percent at five thousand paths.
     """
-    recipe = {
-        "mu": "risk_neutral",
-        "s0": [0.8, 1.2],
-    }
+    recipe = {"s0": [0.8, 1.2]}
     if tag == BLACK_SCHOLES:
         recipe["sigma_entry"] = _entry_range(0.30, n)
         return recipe
@@ -115,57 +108,35 @@ def default_recipe(tag, n):
     return recipe
 
 
-def _range(recipe, key, rng, size=None):
-    try:
-        lo, hi = recipe[key]
-    except KeyError:
-        raise ConfigError(f"recipe is missing the range {key!r}") from None
-    except (TypeError, ValueError):
-        raise ConfigError(f"recipe field {key!r} must be a [lo, hi] pair") from None
-    if hi < lo:
-        raise ConfigError(f"recipe range {key!r} has hi < lo")
-    return rng.uniform(lo, hi, size=size)
+def sample_parameters(seed, tag, n, rate):
+    """Draw a valid model spec from :func:`default_recipe`, deterministically
+    in seed, with the risk-neutral drift ``mu = rate`` on every asset.
 
-
-def sample_parameters(recipe, seed, tag, n, rate):
-    """Draw a valid model spec from the recipe, deterministically in seed.
-
-    The model family, asset count and rate come from the caller only; a
-    recipe that carries any of them is refused, so a risk-neutral drift and
-    the discount rate cannot disagree.  Specs violating a structural
-    invariant are rejected and redrawn; after ``MAX_SAMPLE_RETRIES``
-    failures the error names the constraint that rejected most drafts.
+    Specs violating a structural invariant are rejected and redrawn; after
+    ``MAX_SAMPLE_RETRIES`` failures the error names the constraint that
+    rejected most drafts.
     """
-    for key in ("tag", "n", "rate"):
-        if key in recipe:
-            raise ConfigError(f"recipe may not set {key!r}; it comes from "
-                              "the model block")
-    if tag not in MODEL_TAGS:
-        raise ConfigError(f"unknown model tag {tag!r}")
     if n < 1:
         raise ConfigError("the model needs a positive asset count n")
+    recipe = default_recipe(tag, n)
     d = n if tag == BLACK_SCHOLES else 2 * n
-
+    mu = np.full(n, float(rate))
     rejected = Counter()
     for attempt in range(MAX_SAMPLE_RETRIES):
         rng = streams.substream(seed, streams.PARAMS, attempt)
-        s0 = _range(recipe, "s0", rng, n)
-        if recipe.get("mu", "risk_neutral") == "risk_neutral":
-            mu = np.full(n, float(rate))
-        else:
-            mu = _range(recipe, "mu", rng, n)
+        s0 = rng.uniform(*recipe["s0"], size=n)
         if tag == BLACK_SCHOLES:
-            sigma = _range(recipe, "sigma_entry", rng, (d, d))
+            sigma = rng.uniform(*recipe["sigma_entry"], size=(d, d))
             spec = ModelSpec(tag=tag, mu=mu, sigma=sigma, s0=s0, rate=rate)
         else:
             sigma = np.empty((d, d))
-            sigma[:n] = _range(recipe, "sigma_asset_entry", rng, (n, d))
-            sigma[n:] = _range(recipe, "sigma_vol_entry", rng, (n, d))
+            sigma[:n] = rng.uniform(*recipe["sigma_asset_entry"], size=(n, d))
+            sigma[n:] = rng.uniform(*recipe["sigma_vol_entry"], size=(n, d))
             spec = ModelSpec(
                 tag=tag, mu=mu, sigma=sigma, s0=s0, rate=rate,
-                mean_level=_range(recipe, "mean_level", rng, n),
-                reversion=_range(recipe, "reversion", rng, n),
-                v0=_range(recipe, "v0", rng, n),
+                mean_level=rng.uniform(*recipe["mean_level"], size=n),
+                reversion=rng.uniform(*recipe["reversion"], size=n),
+                v0=rng.uniform(*recipe["v0"], size=n),
             )
         violations = validate(spec)
         if not violations:
@@ -229,9 +200,7 @@ def resolve_config(raw):
         raise ConfigError(f"unknown model tag {tag!r}")
     n = int(model_block["n"])
     if model_block["params"] is None:
-        recipe = model_block["recipe"] or default_recipe(tag, n)
-        model_block["recipe"] = recipe
-        spec = sample_parameters(recipe, model_block["seed"], tag=tag, n=n,
+        spec = sample_parameters(model_block["seed"], tag=tag, n=n,
                                  rate=model_block["rate"])
         model_block["params"] = _params_to_json(spec)
     model = build_model(cfg)
@@ -260,9 +229,6 @@ def resolve_config(raw):
         raise ConfigError("estimation.sample_sizes must be positive")
     if int(cfg["estimation"]["block_size"]) <= 0:
         raise ConfigError("estimation.block_size must be positive")
-    for fmt in cfg["output"]["formats"]:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {fmt!r}")
     return cfg
 
 
@@ -292,14 +258,10 @@ def build_model(cfg):
 
 def build_payoff(cfg):
     block = cfg["payoff"]
-    barriers = block["barriers"]
+    lower, upper = block["barriers"] or (None, None)
     try:
-        if barriers is None:
-            return PayoffSpec(tag=ASIAN_BASKET_CALL, weights=block["weights"],
-                              strike=block["strike"])
-        return PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=block["weights"],
-                          strike=block["strike"], lower=barriers[0],
-                          upper=barriers[1])
+        return PayoffSpec(weights=block["weights"], strike=block["strike"],
+                          lower=lower, upper=upper)
     except ValueError as exc:
         raise ConfigError(f"invalid payoff: {exc}") from exc
 

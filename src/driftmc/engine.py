@@ -119,11 +119,8 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
         return _simulate_block(model, payoff, grid, cov, drift, seed, block,
                                discount_cents)
 
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(worker, blocks))
-    else:
-        results = [worker(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(worker, blocks))
 
     moments = RunningMoments()
     above = 0

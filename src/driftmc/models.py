@@ -189,7 +189,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     """Euler-Maruyama paths of the model on the given grid.
 
     The driver increments are drawn by :func:`sample_increments` from
-    ``rng``.  With ``drift`` set, they are shifted by the finite variation
+    ``rng``, so ``cov`` must carry the model's own sigma on ``grid``.  With ``drift`` set, they are shifted by the finite variation
     part of the measure change and the log inverse likelihood is
     accumulated from those same shifted increments, so a zero drift
     reproduces the unshifted batch exactly.  The recursion runs on a
@@ -201,8 +201,8 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     violations = validate(spec)
     if violations:
         raise ModelValidationError(violations)
-    if cov.d != spec.d:
-        raise DimensionError(f"covariation dimension {cov.d} != model {spec.d}")
+    if not np.array_equal(cov.sigma, spec.sigma):
+        raise DimensionError("covariation was built from another sigma")
     if (cov.grid.horizon, cov.grid.n_steps) != (grid.horizon, grid.n_steps):
         raise DimensionError("covariation was built on a different grid")
     if drift is not None and drift.output_width != spec.d:

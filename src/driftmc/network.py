@@ -118,15 +118,13 @@ def init_net(hidden, output, rng, activation="scaled_tanh"):
 
 
 def forward(net, t):
-    """Evaluate the net: scalar t -> (d,), array t of shape (m,) -> (m, d)."""
+    """Evaluate the net at the times ``t``, shape (m,), as an (m, d) array."""
     psi, _ = ACTIVATIONS[net.activation]
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.isfinite(t)):
         raise NonFiniteError("time input is non-finite")
-    if t.ndim == 0:
-        return net.w_out @ psi(net.w_in * float(t) + net.b_in) + net.b_out
     if t.ndim != 1:
-        raise DimensionError("t must be a scalar or a 1-d array")
+        raise DimensionError("t must be a 1-d array")
     hidden = psi(np.outer(t, net.w_in) + net.b_in)
     return hidden @ net.w_out.T + net.b_out
 

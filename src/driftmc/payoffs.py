@@ -12,15 +12,12 @@ import numpy as np
 
 from .errors import DimensionError
 
-ASIAN_BASKET_CALL = "asian_basket_call"
-ASIAN_BASKET_KNOCKOUT = "asian_basket_knockout"
-
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Weights, strike and optional barriers."""
+    """Weights, strike and optional barriers; with barriers the call is
+    knocked out."""
 
-    tag: str
     weights: np.ndarray
     strike: float
     lower: float | None = None
@@ -30,20 +27,14 @@ class PayoffSpec:
         w = np.array(self.weights, dtype=np.float64)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        if self.tag not in (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT):
-            raise ValueError(f"unknown payoff tag {self.tag!r}")
         if not np.isclose(w.sum(), 1.0, atol=1e-9):
             raise ValueError("basket weights must sum to 1")
         if not self.strike > 0.0:
             raise ValueError("strike must be positive")
-        has_barriers = self.lower is not None and self.upper is not None
-        if self.tag == ASIAN_BASKET_KNOCKOUT:
-            if not has_barriers:
-                raise ValueError("knock-out payoff needs both barriers")
-            if not self.lower < self.upper:
-                raise ValueError("need lower < upper barrier")
-        elif self.lower is not None or self.upper is not None:
-            raise ValueError("barriers are only valid for the knock-out tag")
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("knock-out payoff needs both barriers")
+        if self.has_barriers and not self.lower < self.upper:
+            raise ValueError("need lower < upper barrier")
 
     @property
     def n_assets(self):
@@ -51,7 +42,7 @@ class PayoffSpec:
 
     @property
     def has_barriers(self):
-        return self.tag == ASIAN_BASKET_KNOCKOUT
+        return self.lower is not None
 
 
 def check_width(spec, n_assets):
@@ -64,7 +55,8 @@ def check_width(spec, n_assets):
 def basket_weights(mu, sigma):
     """Risk-adjusted weights mu_k / |sigma row k|, normalized to sum to 1.
 
-    The asset rows are the first len(mu) rows of sigma.
+    The asset rows are the first len(mu) rows of sigma.  An all-zero mu
+    (a zero rate) takes the limit of a common mu_k, 1 / |sigma row k|.
     """
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
@@ -72,7 +64,7 @@ def basket_weights(mu, sigma):
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sigma must not contain a zero asset row")
-    raw = mu / norms
+    raw = (mu if np.any(mu) else 1.0) / norms
     total = raw.sum()
     if total == 0.0:
         raise ValueError("risk-adjusted weights sum to zero; cannot normalize")

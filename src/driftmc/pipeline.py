@@ -80,8 +80,7 @@ def train_drift(cfg, sc, out_dir=None):
     return trained, trace
 
 
-def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
-        formats=None):
+def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False):
     """Execute the pipeline; returns the comparison rows.
 
     Stages: resolve config, validate the model, plain MC at every sample
@@ -127,8 +126,7 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
 
         stage = "compare"
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
-        _emit_reports(out_dir, plain_reports, is_reports, rows,
-                      formats or cfg["output"]["formats"])
+        _emit_reports(out_dir, plain_reports, is_reports, rows)
         _write_timings(out_dir, plain_reports + is_reports, training_seconds)
         return rows
     except (DriftmcError, OSError, ValueError) as exc:
@@ -136,15 +134,12 @@ def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False,
         raise
 
 
-def _emit_reports(out_dir, plain_reports, is_reports, rows, formats):
-    report_dicts = ([report_to_dict(r) for r in plain_reports]
-                    + [report_to_dict(r) for r in is_reports])
+def _emit_reports(out_dir, plain_reports, is_reports, rows):
+    report_dicts = [report_to_dict(r) for r in plain_reports + is_reports]
     row_dicts = [comparison_to_dict(row) for row in rows]
-    if "json" in formats:
-        write_json(out_dir / "reports.json",
-                   {"reports": report_dicts, "comparison": row_dicts})
-    if "csv" in formats:
-        rows_to_csv(row_dicts, COMPARISON_FIELDS, out_dir / "reports.csv")
+    write_json(out_dir / "reports.json",
+               {"reports": report_dicts, "comparison": row_dicts})
+    rows_to_csv(row_dicts, COMPARISON_FIELDS, out_dir / "reports.csv")
 
 
 def _write_timings(out_dir, reports, training_seconds):

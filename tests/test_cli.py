@@ -65,7 +65,8 @@ class TestValidateCommand:
         path.write_text(json.dumps({"modle": {}}))
         assert main(["validate", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("schema", ["driftmc-run-v1", "driftmc-run-v2"])
+    @pytest.mark.parametrize("schema", ["driftmc-run-v1", "driftmc-run-v2",
+                                        "driftmc-run-v3"])
     def test_v1_resolved_config_names_schema(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "dry"
         main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
@@ -86,10 +87,13 @@ class TestValidateCommand:
         ("training", "beta2", 0.999),
         ("training", "eps", 1e-8),
         ("training", "smooth_window", 200),
+        ("model", "recipe", {"s0": [0.8, 1.2]}),
+        (None, "output", {"formats": ["csv"]}),  # a removed top-level block
     ])
     def test_removed_field_is_config_error(self, tmp_path, capsys, block,
                                            field, value):
-        cfg = write_config(tmp_path, overrides={block: {field: value}})
+        overrides = {field: value} if block is None else {block: {field: value}}
+        cfg = write_config(tmp_path, overrides=overrides)
         assert main(["validate", "--config", str(cfg)]) == 2
         assert repr(field) in capsys.readouterr().err
 
@@ -352,11 +356,17 @@ class TestRunCommand:
         assert error["stage"] == "resolve"
         assert error["error"] == "ConfigError"
 
-    def test_format_flag_restricts_outputs(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out_dir = tmp_path / "csvonly"
-        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir),
-                     "--format", "csv"]) == 0
-        names = run_artifacts(out_dir)
-        assert "reports.csv" in names
-        assert "reports.json" not in names
+    def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):
+        # a zero rate makes every risk-neutral mu_k zero, so the weights
+        # take their common-mu limit, 1 / |sigma row k| normalized
+        cfg = write_config(tmp_path, overrides={"model": {"rate": 0.0}})
+        assert main(["validate", "--config", str(cfg)]) == 0
+        out_dir = tmp_path / "zero_rate"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 0
+        resolved = json.loads((out_dir / "resolved_config.json").read_text())
+        inverse = 1.0 / np.linalg.norm(resolved["model"]["params"]["sigma"],
+                                       axis=1)
+        np.testing.assert_allclose(resolved["payoff"]["weights"],
+                                   inverse / inverse.sum(), rtol=1e-15)
+        assert "reports.csv" in run_artifacts(out_dir)

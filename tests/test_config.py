@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from driftmc import config
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             build_scenario, build_train_config,
                             default_recipe, resolve_config, sample_parameters,
@@ -15,58 +16,30 @@ from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, validate
 
 class TestSampleParameters:
     def test_deterministic_in_seed(self):
-        recipe = default_recipe("black_scholes", 4)
-        a = sample_parameters(recipe, 7, tag="black_scholes", n=4,
-                              rate=0.05)
-        b = sample_parameters(recipe, 7, tag="black_scholes", n=4,
-                              rate=0.05)
+        a = sample_parameters(7, tag="black_scholes", n=4, rate=0.05)
+        b = sample_parameters(7, tag="black_scholes", n=4, rate=0.05)
         np.testing.assert_array_equal(a.sigma, b.sigma)
         np.testing.assert_array_equal(a.s0, b.s0)
 
     def test_different_seeds_differ(self):
-        recipe = default_recipe("black_scholes", 4)
-        a = sample_parameters(recipe, 1, tag="black_scholes", n=4,
-                              rate=0.05)
-        b = sample_parameters(recipe, 2, tag="black_scholes", n=4,
-                              rate=0.05)
+        a = sample_parameters(1, tag="black_scholes", n=4, rate=0.05)
+        b = sample_parameters(2, tag="black_scholes", n=4, rate=0.05)
         assert not np.array_equal(a.sigma, b.sigma)
-
-    def test_degenerate_ranges_give_midpoint(self):
-        recipe = {
-            "mu": [0.07, 0.07],
-            "s0": [1.0, 1.0],
-            "sigma_entry": [0.1, 0.1],
-        }
-        spec = sample_parameters(recipe, 0, tag="black_scholes", n=2,
-                                 rate=0.05)
-        np.testing.assert_array_equal(spec.mu, [0.07, 0.07])
-        np.testing.assert_array_equal(spec.s0, [1.0, 1.0])
-        np.testing.assert_array_equal(spec.sigma, np.full((2, 2), 0.1))
 
     @pytest.mark.parametrize("tag", [HESTON, THREE_HALVES, STEIN_STEIN])
     def test_sampled_specs_always_validate(self, tag):
-        recipe = default_recipe(tag, 3)
         for seed in range(300):
-            spec = sample_parameters(recipe, seed, tag=tag, n=3, rate=0.05)
+            spec = sample_parameters(seed, tag=tag, n=3, rate=0.05)
             assert validate(spec) == []
 
-    def test_retry_budget_exhaustion_names_constraint(self):
-        # a recipe that can never satisfy the positivity criterion
+    def test_retry_budget_exhaustion_names_constraint(self, monkeypatch):
+        # ranges that can never satisfy the positivity criterion
         recipe = default_recipe(HESTON, 2)
         recipe["mean_level"] = [1e-6, 1e-6]
         recipe["reversion"] = [1e-6, 1e-6]
+        monkeypatch.setattr(config, "default_recipe", lambda tag, n: recipe)
         with pytest.raises(ConfigError, match="feller"):
-            sample_parameters(recipe, 0, tag=HESTON, n=2, rate=0.05)
-
-    @pytest.mark.parametrize("key, value", [
-        ("tag", "heston"), ("n", 3), ("rate", 0.01)])
-    def test_recipe_may_not_set_caller_fields(self, key, value):
-        recipe = dict(default_recipe("black_scholes", 2), **{key: value})
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            sample_parameters(recipe, 0, tag="black_scholes", n=2, rate=0.05)
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            resolve_config({"model": {"tag": "black_scholes", "n": 2,
-                                      "rate": 0.05, "recipe": recipe}})
+            sample_parameters(0, tag=HESTON, n=2, rate=0.05)
 
     def test_risk_neutral_mu_is_model_rate(self):
         cfg = resolve_config({"model": {"tag": "heston", "n": 2,
@@ -77,7 +50,7 @@ class TestSampleParameters:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):
-            sample_parameters({}, 0, tag="garch", n=2, rate=0.05)
+            sample_parameters(0, tag="garch", n=2, rate=0.05)
 
 
 class TestResolveConfig:

@@ -18,8 +18,7 @@ from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, REPORT_FIELDS,
 from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
-from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
-                             PayoffSpec, evaluate_batch)
+from driftmc.payoffs import PayoffSpec, evaluate_batch
 from driftmc.stats import RunningMoments
 from driftmc.training import simulate_training_batch
 
@@ -27,7 +26,7 @@ from driftmc.training import simulate_training_batch
 def bs_setup(vol=0.2, strike=1.1, n_steps=32):
     model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[vol]], s0=[1.0],
                       rate=0.05)
-    payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[1.0], strike=strike)
+    payoff = PayoffSpec(weights=[1.0], strike=strike)
     grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
     return model, payoff, grid, cov
@@ -231,8 +230,8 @@ class TestChunks:
 
     def ko_setup(self):
         model = heston_two_assets()
-        payoff = PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=[0.5, 0.5],
-                            strike=1.0, lower=0.8, upper=1.3)
+        payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0, lower=0.8,
+                            upper=1.3)
         grid = TimeGrid(1.0, 16)
         return model, payoff, grid, CovariationSpec(model.sigma, grid)
 
@@ -307,8 +306,7 @@ class TestChunks:
         model = heston_two_assets()
         grid = TimeGrid(1.0, 50)
         cov = CovariationSpec(model.sigma, grid)
-        payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[0.5, 0.5],
-                            strike=1.0)
+        payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0)
         drift = init_net(3, model.d, rng=np.random.default_rng(0))
 
         def peak(size):
@@ -330,7 +328,7 @@ def test_payoff_wider_than_model_rejected(entry):
     model = heston_two_assets()
     grid = TimeGrid(1.0, 8)
     cov = CovariationSpec(model.sigma, grid)
-    payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[0.25] * 4, strike=1.0)
+    payoff = PayoffSpec(weights=[0.25] * 4, strike=1.0)
     drift = init_net(2, model.d, rng=np.random.default_rng(0))
     with pytest.raises(DimensionError):
         if entry == "plain":
@@ -419,8 +417,7 @@ class TestCompareAndSerialization:
 
     def test_barrier_reports_carry_theta(self):
         model, _, grid, cov = bs_setup()
-        ko = PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=[1.0], strike=1.05,
-                        lower=0.6, upper=1.6)
+        ko = PayoffSpec(weights=[1.0], strike=1.05, lower=0.6, upper=1.6)
         rep = estimate_plain(model, ko, grid, cov, seed=4, n=2000, label="ko")
         assert rep.theta is not None
         assert 0.0 <= rep.theta <= 1.0

@@ -156,6 +156,20 @@ class TestSimulateBlackScholes:
             simulate(model, grid, other, rng=np.random.default_rng(1),
                      n_paths=4)
 
+    @pytest.mark.parametrize("model, row_scale", [
+        (bs_model(n=2), [2.0, 2.0]),    # a Black-Scholes basket at 2 sigma
+        (heston_model(), [1.0, 20.0]),  # vol row 20x: breaks Feller unchecked
+    ], ids=["doubled", "vol_rows"])
+    def test_covariation_from_another_sigma_rejected(self, model, row_scale):
+        # the paths would be driven by cov.sigma, while validation checked
+        # the model's sigma
+        grid, _ = grid_and_cov(model, n_steps=16)
+        other = CovariationSpec(model.sigma * np.array(row_scale)[:, None],
+                                grid)
+        with pytest.raises(DimensionError, match="another sigma"):
+            simulate(model, grid, other, rng=np.random.default_rng(1),
+                     n_paths=4)
+
     def test_explosion_aborts_with_path_index(self, fixed_normals):
         model = bs_model(mu=0.05)
         grid, cov = grid_and_cov(model, n_steps=4)

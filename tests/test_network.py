@@ -43,30 +43,26 @@ class TestForward:
         net = ShallowNet(w_in=np.zeros(3), b_in=np.zeros(3),
                          w_out=np.zeros((2, 3)), b_out=np.array([4.0, -1.0]))
         for t in (0.0, 0.3, 1.0):
-            np.testing.assert_array_equal(forward(net, t), [4.0, -1.0])
+            np.testing.assert_array_equal(forward(net, [t])[0], [4.0, -1.0])
 
     def test_single_tanh_unit_at_zero(self):
         net = ShallowNet(w_in=[1.0], b_in=[0.0], w_out=[[1.0]], b_out=[0.0],
                          activation="tanh")
-        assert forward(net, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert forward(net, [0.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_straight_line_reimplementation(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             net = random_net(rng)
-            t = float(rng.uniform(0, 1))
-            np.testing.assert_allclose(forward(net, t),
-                                       forward_reference(net, t),
-                                       rtol=1e-14, atol=1e-14)
+            times = rng.uniform(0, 1, 3)
+            for t, row in zip(times, forward(net, times)):
+                np.testing.assert_allclose(row, forward_reference(net, t),
+                                           rtol=1e-14, atol=1e-14)
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        net = random_net(rng)
-        times = rng.uniform(0, 1, 13)
-        grid_out = forward(net, times)
-        for k, t in enumerate(times):
-            np.testing.assert_allclose(grid_out[k], forward(net, float(t)),
-                                       rtol=1e-14, atol=1e-15)
+    def test_rejects_scalar_time(self):
+        net = random_net(np.random.default_rng(1))
+        with pytest.raises(DimensionError, match="1-d"):
+            forward(net, 0.5)
 
     def test_affine_in_output_layer(self):
         rng = np.random.default_rng(2)
@@ -82,8 +78,8 @@ class TestForward:
                            activation=base.activation)
         t = 0.37
         np.testing.assert_allclose(
-            forward(mixed, t),
-            a * forward(base, t) + b * forward(other, t),
+            forward(mixed, [t]),
+            a * forward(base, [t]) + b * forward(other, [t]),
             rtol=1e-14, atol=1e-14)
 
     def test_rejects_non_finite_parameters(self):
@@ -98,8 +94,8 @@ class TestForward:
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         net = random_net(rng)
-        a = forward(net, 0.123456)
-        b = forward(net, 0.123456)
+        a = forward(net, [0.123456])
+        b = forward(net, [0.123456])
         np.testing.assert_array_equal(a, b)
 
 
@@ -130,8 +126,9 @@ class TestBackward:
                 plus, minus = theta.copy(), theta.copy()
                 plus[i] += step
                 minus[i] -= step
-                fd[i] = (upstream @ forward(net.with_params(plus), t)
-                         - upstream @ forward(net.with_params(minus), t)) / (2 * step)
+                fd[i] = (upstream @ forward(net.with_params(plus), [t])[0]
+                         - upstream @ forward(net.with_params(minus), [t])[0]
+                         ) / (2 * step)
             denom = max(np.linalg.norm(fd), 1e-12)
             assert np.linalg.norm(fd - grad) / denom <= 1e-6
 
@@ -162,7 +159,7 @@ class TestFlattening:
 
     def test_init_starts_at_zero_map(self):
         net = init_net(6, 4, rng=np.random.default_rng(10))
-        np.testing.assert_array_equal(forward(net, 0.77), np.zeros(4))
+        np.testing.assert_array_equal(forward(net, [0.77])[0], np.zeros(4))
 
 
 class TestAdam:

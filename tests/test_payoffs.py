@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from driftmc.covariation import TimeGrid
-from driftmc.payoffs import (ASIAN_BASKET_CALL, ASIAN_BASKET_KNOCKOUT,
-                             PayoffSpec, basket_weights, evaluate_batch)
+from driftmc.payoffs import PayoffSpec, basket_weights, evaluate_batch
 
 
 def constant_path(value, n_steps=4, n_state=1):
@@ -22,19 +21,18 @@ def knocked_out(spec, path, grid):
 
 
 def call_spec(strike, weights=(1.0,)):
-    return PayoffSpec(tag=ASIAN_BASKET_CALL, weights=list(weights),
-                      strike=strike)
+    return PayoffSpec(weights=list(weights), strike=strike)
 
 
 def knockout_spec(strike, lower, upper, weights=(1.0,)):
-    return PayoffSpec(tag=ASIAN_BASKET_KNOCKOUT, weights=list(weights),
-                      strike=strike, lower=lower, upper=upper)
+    return PayoffSpec(weights=list(weights), strike=strike, lower=lower,
+                      upper=upper)
 
 
 class TestSpecInvariants:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[0.5, 0.4], strike=1.0)
+            PayoffSpec(weights=[0.5, 0.4], strike=1.0)
 
     def test_strike_positive(self):
         with pytest.raises(ValueError):
@@ -44,10 +42,14 @@ class TestSpecInvariants:
         with pytest.raises(ValueError):
             knockout_spec(1.0, lower=2.0, upper=1.0)
 
-    def test_barriers_require_knockout_tag(self):
-        with pytest.raises(ValueError):
-            PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[1.0], strike=1.0,
-                       lower=0.5, upper=2.0)
+    def test_barriers_come_in_pairs(self):
+        for lower, upper in [(0.5, None), (None, 2.0)]:
+            with pytest.raises(ValueError, match="both barriers"):
+                PayoffSpec(weights=[1.0], strike=1.0, lower=lower, upper=upper)
+
+    def test_barriers_decide_knockout(self):
+        assert not call_spec(1.0).has_barriers
+        assert knockout_spec(1.0, lower=0.5, upper=2.0).has_barriers
 
 
 class TestBasketWeights:
@@ -71,6 +73,11 @@ class TestBasketWeights:
     def test_zero_sum_rejected(self):
         with pytest.raises(ValueError):
             basket_weights([0.05, -0.05], 0.2 * np.eye(2))
+
+    def test_zero_mu_gives_inverse_row_norms(self):
+        # the limit of a common mu_k: a zero rate, risk-neutral
+        w = basket_weights([0.0, 0.0], np.diag([0.2, 0.4]))
+        np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_uses_leading_asset_rows_only(self):
         sigma = np.array([[0.2, 0.0, 0.0, 0.0],

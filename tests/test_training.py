@@ -8,7 +8,7 @@ from driftmc.engine import variance_ratio
 from driftmc.errors import WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, ModelSpec
 from driftmc.network import ShallowNet, forward, init_net
-from driftmc.payoffs import ASIAN_BASKET_CALL, PayoffSpec
+from driftmc.payoffs import PayoffSpec
 from driftmc.training import (TrainConfig, objective_on_batch,
                               simulate_training_batch, train)
 
@@ -16,8 +16,7 @@ from driftmc.training import (TrainConfig, objective_on_batch,
 def bs_setup(strike_ratio=1.1, n_steps=32, vol=0.25):
     model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[vol]], s0=[1.0],
                       rate=0.05)
-    payoff = PayoffSpec(tag=ASIAN_BASKET_CALL, weights=[1.0],
-                        strike=strike_ratio)
+    payoff = PayoffSpec(weights=[1.0], strike=strike_ratio)
     grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
     return model, payoff, grid, cov
