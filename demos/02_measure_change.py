@@ -37,8 +37,7 @@ print(f"mean stochastic exponential = {weights.mean():.5f} "
       f"(should be 1 within ~{3 * se:.5f})")
 
 # --- the same identity at the estimator level -------------------------------
-model = ModelSpec(tag="black_scholes", mu=[0.05, 0.05], sigma=sigma,
-                  s0=[1.0, 1.0], rate=0.05)
+model = ModelSpec(tag="black_scholes", sigma=sigma, s0=[1.0, 1.0], rate=0.05)
 payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.15)
 plain = estimate_plain(model, payoff, grid, spec, seed=10, n=100_000,
                        label="demo")

@@ -13,7 +13,7 @@ from .covariation import (CovariationSpec, DriftEvaluation, TimeGrid,
                           log_likelihood_inverse, sample_increments)
 from .engine import (ComparisonRow, EstimatorReport, compare, estimate_is,
                      estimate_plain, variance_ratio)
-from .models import ModelSpec, PathBatch, Violation, simulate, validate
+from .models import ModelSpec, PathBatch, Violation, simulate
 from .network import (AdamState, ShallowNet, adam_step, forward, init_net,
                       load_checkpoint, save_checkpoint)
 from .payoffs import PayoffSpec, basket_weights, evaluate_batch
@@ -30,5 +30,5 @@ __all__ = [
     "estimate_is", "estimate_plain", "evaluate_batch", "forward", "init_net",
     "lambda2_inner", "load_checkpoint", "log_likelihood_inverse",
     "resolve_config", "sample_increments", "sample_parameters",
-    "save_checkpoint", "simulate", "train", "validate", "variance_ratio",
+    "save_checkpoint", "simulate", "train", "variance_ratio",
 ]

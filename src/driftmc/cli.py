@@ -10,14 +10,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import (build_model, build_scenario, load_config,
-                     resolve_config, write_json)
+from .config import build_scenario, load_config, resolve_config, write_json
 from .engine import (COMPARISON_FIELDS, REPORT_FIELDS, compare,
                      comparison_to_dict, csv_text, report_from_dict,
                      report_to_dict)
 from .errors import (ConfigError, DriftmcError, ModelValidationError,
                      NonFiniteError, SimulationError, WeightOverflowError)
-from .models import validate
 from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
                        train_drift)
 
@@ -42,9 +40,9 @@ def _add_pricing(parser):
     parser.add_argument("--out", default=None,
                         help="report file (default stdout)")
     parser.add_argument("--dump-paths", default=None, metavar="FILE",
-                        help="also write the priced trajectories as CSV; "
-                             "they are simulated a second time from the "
-                             "estimate's random streams")
+                        help="also write the priced paths as CSV, simulated "
+                             "again from the estimate's streams; at a run's "
+                             "--n and --seed, the paths that run priced")
 
 
 def _build_parser():
@@ -56,7 +54,7 @@ def _build_parser():
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check model invariants")
+    p = sub.add_parser("validate", help="resolve and check a config")
     _add_config(p)
 
     p = sub.add_parser("sample-params", help="sample and print model parameters")
@@ -89,9 +87,6 @@ def _build_parser():
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--dry-run", action="store_true",
                    help="resolve and write the config, simulate nothing")
-    p.add_argument("--dump-paths", action="store_true",
-                   help="also write the trajectories of every estimate as "
-                        "CSV, simulated a second time (debugging)")
     return parser
 
 
@@ -110,10 +105,8 @@ def _sample(args, cfg, importance):
     """``(n, seed)`` of a price command: ``--n`` and ``--seed`` if given,
     else the first configured sample size and the seed ``run`` prices it
     with.  The estimator refuses a non-positive ``--n``."""
-    n = int(cfg["estimation"]["sample_sizes"][0]) if args.n is None else args.n
-    seed = args.seed
-    if seed is None:
-        seed = estimate_seed(cfg, 0, importance)
+    n = cfg["estimation"]["sample_sizes"][0] if args.n is None else args.n
+    seed = estimate_seed(cfg, 0, importance) if args.seed is None else args.seed
     return n, seed
 
 
@@ -123,12 +116,7 @@ def _load_report(path):
 
 
 def _cmd_validate(args):
-    cfg = resolve_config(load_config(args.config))
-    violations = validate(build_model(cfg))
-    if violations:
-        for v in violations:
-            print(str(v))
-        return EXIT_VALIDATION
+    build_scenario(resolve_config(load_config(args.config)))
     print("ok")
     return EXIT_OK
 
@@ -183,8 +171,7 @@ def _cmd_run(args):
     raw = load_config(args.config)
     if args.seed is not None:
         raw.setdefault("estimation", {})["seed"] = args.seed
-    run(raw, args.out_dir, threads=args.threads, dry_run=args.dry_run,
-        dump_paths=args.dump_paths)
+    run(raw, args.out_dir, threads=args.threads, dry_run=args.dry_run)
     return EXIT_OK
 
 

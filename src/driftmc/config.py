@@ -13,6 +13,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -20,14 +21,18 @@ from .covariation import CovariationSpec, TimeGrid
 from .engine import DEFAULT_BLOCK_SIZE
 from .errors import ConfigError, ModelValidationError
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
-                     THREE_HALVES, ModelSpec, validate)
+                     THREE_HALVES, ModelSpec)
+from .network import ACTIVATIONS
 from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v4"
+SCHEMA_ID = "driftmc-run-v5"
 
 MAX_SAMPLE_RETRIES = 200
+
+# The keys of ``model.params``; sigma and s0 are required.
+PARAM_FIELDS = ("sigma", "s0", "mean_level", "reversion", "v0")
 
 DEFAULTS = {
     "schema": SCHEMA_ID,
@@ -110,7 +115,7 @@ def default_recipe(tag, n):
 
 def sample_parameters(seed, tag, n, rate):
     """Draw a valid model spec from :func:`default_recipe`, deterministically
-    in seed, with the risk-neutral drift ``mu = rate`` on every asset.
+    in seed.
 
     Specs violating a structural invariant are rejected and redrawn; after
     ``MAX_SAMPLE_RETRIES`` failures the error names the constraint that
@@ -120,28 +125,24 @@ def sample_parameters(seed, tag, n, rate):
         raise ConfigError("the model needs a positive asset count n")
     recipe = default_recipe(tag, n)
     d = n if tag == BLACK_SCHOLES else 2 * n
-    mu = np.full(n, float(rate))
     rejected = Counter()
     for attempt in range(MAX_SAMPLE_RETRIES):
         rng = streams.substream(seed, streams.PARAMS, attempt)
         s0 = rng.uniform(*recipe["s0"], size=n)
         if tag == BLACK_SCHOLES:
             sigma = rng.uniform(*recipe["sigma_entry"], size=(d, d))
-            spec = ModelSpec(tag=tag, mu=mu, sigma=sigma, s0=s0, rate=rate)
+            vol = {}
         else:
             sigma = np.empty((d, d))
             sigma[:n] = rng.uniform(*recipe["sigma_asset_entry"], size=(n, d))
             sigma[n:] = rng.uniform(*recipe["sigma_vol_entry"], size=(n, d))
-            spec = ModelSpec(
-                tag=tag, mu=mu, sigma=sigma, s0=s0, rate=rate,
-                mean_level=rng.uniform(*recipe["mean_level"], size=n),
-                reversion=rng.uniform(*recipe["reversion"], size=n),
-                v0=rng.uniform(*recipe["v0"], size=n),
-            )
-        violations = validate(spec)
-        if not violations:
-            return spec
-        rejected.update(v.code for v in violations)
+            vol = dict(mean_level=rng.uniform(*recipe["mean_level"], size=n),
+                       reversion=rng.uniform(*recipe["reversion"], size=n),
+                       v0=rng.uniform(*recipe["v0"], size=n))
+        try:
+            return ModelSpec(tag=tag, sigma=sigma, s0=s0, rate=rate, **vol)
+        except ModelValidationError as exc:
+            rejected.update(v.code for v in exc.violations)
     binding = rejected.most_common(1)[0][0]
     raise ConfigError(
         f"no valid parameters after {MAX_SAMPLE_RETRIES} draws; most often "
@@ -175,8 +176,42 @@ def load_config(path):
     return raw
 
 
+# Field checks: each returns the value, or raises a ConfigError naming it.
+
+def _number(value, name, positive=False):
+    """A finite number, positive if asked."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        kind = "a positive finite" if positive else "a finite"
+        raise ConfigError(f"{name} must be {kind} number, got {value!r}")
+    return value
+
+
+def _integer(value, name, minimum=None):
+    """A whole number, at least ``minimum`` if given, as an int."""
+    try:
+        whole = int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" of at least {minimum}"
+        raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
+    return int(value)
+
+
+def _numbers(values, name, length=None, check=_number):
+    """A non-empty list, of ``length`` entries if given, checked entrywise."""
+    if not (isinstance(values, list) and values
+            and len(values) == (length or len(values))):
+        raise ConfigError(f"{name} must be a list of {length or 'one or more'} "
+                          f"numbers, got {values!r}")
+    return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
+
+
 def resolve_config(raw):
-    """Fill defaults, sample parameters, materialize derived fields."""
+    """Fill defaults, sample parameters, materialize derived fields; a bad
+    field raises a ConfigError naming it, bad model parameters a
+    :class:`ModelValidationError`."""
     schema = raw.get("schema", SCHEMA_ID)
     if schema != SCHEMA_ID:
         raise ConfigError(f"unsupported config schema {schema!r}; this "
@@ -184,11 +219,7 @@ def resolve_config(raw):
                           "raw config again")
     cfg = _merge_defaults(raw, DEFAULTS)
     for key in ("horizon", "dt"):
-        value = cfg["grid"][key]
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
-                and value > 0):
-            raise ConfigError(f"grid.{key} must be a positive finite "
-                              f"number, got {value!r}")
+        _number(cfg["grid"][key], f"grid.{key}", positive=True)
     steps = cfg["grid"]["horizon"] / cfg["grid"]["dt"]
     if abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"grid.dt must divide grid.horizon into whole "
@@ -198,7 +229,9 @@ def resolve_config(raw):
     tag = model_block["tag"]
     if tag not in MODEL_TAGS:
         raise ConfigError(f"unknown model tag {tag!r}")
-    n = int(model_block["n"])
+    n = model_block["n"] = _integer(model_block["n"], "model.n", 1)
+    model_block["seed"] = _integer(model_block["seed"], "model.seed", 0)
+    _number(model_block["rate"], "model.rate")
     if model_block["params"] is None:
         spec = sample_parameters(model_block["seed"], tag=tag, n=n,
                                  rate=model_block["rate"])
@@ -206,54 +239,66 @@ def resolve_config(raw):
     model = build_model(cfg)
 
     payoff_block = cfg["payoff"]
+    moneyness = _number(payoff_block["moneyness"], "payoff.moneyness")
     if payoff_block["weights"] is None:
-        try:
-            weights = basket_weights(model.mu, model.sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        payoff_block["weights"] = [float(w) for w in weights]
-    basket0 = float(np.dot(payoff_block["weights"], model.s0))
+        payoff_block["weights"] = basket_weights(model.sigma, n).tolist()
+    weights = _numbers(payoff_block["weights"], "payoff.weights", n)
+    basket0 = float(np.dot(weights, model.s0))
     forward_factor = math.exp(model.rate * cfg["grid"]["horizon"])
     if payoff_block["strike"] is None:
-        payoff_block["strike"] = payoff_block["moneyness"] * basket0 * forward_factor
+        payoff_block["strike"] = moneyness * basket0 * forward_factor
+    _number(payoff_block["strike"], "payoff.strike")
     if payoff_block["barriers"] is None and payoff_block["barrier_moneyness"]:
-        lo, hi = payoff_block["barrier_moneyness"]
+        lo, hi = _numbers(payoff_block["barrier_moneyness"],
+                          "payoff.barrier_moneyness", 2)
         payoff_block["barriers"] = [lo * basket0, hi * basket0]
         payoff_block["barrier_moneyness"] = None
+    if payoff_block["barriers"] is not None:
+        _numbers(payoff_block["barriers"], "payoff.barriers", 2)
 
-    if cfg["training"]["hidden_width"] is None:
-        cfg["training"]["hidden_width"] = model.d
+    training = cfg["training"]
+    width = training["hidden_width"]
+    training["hidden_width"] = _integer(model.d if width is None else width,
+                                        "training.hidden_width", 1)
+    if training["activation"] not in tuple(ACTIVATIONS):
+        raise ConfigError("training.activation: unknown activation "
+                          f"{training['activation']!r}")
     build_train_config(cfg)  # a bad training block fails here, not mid-run
-    sizes = cfg["estimation"]["sample_sizes"]
-    if not sizes or any(int(s) <= 0 for s in sizes):
-        raise ConfigError("estimation.sample_sizes must be positive")
-    if int(cfg["estimation"]["block_size"]) <= 0:
-        raise ConfigError("estimation.block_size must be positive")
+
+    estimation = cfg["estimation"]
+    estimation["seed"] = _integer(estimation["seed"], "estimation.seed", 0)
+    estimation["block_size"] = _integer(estimation["block_size"],
+                                        "estimation.block_size", 1)
+    estimation["sample_sizes"] = _numbers(
+        estimation["sample_sizes"], "estimation.sample_sizes",
+        check=partial(_integer, minimum=1))
     return cfg
 
 
 def _params_to_json(spec):
-    out = {
-        "mu": [float(x) for x in spec.mu],
-        "sigma": [[float(x) for x in row] for row in spec.sigma],
-        "s0": [float(x) for x in spec.s0],
-    }
-    for name in ("mean_level", "reversion", "v0"):
-        value = getattr(spec, name)
-        out[name] = None if value is None else [float(x) for x in value]
-    return out
+    return {name: None if getattr(spec, name) is None
+            else getattr(spec, name).tolist() for name in PARAM_FIELDS}
 
 
 def build_model(cfg):
-    """Materialize the ModelSpec of a resolved config."""
+    """The ModelSpec of a resolved config; ``model.params`` must give sigma
+    and s0 of the ``model.n`` assets, and only :data:`PARAM_FIELDS`."""
     block = cfg["model"]
     params = block["params"]
-    if params is None:
-        raise ConfigError("model params missing; resolve the config first")
-    kwargs = {name: params[name] for name in ("mean_level", "reversion", "v0")
-              if params.get(name) is not None}
-    return ModelSpec(tag=block["tag"], mu=params["mu"], sigma=params["sigma"],
-                     s0=params["s0"], rate=block["rate"], **kwargs)
+    if not isinstance(params, dict):
+        raise ConfigError(f"model.params must be an object, got {params!r}")
+    for name in params:
+        if name not in PARAM_FIELDS:
+            raise ConfigError(f"model.params.{name} is no model parameter; "
+                              f"the fields are {', '.join(PARAM_FIELDS)}")
+    for name in ("sigma", "s0"):
+        if params.get(name) is None:
+            raise ConfigError(f"model.params.{name} is required")
+    if np.size(params["s0"]) != block["n"]:
+        raise ConfigError(f"model.params.s0 has {np.size(params['s0'])} "
+                          f"entries but model.n is {block['n']}")
+    kwargs = {k: v for k, v in params.items() if v is not None}
+    return ModelSpec(tag=block["tag"], rate=block["rate"], **kwargs)
 
 
 def build_payoff(cfg):
@@ -283,32 +328,21 @@ class Scenario:
 
 
 def build_scenario(cfg):
-    """The validated scenario of a resolved config; ``cov`` carries the
-    model's sigma on the config's grid."""
+    """The scenario of a resolved config; ``cov`` carries the model's sigma
+    on the config's grid."""
     model = build_model(cfg)
-    violations = validate(model)
-    if violations:
-        raise ModelValidationError(violations)
     payoff = build_payoff(cfg)
     grid = build_grid(cfg)
     return Scenario(model, payoff, grid, CovariationSpec(model.sigma, grid))
 
 
 def build_train_config(cfg):
-    """The TrainConfig of a resolved config, each field cast to its type; a
-    value the cast would change or cannot make is a ConfigError."""
-    values = {}
-    for f in fields(TrainConfig):
-        value = cfg["training"][f.name]
-        try:
-            values[f.name] = f.type(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"training.{f.name} must be a number, got "
-                              f"{value!r}") from None
-        if f.type is int and values[f.name] != value:
-            raise ConfigError(f"training.{f.name} must be an integer, got "
-                              f"{value!r}")
-    return TrainConfig(**values)
+    """The TrainConfig of a resolved config; an integer field that holds no
+    whole number, or a float field no finite number, is a ConfigError."""
+    return TrainConfig(**{
+        f.name: (_integer if f.type is int else _number)(
+            cfg["training"][f.name], f"training.{f.name}")
+        for f in fields(TrainConfig)})
 
 
 def write_json(path, payload):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariation import (cameron_martin_map, log_likelihood_inverse,
-                          sample_increments)
+from .covariation import (_readonly, cameron_martin_map,
+                          log_likelihood_inverse, sample_increments)
 from .errors import DimensionError, ModelValidationError, SimulationError
 from .network import forward
 
@@ -34,25 +34,24 @@ _VOL_TAGS = (HESTON, THREE_HALVES, STEIN_STEIN)
 
 
 def _vec(x, name):
-    a = np.array(x, dtype=np.float64)
+    a = _readonly(x)
     if a.ndim != 1:
         raise DimensionError(f"{name} must be a 1-d array")
-    a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Parameters of one asset model.
+    """Parameters of one asset model, valid by construction: a spec that
+    breaks a structural invariant raises :class:`ModelValidationError`.
 
-    ``reversion`` holds the diagonal of the mean-reversion speed matrix
-    (storing the diagonal keeps the matrix diagonal by construction);
-    ``mean_level`` is the reversion target.  ``rate`` is used for
-    discounting only; under risk-neutral dynamics set mu = rate * ones.
+    Every asset drifts at the short rate ``rate`` (risk-neutral dynamics),
+    which also discounts the payoff.  ``reversion`` holds the diagonal of
+    the mean-reversion speed matrix (storing the diagonal keeps the matrix
+    diagonal by construction); ``mean_level`` is the reversion target.
     """
 
     tag: str
-    mu: np.ndarray
     sigma: np.ndarray
     s0: np.ndarray
     rate: float = 0.0
@@ -61,15 +60,15 @@ class ModelSpec:
     v0: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mu", _vec(self.mu, "mu"))
         object.__setattr__(self, "s0", _vec(self.s0, "s0"))
-        sigma = np.array(self.sigma, dtype=np.float64)
-        sigma.flags.writeable = False
-        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "sigma", _readonly(self.sigma))
         for name in ("mean_level", "reversion", "v0"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _vec(value, name))
+        violations = _violations(self)
+        if violations:
+            raise ModelValidationError(violations)
 
     @property
     def n(self):
@@ -77,7 +76,7 @@ class ModelSpec:
 
     @property
     def d(self):
-        return self.sigma.shape[0] if self.sigma.ndim == 2 else -1
+        return self.sigma.shape[0]
 
     @property
     def has_volatility(self):
@@ -101,12 +100,8 @@ class Violation:
         return f"{self.code}{where}: {self.message}"
 
 
-def validate(spec):
-    """Return all structural violations of the spec; empty means ok.
-
-    Violations are data, not failures: callers that need parameters as
-    given (for example a rejection sampler) inspect the list.
-    """
+def _violations(spec):
+    """All structural violations of the spec; empty means ok."""
     out = []
     if spec.tag not in MODEL_TAGS:
         out.append(Violation("tag", None, f"unknown model tag {spec.tag!r}"))
@@ -121,11 +116,9 @@ def validate(spec):
         out.append(Violation("sigma", None,
                              f"driver dimension {d} but model needs {want_d}"))
         return out
-    for name in ("mu", "sigma", "s0"):
+    for name in ("sigma", "s0"):
         if not np.all(np.isfinite(getattr(spec, name))):
             out.append(Violation(name, None, "non-finite entries"))
-    if spec.mu.size != n:
-        out.append(Violation("mu", None, f"length {spec.mu.size}, expected {n}"))
     row_sq = np.sum(spec.sigma**2, axis=1)
     for k in np.nonzero(row_sq == 0.0)[0]:
         out.append(Violation("sigma", int(k), "zero row"))
@@ -198,9 +191,6 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     :class:`PathBatch` holds (n_paths, ...)-shaped views of the buffers,
     which are not C-contiguous: copy before reshaping.
     """
-    violations = validate(spec)
-    if violations:
-        raise ModelValidationError(violations)
     if not np.array_equal(cov.sigma, spec.sigma):
         raise DimensionError("covariation was built from another sigma")
     if (cov.grid.horizon, cov.grid.n_steps) != (grid.horizon, grid.n_steps):
@@ -241,26 +231,27 @@ def _euler_loop(spec, states, dm, h):
     """Euler steps on paths-innermost ``states`` (n_steps+1, n_state,
     n_paths) driven by ``dm`` (n_steps, d, n_paths)."""
     n = spec.n
-    # Parameters as columns, to broadcast along the paths.
-    mu = spec.mu[:, None]
+    # Risk-neutral: every asset drifts at the short rate.
+    growth = spec.rate * h
     if spec.has_volatility:
+        # Parameters as columns, to broadcast along the paths.
         theta, m = spec.reversion[:, None], spec.mean_level[:, None]
     for k in range(dm.shape[0]):
         s = states[k, :n]
         if spec.tag == BLACK_SCHOLES:
-            states[k + 1, :n] = s + s * (mu * h) + s * dm[k]
+            states[k + 1, :n] = s + s * growth + s * dm[k]
             continue
         v = states[k, n:]
         dm1, dm2 = dm[k, :n], dm[k, n:]
         if spec.tag == HESTON:
             vp = np.maximum(v, 0.0)
             root = np.sqrt(vp)
-            states[k + 1, :n] = s + s * (mu * h) + s * root * dm1
+            states[k + 1, :n] = s + s * growth + s * root * dm1
             states[k + 1, n:] = v + theta * (m - vp) * h + root * dm2
         elif spec.tag == THREE_HALVES:
             vp = np.maximum(v, 0.0)
-            states[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            states[k + 1, :n] = s + s * growth + s * np.sqrt(vp) * dm1
             states[k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
         else:  # STEIN_STEIN, volatility signed
-            states[k + 1, :n] = s + s * (mu * h) + s * v * dm1
+            states[k + 1, :n] = s + s * growth + s * v * dm1
             states[k + 1, n:] = v + theta * (m - v) * h + dm2

@@ -52,23 +52,14 @@ def check_width(spec, n_assets):
                              f"model has {n_assets} assets")
 
 
-def basket_weights(mu, sigma):
-    """Risk-adjusted weights mu_k / |sigma row k|, normalized to sum to 1.
-
-    The asset rows are the first len(mu) rows of sigma.  An all-zero mu
-    (a zero rate) takes the limit of a common mu_k, 1 / |sigma row k|.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    rows = sigma[:mu.size]
-    norms = np.linalg.norm(rows, axis=1)
+def basket_weights(sigma, n):
+    """Inverse-volatility weights 1 / |sigma row k| of the n assets,
+    normalized to sum to 1; the asset rows are the first n rows of sigma."""
+    norms = np.linalg.norm(np.asarray(sigma, dtype=np.float64)[:n], axis=1)
     if np.any(norms == 0.0):
         raise ValueError("sigma must not contain a zero asset row")
-    raw = (mu if np.any(mu) else 1.0) / norms
-    total = raw.sum()
-    if total == 0.0:
-        raise ValueError("risk-adjusted weights sum to zero; cannot normalize")
-    return raw / total
+    raw = 1.0 / norms
+    return raw / raw.sum()
 
 
 def node_quadrature(grid):

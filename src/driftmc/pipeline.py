@@ -40,14 +40,14 @@ def run_label(cfg):
 def estimate_seed(cfg, index, importance):
     """Seed of the estimate at the ``index``-th configured sample size;
     plain and importance-sampled ones alternate from ``estimation.seed``."""
-    return int(cfg["estimation"]["seed"]) + 2 * index + int(importance)
+    return cfg["estimation"]["seed"] + 2 * index + int(importance)
 
 
 def price(cfg, sc, n, seed, drift=None, threads=1, dump_path=None):
     """Estimate a resolved config's scenario ``sc`` at ``(n, seed)``: plain
     without ``drift``, importance-sampled with it.  With ``dump_path`` the
     priced paths are simulated again and written there."""
-    block_size = int(cfg["estimation"]["block_size"])
+    block_size = cfg["estimation"]["block_size"]
     common = dict(seed=seed, n=n, label=run_label(cfg), threads=threads,
                   block_size=block_size)
     if drift is None:
@@ -80,32 +80,28 @@ def train_drift(cfg, sc, out_dir=None):
     return trained, trace
 
 
-def run(raw_config, out_dir, threads=1, dry_run=False, dump_paths=False):
+def run(raw_config, out_dir, threads=1, dry_run=False):
     """Execute the pipeline; returns the comparison rows.
 
-    Stages: resolve config, validate the model, plain MC at every sample
-    size, drift training, importance-sampled estimates, comparison table.
+    Stages: resolve the config and build its scenario, plain MC at every
+    sample size, drift training, importance-sampled estimates, comparison
+    table.  The resolved config is written once its scenario builds.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stage = "resolve"
     try:
         cfg = resolve_config(raw_config)
+        sc = build_scenario(cfg)
         write_json(out_dir / "resolved_config.json", cfg)
         if dry_run:
             return []
 
-        stage = "validate"
-        sc = build_scenario(cfg)
-        sizes = [int(s) for s in cfg["estimation"]["sample_sizes"]]
-
         def price_all(drift, tag):
             reports = []
-            for j, n in enumerate(sizes):
+            for j, n in enumerate(cfg["estimation"]["sample_sizes"]):
                 seed = estimate_seed(cfg, j, importance=drift is not None)
-                dump = out_dir / f"paths_{tag}_n{n}.csv" if dump_paths else None
-                report = price(cfg, sc, n, seed, drift=drift, threads=threads,
-                               dump_path=dump)
+                report = price(cfg, sc, n, seed, drift=drift, threads=threads)
                 log.info("%s n=%d mean=%.4g cents se=%.3g%%", tag, n,
                          report.mean_cents, report.se_pct)
                 reports.append(report)

@@ -45,7 +45,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "steps_per_epoch"):
+        for name in ("epochs", "steps_per_epoch", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"training.{name} must be at least 0")
         if self.batch_size < 2:

@@ -10,6 +10,9 @@ from driftmc.cli import main
 from driftmc.config import build_scenario, resolve_config
 from driftmc.payoffs import evaluate_batch
 
+# Explicit parameters of a two-asset Black-Scholes model.
+TWO_ASSETS = {"sigma": [[0.2, 0.0], [0.0, 0.2]], "s0": [1.0, 1.0]}
+
 TINY_CONFIG = {
     "model": {"tag": "black_scholes", "n": 2, "seed": 1},
     "payoff": {"moneyness": 1.05},
@@ -47,13 +50,13 @@ class TestValidateCommand:
     def test_invalid_explicit_params_exit_code(self, tmp_path, capsys):
         cfg = {
             "model": {"tag": "black_scholes", "n": 1,
-                      "params": {"mu": [0.05], "sigma": [[0.2]], "s0": [-1.0]}},
+                      "params": {"sigma": [[0.2]], "s0": [-1.0]}},
             "payoff": {"strike": 1.0, "weights": [1.0]},
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 4
-        assert "s0" in capsys.readouterr().out
+        assert "s0[0]: must be positive" in capsys.readouterr().err
 
     def test_malformed_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -66,7 +69,7 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("schema", ["driftmc-run-v1", "driftmc-run-v2",
-                                        "driftmc-run-v3"])
+                                        "driftmc-run-v3", "driftmc-run-v4"])
     def test_v1_resolved_config_names_schema(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "dry"
         main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
@@ -104,7 +107,7 @@ class TestSampleParamsCommand:
         assert main(["sample-params", "--config", str(cfg)]) == 0
         block = json.loads(capsys.readouterr().out)
         assert block["tag"] == "black_scholes"
-        assert len(block["params"]["mu"]) == 2
+        assert len(block["params"]["s0"]) == 2
 
     def test_seed_override_changes_draw(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -320,18 +323,22 @@ class TestRunCommand:
             assert (out_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
 
     def test_failure_leaves_error_file(self, tmp_path):
+        # invalid explicit params are refused while the config resolves,
+        # also by a dry run
         cfg = write_config(tmp_path, overrides={
-            "model": {"params": {"mu": [0.05, 0.05],
-                                 "sigma": [[0.2, 0.0], [0.0, 0.2]],
+            "model": {"params": {"sigma": [[0.2, 0.0], [0.0, 0.2]],
                                  "s0": [-1.0, 1.0]},
                       "tag": "black_scholes", "n": 2},
             "payoff": {"weights": [0.5, 0.5], "strike": 1.0},
         })
-        out_dir = tmp_path / "fail"
-        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 4
-        error = json.loads((out_dir / "error.json").read_text())
-        assert error["stage"] == "validate"
-        assert error["error"] == "ModelValidationError"
+        for extra in ([], ["--dry-run"]):
+            out_dir = tmp_path / f"fail{len(extra)}"
+            assert main(["run", "--config", str(cfg), "--out-dir",
+                         str(out_dir), *extra]) == 4
+            assert run_artifacts(out_dir) == ["error.json"]
+            error = json.loads((out_dir / "error.json").read_text())
+            assert error["stage"] == "resolve"
+            assert error["error"] == "ModelValidationError"
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1),
@@ -341,6 +348,7 @@ class TestRunCommand:
         ("batch_size", 1),
         ("batch_size", None),
         ("steps_per_epoch", 2.5),
+        ("seed", -1),
     ])
     def test_bad_training_block_fails_at_resolve(self, tmp_path, capsys,
                                                  field, value):
@@ -356,9 +364,49 @@ class TestRunCommand:
         assert error["stage"] == "resolve"
         assert error["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("overrides, named", [
+        ({"model": {"n": 2.9}}, "model.n"),
+        ({"model": {"n": None}}, "model.n"),
+        ({"model": {"seed": 1.5}}, "model.seed"),
+        ({"model": {"rate": "0.05"}}, "model.rate"),
+        ({"payoff": {"moneyness": "1.3"}}, "payoff.moneyness"),
+        ({"estimation": {"seed": 7.5}}, "estimation.seed"),
+        ({"estimation": {"block_size": 64.5}}, "estimation.block_size"),
+        ({"estimation": {"sample_sizes": [2.9]}}, "estimation.sample_sizes"),
+        ({"training": {"hidden_width": 2.5}}, "training.hidden_width"),
+        ({"training": {"activation": "relu"}}, "training.activation"),
+        ({"payoff": {"weights": [0.5, 0.25, 0.25]}}, "payoff.weights"),
+        ({"payoff": {"barrier_moneyness": [0.7]}},
+         "payoff.barrier_moneyness"),
+        ({"payoff": {"barriers": [1.6, 0.7]}}, "lower < upper barrier"),
+        ({"model": {"params": dict(TWO_ASSETS, mu=[0.05, 0.05])}},
+         "model.params.mu"),
+        ({"model": {"params": {"s0": [1.0, 1.0]}}}, "model.params.sigma"),
+        ({"model": {"n": 3, "params": TWO_ASSETS}}, "model.n is 3"),
+    ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
+            "moneyness-string", "estimation-seed", "block-size",
+            "sample-size", "hidden-width", "activation", "weights-width",
+            "barrier-moneyness", "barriers-reversed", "params-mu",
+            "params-no-sigma", "params-width"])
+    def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
+                                        named):
+        # refused before anything is written, naming the field, where the
+        # value was once truncated, ignored or crashed mid-run; validate
+        # refuses what run refuses
+        cfg = write_config(tmp_path, overrides=overrides)
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 2
+        assert named in capsys.readouterr().err
+        assert run_artifacts(out_dir) == ["error.json"]
+        error = json.loads((out_dir / "error.json").read_text())
+        assert error["stage"] == "resolve"
+        assert error["error"] == "ConfigError"
+
     def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):
-        # a zero rate makes every risk-neutral mu_k zero, so the weights
-        # take their common-mu limit, 1 / |sigma row k| normalized
+        # the weights are 1 / |sigma row k| normalized, whatever the rate
         cfg = write_config(tmp_path, overrides={"model": {"rate": 0.0}})
         assert main(["validate", "--config", str(cfg)]) == 0
         out_dir = tmp_path / "zero_rate"

@@ -11,7 +11,7 @@ from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             default_recipe, resolve_config, sample_parameters,
                             write_json)
 from driftmc.errors import ConfigError
-from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, validate
+from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, simulate
 
 
 class TestSampleParameters:
@@ -28,9 +28,10 @@ class TestSampleParameters:
 
     @pytest.mark.parametrize("tag", [HESTON, THREE_HALVES, STEIN_STEIN])
     def test_sampled_specs_always_validate(self, tag):
+        # an invalid draw is redrawn, never raised
         for seed in range(300):
             spec = sample_parameters(seed, tag=tag, n=3, rate=0.05)
-            assert validate(spec) == []
+            assert (spec.tag, spec.n) == (tag, 3)
 
     def test_retry_budget_exhaustion_names_constraint(self, monkeypatch):
         # ranges that can never satisfy the positivity criterion
@@ -41,12 +42,17 @@ class TestSampleParameters:
         with pytest.raises(ConfigError, match="feller"):
             sample_parameters(0, tag=HESTON, n=2, rate=0.05)
 
-    def test_risk_neutral_mu_is_model_rate(self):
+    def test_risk_neutral_mu_is_model_rate(self, fixed_normals):
+        # on the zero-noise skeleton every asset grows at the model rate
         cfg = resolve_config({"model": {"tag": "heston", "n": 2,
-                                        "rate": 0.03}})
-        model = build_model(cfg)
-        np.testing.assert_array_equal(model.mu, [0.03, 0.03])
-        assert model.rate == 0.03
+                                        "rate": 0.03},
+                              "grid": {"dt": 0.25}})
+        assert "mu" not in cfg["model"]["params"]
+        sc = build_scenario(cfg)
+        batch = simulate(sc.model, sc.grid, sc.cov, fixed_normals(), 1)
+        np.testing.assert_allclose(batch.states[0, -1, :2],
+                                   sc.model.s0 * (1.0 + 0.03 * 0.25) ** 4,
+                                   rtol=1e-15)
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ConfigError):
@@ -79,7 +85,7 @@ class TestResolveConfig:
         raw = {
             "model": {
                 "tag": "black_scholes", "n": 1,
-                "params": {"mu": [0.05], "sigma": [[0.2]], "s0": [1.0],
+                "params": {"sigma": [[0.2]], "s0": [1.0],
                            "mean_level": None, "reversion": None, "v0": None},
             },
         }
@@ -105,7 +111,6 @@ class TestResolveConfig:
         cfg = resolve_config({"model": {"tag": "stein_stein", "n": 2}})
         model = build_model(cfg)
         assert model.tag == "stein_stein"
-        assert validate(model) == []
         grid = build_grid(cfg)
         assert grid.n_steps == 252
         train_cfg = build_train_config(cfg)

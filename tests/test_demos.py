@@ -4,6 +4,7 @@ they import from it resolve, and the fast demo runs to completion."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import runpy
 from pathlib import Path
 
@@ -49,6 +50,18 @@ def test_benchmark_imports_resolve():
     assert names
     for path, module, name in names:
         assert resolves(module, name), f"{path.name}: {module} has no {name!r}"
+
+
+def test_benchmark_hooked_names_resolve(monkeypatch):
+    # the benchmark also wraps driftmc attributes by name; a hooked name
+    # must not go either
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    hooks = workloads.stage_hooks() + workloads.layer_hooks()
+    assert hooks
+    missing = [f"{hook.owner.__name__}.{hook.attr}" for hook in hooks
+               if inspect.getattr_static(hook.owner, hook.attr, None) is None]
+    assert missing == []
 
 
 def test_isometry_demo_runs(capsys):

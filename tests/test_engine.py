@@ -24,8 +24,7 @@ from driftmc.training import simulate_training_batch
 
 
 def bs_setup(vol=0.2, strike=1.1, n_steps=32):
-    model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[vol]], s0=[1.0],
-                      rate=0.05)
+    model = ModelSpec(tag=BLACK_SCHOLES, sigma=[[vol]], s0=[1.0], rate=0.05)
     payoff = PayoffSpec(weights=[1.0], strike=strike)
     grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
@@ -183,8 +182,8 @@ class TestDumpPaths:
     def test_memory_stays_at_one_block(self, tmp_path):
         # the dump writes each block before simulating the next, so eight
         # times the blocks must not take eight times the memory
-        model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05] * 4,
-                          sigma=np.diag([0.2] * 4), s0=[1.0] * 4, rate=0.05)
+        model = ModelSpec(tag=BLACK_SCHOLES, sigma=np.diag([0.2] * 4),
+                          s0=[1.0] * 4, rate=0.05)
         grid = TimeGrid(1.0, 8)
         cov = CovariationSpec(model.sigma, grid)
 
@@ -203,7 +202,7 @@ class TestDumpPaths:
 
 def heston_two_assets():
     sigma = np.diag([0.5, 0.5, 0.2, 0.2])
-    return ModelSpec(tag=HESTON, mu=[0.05, 0.05], sigma=sigma, s0=[1.0, 1.0],
+    return ModelSpec(tag=HESTON, sigma=sigma, s0=[1.0, 1.0],
                      rate=0.05, mean_level=[0.04, 0.04], reversion=[2.0, 2.0],
                      v0=[0.04, 0.04])
 

@@ -9,14 +9,14 @@ from driftmc.covariation import (CovariationSpec, TimeGrid, cameron_martin_map,
 from driftmc.errors import (DimensionError, ModelValidationError,
                             SimulationError)
 from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
-                            THREE_HALVES, ModelSpec, simulate, validate)
+                            THREE_HALVES, ModelSpec, simulate)
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import evaluate_batch
 
 
-def bs_model(n=1, vol=0.2, mu=0.05, s0=1.0, rate=0.05):
-    return ModelSpec(tag=BLACK_SCHOLES, mu=np.full(n, mu),
-                     sigma=np.eye(n) * vol, s0=np.full(n, s0), rate=rate)
+def bs_model(n=1, vol=0.2, s0=1.0, rate=0.05):
+    return ModelSpec(tag=BLACK_SCHOLES, sigma=np.eye(n) * vol,
+                     s0=np.full(n, s0), rate=rate)
 
 
 def heston_model(n=1, feller_slack=1.0):
@@ -25,7 +25,7 @@ def heston_model(n=1, feller_slack=1.0):
     sigma[n:, n:] = 0.2 * np.eye(n)
     theta = np.full(n, 2.0)
     m = np.full(n, 0.04 * feller_slack)
-    return ModelSpec(tag=HESTON, mu=np.full(n, 0.05), sigma=sigma,
+    return ModelSpec(tag=HESTON, sigma=sigma,
                      s0=np.ones(n), rate=0.05, mean_level=m,
                      reversion=theta, v0=np.full(n, 0.04))
 
@@ -35,16 +35,28 @@ def grid_and_cov(model, n_steps=252, horizon=1.0):
     return grid, CovariationSpec(model.sigma, grid)
 
 
+def violations(**params):
+    """The violations ``ModelSpec(**params)`` raises; empty if it builds."""
+    try:
+        ModelSpec(**params)
+    except ModelValidationError as exc:
+        return exc.violations
+    return []
+
+
 class TestValidate:
+    """A ModelSpec is valid by construction: an invalid one raises, listing
+    every violation."""
+
     def test_black_scholes_ok(self):
-        assert validate(bs_model(n=3)) == []
+        assert violations(tag=BLACK_SCHOLES, sigma=0.2 * np.eye(3),
+                          s0=np.ones(3), rate=0.05) == []
 
     def test_zero_sigma_row_flagged(self):
         sigma = np.eye(2)
         sigma[1] = 0.0
-        spec = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05, 0.05], sigma=sigma,
-                         s0=[1.0, 1.0])
-        codes = [(v.code, v.index) for v in validate(spec)]
+        spec = dict(tag=BLACK_SCHOLES, sigma=sigma, s0=[1.0, 1.0])
+        codes = [(v.code, v.index) for v in violations(**spec)]
         assert ("sigma", 1) in codes
 
     def test_heston_feller_boundary_accepted(self):
@@ -53,44 +65,44 @@ class TestValidate:
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.5
         sigma[1, 1] = 0.5
-        spec = ModelSpec(tag=HESTON, mu=[0.05], sigma=sigma, s0=[1.0],
-                         mean_level=[0.0625], reversion=[2.0], v0=[0.04])
-        assert validate(spec) == []
+        spec = dict(tag=HESTON, sigma=sigma, s0=[1.0],
+                    mean_level=[0.0625], reversion=[2.0], v0=[0.04])
+        assert violations(**spec) == []
 
     def test_heston_feller_violation(self):
         # 2 * 1 * 0.04 = 0.08 < 0.09 = 0.3^2
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.5
         sigma[1, 1] = 0.3
-        spec = ModelSpec(tag=HESTON, mu=[0.05], sigma=sigma, s0=[1.0],
-                         mean_level=[0.04], reversion=[1.0], v0=[0.04])
-        violations = validate(spec)
-        assert [v.code for v in violations] == ["feller"]
-        assert violations[0].index == 0
+        spec = dict(tag=HESTON, sigma=sigma, s0=[1.0],
+                    mean_level=[0.04], reversion=[1.0], v0=[0.04])
+        found = violations(**spec)
+        assert [v.code for v in found] == ["feller"]
+        assert found[0].index == 0
 
     def test_three_halves_non_explosion(self):
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.5
         sigma[1, 1] = 1.0
-        ok = ModelSpec(tag=THREE_HALVES, mu=[0.05], sigma=sigma, s0=[1.0],
-                       mean_level=[0.1], reversion=[0.0], v0=[0.1])
-        assert validate(ok) == []
-        bad = ModelSpec(tag=THREE_HALVES, mu=[0.05], sigma=sigma, s0=[1.0],
-                        mean_level=[0.1], reversion=[-0.51], v0=[0.1])
-        assert [v.code for v in validate(bad)] == ["non_explosion"]
+        ok = dict(tag=THREE_HALVES, sigma=sigma, s0=[1.0],
+                  mean_level=[0.1], reversion=[0.0], v0=[0.1])
+        assert violations(**ok) == []
+        bad = dict(tag=THREE_HALVES, sigma=sigma, s0=[1.0],
+                   mean_level=[0.1], reversion=[-0.51], v0=[0.1])
+        assert [v.code for v in violations(**bad)] == ["non_explosion"]
 
     def test_negative_initial_price(self):
-        spec = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[0.2]], s0=[-1.0])
-        assert [v.code for v in validate(spec)] == ["s0"]
+        spec = dict(tag=BLACK_SCHOLES, sigma=[[0.2]], s0=[-1.0])
+        assert [v.code for v in violations(**spec)] == ["s0"]
 
     def test_wrong_driver_dimension(self):
-        spec = ModelSpec(tag=HESTON, mu=[0.05], sigma=np.eye(3), s0=[1.0],
-                         mean_level=[0.04], reversion=[1.0], v0=[0.04])
-        assert [v.code for v in validate(spec)] == ["sigma"]
+        spec = dict(tag=HESTON, sigma=np.eye(3), s0=[1.0],
+                    mean_level=[0.04], reversion=[1.0], v0=[0.04])
+        assert [v.code for v in violations(**spec)] == ["sigma"]
 
     def test_missing_volatility_params(self):
-        spec = ModelSpec(tag=STEIN_STEIN, mu=[0.05], sigma=np.eye(2), s0=[1.0])
-        codes = {v.code for v in validate(spec)}
+        spec = dict(tag=STEIN_STEIN, sigma=np.eye(2), s0=[1.0])
+        codes = {v.code for v in violations(**spec)}
         assert codes == {"mean_level", "reversion", "v0"}
 
 
@@ -114,7 +126,7 @@ class TestSplitDriver:
 
 class TestSimulateBlackScholes:
     def test_zero_noise_recursion(self, fixed_normals):
-        model = bs_model(n=2, mu=0.1)
+        model = bs_model(n=2, rate=0.1)
         grid, cov = grid_and_cov(model, n_steps=10)
         batch = simulate(model, grid, cov, rng=fixed_normals(), n_paths=3)
         expected = 1.0 * (1.0 + 0.1 * 0.1) ** 10
@@ -122,7 +134,7 @@ class TestSimulateBlackScholes:
         np.testing.assert_array_equal(batch.log_inverse_likelihood, 0.0)
 
     def test_terminal_mean_matches_gbm(self):
-        model = bs_model(vol=0.2, mu=0.05)
+        model = bs_model(vol=0.2)
         grid, cov = grid_and_cov(model)
         batch = simulate(model, grid, cov, rng=np.random.default_rng(0),
                          n_paths=100_000)
@@ -138,11 +150,9 @@ class TestSimulateBlackScholes:
         np.testing.assert_array_equal(a.states, b.states)
 
     def test_validation_refuses_simulation(self):
-        spec = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[0.2]], s0=[-1.0])
-        grid = TimeGrid(1.0, 4)
-        cov = CovariationSpec([[0.2]], grid)
-        with pytest.raises(ModelValidationError):
-            simulate(spec, grid, cov, rng=np.random.default_rng(0), n_paths=1)
+        # an invalid spec cannot be built, so it is never simulated
+        with pytest.raises(ModelValidationError, match="s0"):
+            ModelSpec(tag=BLACK_SCHOLES, sigma=[[0.2]], s0=[-1.0])
 
     @pytest.mark.parametrize("horizon,n_steps", [(4.0, 16), (1.0, 8)],
                              ids=["horizon", "steps"])
@@ -171,7 +181,7 @@ class TestSimulateBlackScholes:
                      n_paths=4)
 
     def test_explosion_aborts_with_path_index(self, fixed_normals):
-        model = bs_model(mu=0.05)
+        model = bs_model()
         grid, cov = grid_and_cov(model, n_steps=4)
         z = np.zeros((2, 4, 1))
         z[1, 0, 0] = 1e200  # force one path over the edge
@@ -208,7 +218,7 @@ class TestSimulateWithDrift:
 
     def test_measure_change_consistency_at_estimator_level(self):
         # E_Ph[F exp(log inverse likelihood)] equals E_P[F] for F = terminal value
-        model = bs_model(vol=0.3, mu=0.05)
+        model = bs_model(vol=0.3)
         grid, cov = grid_and_cov(model, n_steps=64)
         net = ShallowNet(w_in=[1.0], b_in=[-0.2], w_out=[[0.8]], b_out=[0.5],
                          activation="tanh")
@@ -236,9 +246,8 @@ class TestVolatilityModels:
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.5
         sigma[1, 1] = 0.6
-        spec = ModelSpec(tag=HESTON, mu=[0.05], sigma=sigma, s0=[1.0],
+        spec = ModelSpec(tag=HESTON, sigma=sigma, s0=[1.0], rate=0.05,
                          mean_level=[0.36], reversion=[0.5], v0=[0.04])
-        assert validate(spec) == []
         grid, cov = grid_and_cov(spec, n_steps=128)
         batch = simulate(spec, grid, cov, rng=np.random.default_rng(6),
                          n_paths=2000)
@@ -249,7 +258,7 @@ class TestVolatilityModels:
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.5
         sigma[1, 1] = 0.8
-        spec = ModelSpec(tag=THREE_HALVES, mu=[0.05], sigma=sigma, s0=[1.0],
+        spec = ModelSpec(tag=THREE_HALVES, sigma=sigma, s0=[1.0], rate=0.05,
                          mean_level=[0.09], reversion=[2.0], v0=[0.09])
         grid, cov = grid_and_cov(spec)
         batch = simulate(spec, grid, cov, rng=np.random.default_rng(7),
@@ -261,7 +270,7 @@ class TestVolatilityModels:
         sigma = np.zeros((2, 2))
         sigma[0, 0] = 0.4
         sigma[1, 1] = 0.2
-        spec = ModelSpec(tag=STEIN_STEIN, mu=[0.05], sigma=sigma, s0=[1.0],
+        spec = ModelSpec(tag=STEIN_STEIN, sigma=sigma, s0=[1.0], rate=0.05,
                          mean_level=[m], reversion=[theta], v0=[v0])
         grid, cov = grid_and_cov(spec)
         batch = simulate(spec, grid, cov, rng=np.random.default_rng(8),
@@ -292,22 +301,22 @@ def euler_one_path(spec, dm, h):
     x[0, :n] = spec.s0
     if spec.has_volatility:
         x[0, n:] = spec.v0
-    mu, theta, m = spec.mu, spec.reversion, spec.mean_level
+    theta, m = spec.reversion, spec.mean_level
     for k, step in enumerate(dm):
         s, v = x[k, :n], x[k, n:]
         dm1, dm2 = step[:n], step[n:]
         if spec.tag == BLACK_SCHOLES:
-            x[k + 1] = s + s * (mu * h) + s * step
+            x[k + 1] = s + s * (spec.rate * h) + s * step
         elif spec.tag == HESTON:
             vp = np.maximum(v, 0.0)
-            x[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            x[k + 1, :n] = s + s * (spec.rate * h) + s * np.sqrt(vp) * dm1
             x[k + 1, n:] = v + theta * (m - vp) * h + np.sqrt(vp) * dm2
         elif spec.tag == THREE_HALVES:
             vp = np.maximum(v, 0.0)
-            x[k + 1, :n] = s + s * (mu * h) + s * np.sqrt(vp) * dm1
+            x[k + 1, :n] = s + s * (spec.rate * h) + s * np.sqrt(vp) * dm1
             x[k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
         else:
-            x[k + 1, :n] = s + s * (mu * h) + s * v * dm1
+            x[k + 1, :n] = s + s * (spec.rate * h) + s * v * dm1
             x[k + 1, n:] = v + theta * (m - v) * h + dm2
     return x
 

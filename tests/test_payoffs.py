@@ -54,37 +54,27 @@ class TestSpecInvariants:
 
 class TestBasketWeights:
     def test_single_asset(self):
-        np.testing.assert_array_equal(basket_weights([0.07], [[0.3]]), [1.0])
+        np.testing.assert_array_equal(basket_weights([[0.3]], 1), [1.0])
 
     def test_symmetric_inputs_give_uniform_weights(self):
-        sigma = 0.2 * np.eye(3)
-        w = basket_weights([0.05, 0.05, 0.05], sigma)
+        w = basket_weights(0.2 * np.eye(3), 3)
         np.testing.assert_allclose(w, 1.0 / 3.0)
 
     def test_hand_computed_two_assets(self):
-        sigma = 0.2 * np.eye(2)
-        w = basket_weights([0.05, 0.10], sigma)
-        np.testing.assert_allclose(w, [1.0 / 3.0, 2.0 / 3.0])
+        # row norms 0.5 and 0.2: inverse volatilities 2 and 5
+        w = basket_weights([[0.3, 0.4], [0.0, 0.2]], 2)
+        np.testing.assert_allclose(w, [2.0 / 7.0, 5.0 / 7.0])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            basket_weights([0.05, 0.05], [[0.2, 0.0], [0.0, 0.0]])
-
-    def test_zero_sum_rejected(self):
-        with pytest.raises(ValueError):
-            basket_weights([0.05, -0.05], 0.2 * np.eye(2))
-
-    def test_zero_mu_gives_inverse_row_norms(self):
-        # the limit of a common mu_k: a zero rate, risk-neutral
-        w = basket_weights([0.0, 0.0], np.diag([0.2, 0.4]))
-        np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0])
+            basket_weights([[0.2, 0.0], [0.0, 0.0]], 2)
 
     def test_uses_leading_asset_rows_only(self):
         sigma = np.array([[0.2, 0.0, 0.0, 0.0],
                           [0.0, 0.4, 0.0, 0.0],
                           [9.0, 9.0, 9.0, 9.0],
                           [9.0, 9.0, 9.0, 9.0]])
-        w = basket_weights([0.05, 0.05], sigma)
+        w = basket_weights(sigma, 2)
         np.testing.assert_allclose(w, [2.0 / 3.0, 1.0 / 3.0])
 
 

@@ -14,8 +14,7 @@ from driftmc.training import (TrainConfig, objective_on_batch,
 
 
 def bs_setup(strike_ratio=1.1, n_steps=32, vol=0.25):
-    model = ModelSpec(tag=BLACK_SCHOLES, mu=[0.05], sigma=[[vol]], s0=[1.0],
-                      rate=0.05)
+    model = ModelSpec(tag=BLACK_SCHOLES, sigma=[[vol]], s0=[1.0], rate=0.05)
     payoff = PayoffSpec(weights=[1.0], strike=strike_ratio)
     grid = TimeGrid(1.0, n_steps)
     cov = CovariationSpec(model.sigma, grid)
