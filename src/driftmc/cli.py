@@ -18,6 +18,7 @@ from .errors import (ConfigError, DriftmcError, ModelValidationError,
                      NonFiniteError, SimulationError, WeightOverflowError)
 from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
                        train_drift)
+from .training import STEPS_PER_UNIT_TIME
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +66,11 @@ def _build_parser():
     p = sub.add_parser("price", help="plain Monte Carlo estimate")
     _add_pricing(p)
 
-    p = sub.add_parser("train", help="train the drift network")
+    p = sub.add_parser(
+        "train", help="train the drift network on a coarse grid of the "
+                      f"horizon, about {STEPS_PER_UNIT_TIME} steps per unit "
+                      "of time; the net maps time to the drift, so it prices "
+                      "on the config's grid unchanged")
     _add_config(p)
     p.add_argument("--out-dir", required=True)
 

@@ -27,7 +27,7 @@ from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v5"
+SCHEMA_ID = "driftmc-run-v6"
 
 MAX_SAMPLE_RETRIES = 200
 
@@ -199,6 +199,19 @@ def _integer(value, name, minimum=None):
     return int(value)
 
 
+def _array(values, name, ndim):
+    """A rectangular ``ndim``-dimensional array of numbers."""
+    try:
+        array = np.array(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
+        kind = "list" if ndim == 1 else "matrix"
+        raise ConfigError(f"{name} must be a {kind} of numbers, got "
+                          f"{values!r}")
+    return array
+
+
 def _numbers(values, name, length=None, check=_number):
     """A non-empty list, of ``length`` entries if given, checked entrywise."""
     if not (isinstance(values, list) and values
@@ -243,6 +256,8 @@ def resolve_config(raw):
     if payoff_block["weights"] is None:
         payoff_block["weights"] = basket_weights(model.sigma, n).tolist()
     weights = _numbers(payoff_block["weights"], "payoff.weights", n)
+    if not np.isclose(np.sum(weights), 1.0, atol=1e-9):
+        raise ConfigError(f"payoff.weights must sum to 1, got {weights!r}")
     basket0 = float(np.dot(weights, model.s0))
     forward_factor = math.exp(model.rate * cfg["grid"]["horizon"])
     if payoff_block["strike"] is None:
@@ -294,10 +309,11 @@ def build_model(cfg):
     for name in ("sigma", "s0"):
         if params.get(name) is None:
             raise ConfigError(f"model.params.{name} is required")
-    if np.size(params["s0"]) != block["n"]:
-        raise ConfigError(f"model.params.s0 has {np.size(params['s0'])} "
+    kwargs = {k: _array(v, f"model.params.{k}", 2 if k == "sigma" else 1)
+              for k, v in params.items() if v is not None}
+    if kwargs["s0"].size != block["n"]:
+        raise ConfigError(f"model.params.s0 has {kwargs['s0'].size} "
                           f"entries but model.n is {block['n']}")
-    kwargs = {k: v for k, v in params.items() if v is not None}
     return ModelSpec(tag=block["tag"], rate=block["rate"], **kwargs)
 
 

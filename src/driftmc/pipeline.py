@@ -14,12 +14,13 @@ from pathlib import Path
 
 from .config import (build_scenario, build_train_config, resolve_config,
                      write_json)
+from .covariation import CovariationSpec
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
                      dump_paths, estimate_is, estimate_plain, report_to_dict,
                      rows_to_csv)
 from .errors import DriftmcError
 from .network import init_net, load_checkpoint, save_checkpoint
-from .training import train
+from .training import train, training_grid
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -63,19 +64,28 @@ def price(cfg, sc, n, seed, drift=None, threads=1, dump_path=None):
 
 def train_drift(cfg, sc, out_dir=None):
     """Train the drift network of a resolved config on its scenario ``sc``;
-    optionally persist."""
+    optionally persist.
+
+    The net trains on :func:`~driftmc.training.training_grid`, the pricing
+    horizon at about ``STEPS_PER_UNIT_TIME`` steps per unit of time but
+    never finer than the pricing grid, and prices on the pricing grid
+    unchanged: it maps continuous time to the drift, so only the grid it is
+    sampled on changes, and training costs a fraction of a pricing-grid run.
+    """
     train_cfg = build_train_config(cfg)
     rng = streams.substream(train_cfg.seed, streams.TRAIN, 999_999)
     net = init_net(cfg["training"]["hidden_width"], sc.model.d, rng,
                    activation=cfg["training"]["activation"])
-    trained, trace = train(net, sc.model, sc.payoff, sc.grid, sc.cov,
-                           train_cfg)
+    grid = training_grid(sc.grid)
+    trained, trace = train(net, sc.model, sc.payoff, grid,
+                           CovariationSpec(sc.model.sigma, grid), train_cfg)
     if out_dir is not None:
         out_dir = Path(out_dir)
         save_checkpoint(trained, out_dir / "checkpoint.json")
-        rows = [{"step": k, "v_hat": v, "h_norm_sq": h} for k, (v, h)
-                in enumerate(zip(trace.v_hat, trace.h_norm_sq))]
-        rows_to_csv(rows, ("step", "v_hat", "h_norm_sq"),
+        rows = [{"step": k, "v_hat": v, "h_norm_sq": h, "informative": int(i)}
+                for k, (v, h, i) in enumerate(zip(
+                    trace.v_hat, trace.h_norm_sq, trace.informative))]
+        rows_to_csv(rows, ("step", "v_hat", "h_norm_sq", "informative"),
                     out_dir / "training_trace.csv")
     return trained, trace
 

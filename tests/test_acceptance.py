@@ -7,7 +7,7 @@ on the assets, 0 on the volatilities), so no training is involved: they
 isolate the change of measure and the reweighting.  Each c gives a variance
 ratio above one on its scenario (about 21 and 2.4 at these seeds).  The
 trained-drift checks price as ``run`` does, with its seed rule, after 200
-Adam steps.
+Adam steps; one of them prices on the default 252-step grid.
 """
 
 import math
@@ -71,13 +71,17 @@ def test_is_mean_agrees_with_plain(name):
     assert_means_agree(plain, weighted)
 
 
-# (model tag, training seed) of the default Asian call; the variance ratios
-# are about 221, 81 and 97.
-@pytest.mark.parametrize("tag, train_seed", [
-    ("black_scholes", 0), ("black_scholes", 1), ("heston", 0)])
-def test_trained_drift_reduces_variance(tag, train_seed):
-    cfg = reduced_config({
-        "model": {"tag": tag},
+# (model tag, training seed, pricing dt) of the default Asian call; the
+# variance ratios are about 221, 81, 97 and 109.  The last case prices on
+# the default 252-step grid with the net the first case trains.
+@pytest.mark.parametrize("tag, train_seed, dt", [
+    ("black_scholes", 0, 1 / 50), ("black_scholes", 1, 1 / 50),
+    ("heston", 0, 1 / 50), ("black_scholes", 0, 1 / 252)],
+    ids=["black_scholes-0", "black_scholes-1", "heston-0",
+         "black_scholes-0-full_grid"])
+def test_trained_drift_reduces_variance(tag, train_seed, dt):
+    cfg = resolve_config({
+        "model": {"tag": tag}, "grid": {"dt": dt},
         "training": {"epochs": 2, "steps_per_epoch": 100, "seed": train_seed},
         "estimation": {"sample_sizes": [N_PATHS]}})
     sc = build_scenario(cfg)

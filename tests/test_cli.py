@@ -69,7 +69,8 @@ class TestValidateCommand:
         assert main(["validate", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("schema", ["driftmc-run-v1", "driftmc-run-v2",
-                                        "driftmc-run-v3", "driftmc-run-v4"])
+                                        "driftmc-run-v3", "driftmc-run-v4",
+                                        "driftmc-run-v5"])
     def test_v1_resolved_config_names_schema(self, tmp_path, capsys, schema):
         out_dir = tmp_path / "dry"
         main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
@@ -278,6 +279,10 @@ class TestRunCommand:
         assert names == ["checkpoint.json", "reports.csv", "reports.json",
                          "resolved_config.json", "timings.json",
                          "training_trace.csv"]
+        trace = (out_dir / "training_trace.csv").read_text().splitlines()
+        assert trace[0] == "step,v_hat,h_norm_sq,informative"
+        assert len(trace) == 6
+        assert all(line.endswith((",0", ",1")) for line in trace[1:])
         rows = json.loads((out_dir / "reports.json").read_text())["comparison"]
         assert [row["n"] for row in rows] == [400, 800]
         timings = json.loads((out_dir / "timings.json").read_text())
@@ -383,11 +388,19 @@ class TestRunCommand:
          "model.params.mu"),
         ({"model": {"params": {"s0": [1.0, 1.0]}}}, "model.params.sigma"),
         ({"model": {"n": 3, "params": TWO_ASSETS}}, "model.n is 3"),
+        ({"model": {"params": dict(TWO_ASSETS, sigma=[[0.2, 0.0], [0.1]])}},
+         "model.params.sigma"),
+        ({"model": {"params": dict(TWO_ASSETS, s0=[1.0, "one"])}},
+         "model.params.s0"),
+        ({"model": {"params": dict(TWO_ASSETS, s0=[[1.0, 1.0]])}},
+         "model.params.s0"),
+        ({"payoff": {"weights": [0.5, 0.4]}}, "payoff.weights"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
             "barrier-moneyness", "barriers-reversed", "params-mu",
-            "params-no-sigma", "params-width"])
+            "params-no-sigma", "params-width", "params-ragged-sigma",
+            "params-s0-string", "params-s0-nested", "weights-sum"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from driftmc import streams
+from driftmc.config import build_scenario, build_train_config, resolve_config
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
 from driftmc.engine import variance_ratio
 from driftmc.errors import WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, ModelSpec
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import PayoffSpec
+from driftmc.pipeline import train_drift
 from driftmc.training import (TrainConfig, objective_on_batch,
-                              simulate_training_batch, train)
+                              simulate_training_batch, train, training_grid)
 
 
 def bs_setup(strike_ratio=1.1, n_steps=32, vol=0.25):
@@ -117,6 +120,9 @@ class TestTrain:
         assert trace.v_hat[0] == 0.0 and max(trace.v_hat[1:]) > 0.0
         assert not np.any(net.w_out) and np.any(trained.w_out)
         assert trace.best_step == trace.n_steps == 20
+        # the flags mark exactly the steps with a zero objective
+        assert trace.informative == [v > 0.0 for v in trace.v_hat]
+        assert trace.uninformative_steps == trace.v_hat.count(0.0) >= 1
 
     @pytest.mark.slow
     def test_deep_otm_training_halves_objective(self):
@@ -136,6 +142,35 @@ class TestTrain:
         # and the drift it found is a genuine upward push
         f = forward(trained, grid.left_times)
         assert cameron_martin_map(f, cov).h_norm_sq > 0.1
+
+
+class TestTrainingGrid:
+    @pytest.mark.parametrize("horizon, n_steps, expected", [
+        (1.0, 252, 50), (1.0, 16, 16), (1.0, 50, 50), (1.1, 400, 55),
+        (2.3, 1000, 115), (0.31, 100, 16), (0.001, 10, 1)])
+    def test_steps(self, horizon, n_steps, expected):
+        grid = training_grid(TimeGrid(horizon, n_steps))
+        assert grid.horizon == horizon and grid.n_steps == expected
+
+    @pytest.mark.parametrize("steps, trained_steps", [(252, 50), (16, 16)])
+    def test_train_drift_trains_on_training_grid(self, steps, trained_steps):
+        # bit for bit the net of train on the coarse grid with its own
+        # covariation; a grid no finer than it trains on itself
+        cfg = resolve_config({
+            "model": {"n": 2, "seed": 1}, "payoff": {"moneyness": 1.05},
+            "grid": {"dt": 1.0 / steps},
+            "training": {"epochs": 1, "steps_per_epoch": 6,
+                         "batch_size": 32, "seed": 3}})
+        sc = build_scenario(cfg)
+        trained, trace = train_drift(cfg, sc)
+        grid = TimeGrid(1.0, trained_steps)
+        net = init_net(cfg["training"]["hidden_width"], sc.model.d,
+                       streams.substream(3, streams.TRAIN, 999_999))
+        expected, expected_trace = train(
+            net, sc.model, sc.payoff, grid,
+            CovariationSpec(sc.model.sigma, grid), build_train_config(cfg))
+        np.testing.assert_array_equal(trained.to_flat(), expected.to_flat())
+        assert trace.v_hat == expected_trace.v_hat
 
 
 class TestCoercivityAndConvexity:
