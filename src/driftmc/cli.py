@@ -40,10 +40,6 @@ def _add_pricing(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--out", default=None,
                         help="report file (default stdout)")
-    parser.add_argument("--dump-paths", default=None, metavar="FILE",
-                        help="also write the priced paths as CSV, simulated "
-                             "again from the estimate's streams; at a run's "
-                             "--n and --seed, the paths that run priced")
 
 
 def _build_parser():
@@ -117,7 +113,13 @@ def _sample(args, cfg, importance):
 
 def _load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
+        row = json.load(fh)
+    if not isinstance(row, dict):
+        raise ConfigError(f"report {path} is not a JSON object")
+    try:
+        return report_from_dict(row)
+    except KeyError as exc:
+        raise ConfigError(f"report {path} has no {exc.args[0]!r} field") from exc
 
 
 def _cmd_validate(args):
@@ -143,11 +145,9 @@ def _cmd_price(args):
     n, seed = _sample(args, cfg, importance)
     if importance:
         report = price_with_checkpoint(cfg, args.checkpoint, n, seed,
-                                       threads=args.threads,
-                                       dump_path=args.dump_paths)
+                                       threads=args.threads)
     else:
-        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads,
-                       dump_path=args.dump_paths)
+        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads)
     _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
     return EXIT_OK
 

@@ -68,30 +68,29 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
-def _block_paths(model, grid, cov, drift, seed, block):
-    """Chunk batches of ``block = (index, start, size)`` in path order, all
-    drawn from that block's own substream; the estimators and
-    :func:`dump_paths` both simulate through here.  A path that blows up is
-    reported by its estimate-wide id, ``start`` plus its place in the
-    block."""
-    index, start, size = block
-    rng = streams.substream(seed, streams.ESTIMATE, index)
-    for offset in range(0, size, CHUNK_SIZE):
-        try:
-            yield simulate(model, grid, cov, rng,
-                           min(CHUNK_SIZE, size - offset), drift=drift)
-        except SimulationError as exc:
-            raise exc.shifted(start + offset) from exc
-
-
 def _simulate_block(model, payoff, grid, cov, drift, seed, block,
                     discount_cents):
     """Moments, above-strike count and knocked-out count (None without
-    barriers) of one block's weighted discounted payoffs."""
+    barriers) of the weighted discounted payoffs of ``block = (index,
+    start, size)``.
+
+    The block's chunks are drawn in path order from its one substream,
+    ``substream(seed, ESTIMATE, index)``, so block ``index`` is the paths
+    of one :func:`~driftmc.models.simulate` call of ``size`` paths on that
+    substream.  A path that blows up is reported by its estimate-wide id,
+    ``start`` plus its place in the block.
+    """
+    index, start, size = block
+    rng = streams.substream(seed, streams.ESTIMATE, index)
     values = []
     above = 0
     knocked = 0 if payoff.has_barriers else None
-    for batch in _block_paths(model, grid, cov, drift, seed, block):
+    for offset in range(0, size, CHUNK_SIZE):
+        try:
+            batch = simulate(model, grid, cov, rng,
+                             min(CHUNK_SIZE, size - offset), drift=drift)
+        except SimulationError as exc:
+            raise exc.shifted(start + offset) from exc
         pay = evaluate_batch(payoff, batch.states, grid)
         # Under P the log-weights are zero and v * exp(0) == v exactly, so a
         # plain block is an IS block with unit weights, bit for bit.
@@ -165,24 +164,6 @@ def estimate_is(model, payoff, grid, cov, drift, seed, n, label="run",
     measure and reweight every payoff by the inverse likelihood ratio."""
     return _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
                      block_size)
-
-
-def dump_paths(model, grid, cov, drift, seed, n, block_size, path):
-    """Write the paths of the estimate at ``(drift, seed, n, block_size)``
-    to ``path`` as CSV, one row per path and grid node.  The blocks are
-    simulated again, chunk by chunk, from the estimator's substreams, so
-    the rows are the priced paths, and each chunk is written before the
-    next is simulated."""
-    cols = ",".join(f"state_{j}" for j in range(model.n_state))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"path_id,step,{cols}\n")
-        for block in _block_plan(n, block_size):
-            path_id = block[1]
-            for batch in _block_paths(model, grid, cov, drift, seed, block):
-                for states in batch.states:
-                    for k, node in enumerate(states.tolist()):
-                        fh.write(f"{path_id},{k},{','.join(map(repr, node))}\n")
-                    path_id += 1
 
 
 @dataclass(frozen=True)

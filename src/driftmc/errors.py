@@ -26,8 +26,8 @@ class SimulationError(DriftmcError):
     """Paths blew up to a non-finite state during simulation.
 
     ``path_indices`` index the simulated batch; the estimators re-raise
-    :meth:`shifted` to estimate-wide path ids, the ``path_id`` of
-    ``--dump-paths``.
+    :meth:`shifted` to estimate-wide path ids, the place of the path in
+    the whole sample of the estimate.
     """
 
     def __init__(self, path_indices):

@@ -126,7 +126,9 @@ def _violations(spec):
         out.append(Violation("s0", int(k), "must be positive"))
 
     if spec.tag == BLACK_SCHOLES:
-        return out
+        return out + [Violation(name, None, "not a parameter of this model")
+                      for name in ("mean_level", "reversion", "v0")
+                      if getattr(spec, name) is not None]
 
     for name in ("mean_level", "reversion", "v0"):
         value = getattr(spec, name)

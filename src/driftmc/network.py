@@ -223,8 +223,13 @@ def load_checkpoint(path):
             record = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
     if record.get("schema") != _CHECKPOINT_SCHEMA:
         raise CheckpointError(f"unknown checkpoint schema {record.get('schema')!r}")
+    for name in ("hidden", "output", "activation", "params", "sha256"):
+        if name not in record:
+            raise CheckpointError(f"checkpoint has no {name!r} field")
     flat = np.asarray(record["params"], dtype=np.float64)
     digest = _checkpoint_digest(record["hidden"], record["output"],
                                 record["activation"], flat)

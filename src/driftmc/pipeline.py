@@ -16,8 +16,7 @@ from .config import (build_scenario, build_train_config, resolve_config,
                      write_json)
 from .covariation import CovariationSpec
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
-                     dump_paths, estimate_is, estimate_plain, report_to_dict,
-                     rows_to_csv)
+                     estimate_is, estimate_plain, report_to_dict, rows_to_csv)
 from .errors import DriftmcError
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train, training_grid
@@ -44,22 +43,14 @@ def estimate_seed(cfg, index, importance):
     return cfg["estimation"]["seed"] + 2 * index + int(importance)
 
 
-def price(cfg, sc, n, seed, drift=None, threads=1, dump_path=None):
+def price(cfg, sc, n, seed, drift=None, threads=1):
     """Estimate a resolved config's scenario ``sc`` at ``(n, seed)``: plain
-    without ``drift``, importance-sampled with it.  With ``dump_path`` the
-    priced paths are simulated again and written there."""
-    block_size = cfg["estimation"]["block_size"]
+    without ``drift``, importance-sampled with it."""
     common = dict(seed=seed, n=n, label=run_label(cfg), threads=threads,
-                  block_size=block_size)
+                  block_size=cfg["estimation"]["block_size"])
     if drift is None:
-        report = estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, **common)
-    else:
-        report = estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift,
-                             **common)
-    if dump_path is not None:
-        dump_paths(sc.model, sc.grid, sc.cov, drift, seed, n, block_size,
-                   dump_path)
-    return report
+        return estimate_plain(sc.model, sc.payoff, sc.grid, sc.cov, **common)
+    return estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift, **common)
 
 
 def train_drift(cfg, sc, out_dir=None):
@@ -160,11 +151,9 @@ def _write_timings(out_dir, reports, training_seconds):
                 "estimates": estimates})
 
 
-def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1,
-                          dump_path=None):
+def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1):
     """One importance-sampled :func:`price` driven by a stored
     checkpoint."""
     sc = build_scenario(cfg)
     drift = load_checkpoint(checkpoint_path)
-    return price(cfg, sc, n, seed, drift=drift, threads=threads,
-                 dump_path=dump_path)
+    return price(cfg, sc, n, seed, drift=drift, threads=threads)

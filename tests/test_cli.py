@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from driftmc.cli import main
-from driftmc.config import build_scenario, resolve_config
-from driftmc.payoffs import evaluate_batch
 
 # Explicit parameters of a two-asset Black-Scholes model.
 TWO_ASSETS = {"sigma": [[0.2, 0.0], [0.0, 0.2]], "s0": [1.0, 1.0]}
@@ -57,6 +55,16 @@ class TestValidateCommand:
         path.write_text(json.dumps(cfg))
         assert main(["validate", "--config", str(path)]) == 4
         assert "s0[0]: must be positive" in capsys.readouterr().err
+
+    def test_volatility_params_on_black_scholes_exit_code(self, tmp_path,
+                                                          capsys):
+        params = {**TWO_ASSETS, "v0": [5.0, 5.0], "reversion": [-3.0]}
+        cfg = write_config(tmp_path, overrides={
+            "model": {"params": params}})
+        assert main(["validate", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "v0: not a parameter" in err
+        assert "reversion: not a parameter" in err
 
     def test_malformed_config_exit_code(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -217,35 +225,46 @@ class TestPriceCommands:
         assert row.split(",")[1:3] == ["P", "64"]
         assert end == ""
 
-    def test_price_dump_paths(self, tmp_path):
-        cfg = write_config(tmp_path)
-        dump = tmp_path / "paths.csv"
-        assert main(["price", "--config", str(cfg), "--n", "16",
-                     "--dump-paths", str(dump), "--out",
-                     str(tmp_path / "r.json")]) == 0
-        header = dump.read_text().splitlines()[0]
-        assert header == "path_id,step,state_0,state_1"
+    @pytest.mark.parametrize("command", ["price", "price-is"])
+    def test_dump_paths_option_is_gone(self, tmp_path, capsys, command):
+        extra = {"price": [],
+                 "price-is": ["--checkpoint", str(tmp_path / "c")]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(write_config(tmp_path)), *extra,
+                  "--dump-paths", str(tmp_path / "paths.csv")])
+        assert exit_info.value.code == 2
+        assert "--dump-paths" in capsys.readouterr().err
 
-    def test_dumped_paths_are_the_priced_paths(self, tmp_path):
-        # the payoff of the dumped paths reproduces the reported mean, over
-        # three blocks of 128 paths, the last one partial
+    @pytest.mark.parametrize("edit, message", [
+        (lambda record: {k: v for k, v in record.items() if k != "params"},
+         "'params'"),
+        (list, "not a JSON object"),
+    ], ids=["no-params", "list"])
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys,
+                                                  edit, message):
         cfg = write_config(tmp_path)
-        dump = tmp_path / "paths.csv"
-        out = tmp_path / "r.json"
-        assert main(["price", "--config", str(cfg), "--n", "300",
-                     "--dump-paths", str(dump), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        sc = build_scenario(resolve_config(json.loads(cfg.read_text())))
-        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
-        nodes = sc.grid.n_steps + 1
-        np.testing.assert_array_equal(rows[:, 0], np.repeat(np.arange(300),
-                                                            nodes))
-        states = rows[:, 2:].reshape(300, nodes, sc.model.n_state)
-        values = evaluate_batch(sc.payoff, states, sc.grid).values
-        discount_cents = 100.0 * np.exp(-sc.model.rate * sc.grid.horizon)
-        assert report["mean_cents"] > 0.0
-        assert np.mean(values * discount_cents) == pytest.approx(
-            report["mean_cents"], rel=1e-12)
+        out_dir = tmp_path / "artifacts"
+        assert main(["train", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        checkpoint.write_text(json.dumps(edit(json.loads(
+            checkpoint.read_text()))))
+        assert main(["price-is", "--config", str(cfg), "--checkpoint",
+                     str(checkpoint), "--n", "16"]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_report_without_label_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        mc_file = tmp_path / "mc.json"
+        assert main(["price", "--config", str(cfg), "--n", "16",
+                     "--out", str(mc_file)]) == 0
+        report = json.loads(mc_file.read_text())
+        del report["label"]
+        mc_file.write_text(json.dumps(report))
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(mc_file)]) == 2
+        err = capsys.readouterr().err
+        assert "'label'" in err and str(mc_file) in err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

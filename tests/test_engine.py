@@ -12,9 +12,9 @@ from driftmc import engine, streams
 from driftmc.covariation import CovariationSpec, TimeGrid
 from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, REPORT_FIELDS,
                             EstimatorReport, compare, comparison_to_dict,
-                            dump_paths, estimate_is, estimate_plain,
-                            report_from_dict, report_to_dict, rows_to_csv,
-                            _block_plan, _simulate_block)
+                            estimate_is, estimate_plain, report_from_dict,
+                            report_to_dict, rows_to_csv, _block_plan,
+                            _simulate_block)
 from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
@@ -148,56 +148,35 @@ class TestEstimatePlain:
         assert rep.mean_cents > 0.0
         assert rep.se_pct == math.inf
 
-    def test_path_dump_written(self, tmp_path):
-        model, _, grid, cov = bs_setup(n_steps=4)
-        dump = tmp_path / "paths.csv"
-        dump_paths(model, grid, cov, None, seed=1, n=8, block_size=3,
-                   path=dump)
-        lines = dump.read_text().splitlines()
-        assert lines[0] == "path_id,step,state_0"
-        assert len(lines) == 1 + 8 * (grid.n_steps + 1)
-        # block-ordered path ids
-        ids = [int(line.split(",")[0]) for line in lines[1:]]
-        assert ids == sorted(ids)
 
+class TestBlockStreams:
+    @pytest.mark.parametrize("importance", [False, True],
+                             ids=["plain", "is"])
+    def test_block_i_is_drawn_from_substream_i(self, importance):
+        # the paths an estimate priced in block i are those of one simulate
+        # call of the block's size on substream(seed, ESTIMATE, i)
+        model, payoff, grid, cov = bs_setup(strike=0.9, n_steps=4)
+        drift = (ShallowNet(w_in=[0.5], b_in=[0.1], w_out=[[1.0]],
+                            b_out=[0.5], activation="tanh")
+                 if importance else None)
+        discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
+        moments = []
+        for i, size in ((0, 3), (1, 2)):
+            batch = simulate(model, grid, cov,
+                             streams.substream(2, streams.ESTIMATE, i), size,
+                             drift=drift)
+            values = (evaluate_batch(payoff, batch.states, grid).values
+                      * np.exp(batch.log_inverse_likelihood) * discount_cents)
+            moments.append(RunningMoments.from_array(values))
+        expected = moments[0].merge(moments[1])
+        assert expected.variance() > 0.0
 
-class TestDumpPaths:
-    def test_rows_are_the_simulated_blocks(self, tmp_path):
-        # block i is re-simulated from the estimator's substream i
-        model, _, grid, cov = bs_setup(n_steps=4)
-        drift = ShallowNet(w_in=[0.5], b_in=[0.1], w_out=[[1.0]], b_out=[0.5],
-                           activation="tanh")
-        dump = tmp_path / "paths.csv"
-        dump_paths(model, grid, cov, drift, seed=2, n=5, block_size=3,
-                   path=dump)
-        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
-        blocks = [simulate(model, grid, cov,
-                           streams.substream(2, streams.ESTIMATE, i), size,
-                           drift=drift).states
-                  for i, size in ((0, 3), (1, 2))]
-        np.testing.assert_array_equal(
-            rows[:, 2].reshape(5, grid.n_steps + 1),
-            np.concatenate(blocks)[:, :, 0])
-
-    def test_memory_stays_at_one_block(self, tmp_path):
-        # the dump writes each block before simulating the next, so eight
-        # times the blocks must not take eight times the memory
-        model = ModelSpec(tag=BLACK_SCHOLES, sigma=np.diag([0.2] * 4),
-                          s0=[1.0] * 4, rate=0.05)
-        grid = TimeGrid(1.0, 8)
-        cov = CovariationSpec(model.sigma, grid)
-
-        def peak(n_blocks):
-            tracemalloc.start()
-            try:
-                dump_paths(model, grid, cov, None, seed=0, n=32 * n_blocks,
-                           block_size=32, path=tmp_path / "paths.csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(1)  # first-call allocations are not the dump's
-        assert peak(64) <= 1.5 * peak(8)
+        estimate = estimate_is if importance else estimate_plain
+        args = (drift,) if importance else ()
+        rep = estimate(model, payoff, grid, cov, *args, seed=2, n=5,
+                       block_size=3)
+        assert rep.mean_cents == expected.mean
+        assert rep.per_sample_variance == expected.variance()
 
 
 def heston_two_assets():
@@ -235,7 +214,7 @@ class TestChunks:
         return model, payoff, grid, CovariationSpec(model.sigma, grid)
 
     @pytest.mark.parametrize("importance", [False, True])
-    def test_chunks_draw_the_numbers_of_one_shot(self, importance, tmp_path):
+    def test_chunks_draw_the_numbers_of_one_shot(self, importance):
         model, payoff, grid, cov = self.ko_setup()
         drift = (init_net(3, model.d, rng=np.random.default_rng(4))
                  if importance else None)
@@ -251,15 +230,6 @@ class TestChunks:
         assert moments == RunningMoments.from_array(values)
         assert above == int(pay.above_strike.sum())
         assert knocked == int(pay.knocked_out.sum())
-
-        dump = tmp_path / "paths.csv"
-        dump_paths(model, grid, cov, drift, seed=6, n=self.SIZE,
-                   block_size=self.SIZE, path=dump)
-        rows = np.loadtxt(dump, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(
-            rows[:, 0], np.repeat(np.arange(self.SIZE), grid.n_steps + 1))
-        np.testing.assert_array_equal(
-            rows[:, 2:].reshape(one_shot.states.shape), one_shot.states)
 
     def test_each_chunk_is_priced_through_the_engine_names(self, monkeypatch):
         # benchmark tracing wraps engine.simulate and engine.evaluate_batch

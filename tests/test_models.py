@@ -105,6 +105,12 @@ class TestValidate:
         codes = {v.code for v in violations(**spec)}
         assert codes == {"mean_level", "reversion", "v0"}
 
+    def test_volatility_params_on_black_scholes(self):
+        # nothing simulates them, so a Black-Scholes spec refuses them
+        spec = dict(tag=BLACK_SCHOLES, sigma=0.2 * np.eye(2), s0=[1.0, 1.0],
+                    v0=[5.0, 5.0], reversion=[-3.0])
+        assert [v.code for v in violations(**spec)] == ["reversion", "v0"]
+
 
 class TestSplitDriver:
     """The asset block (first n) and volatility block (last n) of the
