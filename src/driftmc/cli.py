@@ -1,18 +1,19 @@
 """Command line interface.
 
-Subcommands: validate, sample-params, price, train, price-is, compare, run.
+Subcommands: validate, price, train, price-is, compare, run.  The config
+file is the one place a run is set; ``validate`` prints it resolved.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 validation failure.
 """
 
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from .config import build_scenario, load_config, resolve_config, write_json
-from .engine import (COMPARISON_FIELDS, REPORT_FIELDS, compare,
-                     comparison_to_dict, csv_text, report_from_dict,
+from .engine import (compare, comparison_to_dict, report_from_dict,
                      report_to_dict)
 from .errors import (ConfigError, DriftmcError, ModelValidationError,
                      NonFiniteError, SimulationError, WeightOverflowError)
@@ -37,9 +38,8 @@ def _add_pricing(parser):
                         help="sample size (default: first configured size)")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--format", choices=("csv", "json"), default="json")
     parser.add_argument("--out", default=None,
-                        help="report file (default stdout)")
+                        help="JSON report file (default stdout)")
 
 
 def _build_parser():
@@ -51,13 +51,9 @@ def _build_parser():
                         help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="resolve and check a config")
+    p = sub.add_parser("validate", help="resolve and check a config and "
+                       "print it resolved, as run writes resolved_config.json")
     _add_config(p)
-
-    p = sub.add_parser("sample-params", help="sample and print model parameters")
-    _add_config(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the model sampling seed")
 
     p = sub.add_parser("price", help="plain Monte Carlo estimate")
     _add_pricing(p)
@@ -77,29 +73,14 @@ def _build_parser():
     p = sub.add_parser("compare", help="combine two report files into a table row")
     p.add_argument("--mc-report", required=True)
     p.add_argument("--is-report", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=None,
+                   help="JSON row file (default stdout)")
 
     p = sub.add_parser("run", help="full pipeline: price, train, price-is, compare")
     _add_config(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the estimation seed")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--dry-run", action="store_true",
-                   help="resolve and write the config, simulate nothing")
     return parser
-
-
-def _emit(row, fields, fmt, out):
-    if fmt == "json":
-        text = json.dumps(row, indent=2, sort_keys=True) + "\n"
-    else:
-        text = csv_text([row], fields)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _sample(args, cfg, importance):
@@ -111,30 +92,51 @@ def _sample(args, cfg, importance):
     return n, seed
 
 
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# What each field of a report that compare reads must hold; an all-zero
+# sample reports an infinite se_pct.
+_REPORT_CHECKS = {
+    "label": ("a string", lambda v: isinstance(v, str)),
+    "measure": ("a string", lambda v: isinstance(v, str)),
+    "n": ("an integer", _is_integer),
+    "seed": ("an integer", _is_integer),
+    "mean_cents": ("a finite number", _is_finite),
+    "se_pct": ("a number", lambda v: _is_finite(v) or v == math.inf),
+    "kappa": ("a finite number", _is_finite),
+    "theta": ("a finite number or null", lambda v: v is None or _is_finite(v)),
+    "per_sample_variance": ("a finite number", _is_finite),
+}
+
+
 def _load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
-        row = json.load(fh)
+        try:
+            row = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
     if not isinstance(row, dict):
         raise ConfigError(f"report {path} is not a JSON object")
-    try:
-        return report_from_dict(row)
-    except KeyError as exc:
-        raise ConfigError(f"report {path} has no {exc.args[0]!r} field") from exc
+    for name, (kind, check) in _REPORT_CHECKS.items():
+        if name not in row:
+            raise ConfigError(f"report {path} has no {name!r} field")
+        if not check(row[name]):
+            raise ConfigError(f"report {path}: {name!r} must be {kind}, "
+                              f"got {row[name]!r}")
+    return report_from_dict(row)
 
 
 def _cmd_validate(args):
-    build_scenario(resolve_config(load_config(args.config)))
-    print("ok")
-    return EXIT_OK
-
-
-def _cmd_sample_params(args):
-    raw = load_config(args.config)
-    if args.seed is not None:
-        raw.setdefault("model", {})["seed"] = args.seed
-        raw["model"]["params"] = None
-    cfg = resolve_config(raw)
-    print(json.dumps(cfg["model"], indent=2, sort_keys=True))
+    cfg = resolve_config(load_config(args.config))
+    build_scenario(cfg)
+    write_json(None, cfg)
     return EXIT_OK
 
 
@@ -148,7 +150,7 @@ def _cmd_price(args):
                                        threads=args.threads)
     else:
         report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads)
-    _emit(report_to_dict(report), REPORT_FIELDS, args.format, args.out)
+    write_json(args.out, report_to_dict(report))
     return EXIT_OK
 
 
@@ -168,21 +170,17 @@ def _cmd_compare(args):
     report_mc = _load_report(args.mc_report)
     report_is = _load_report(args.is_report)
     row = compare(report_mc, report_is)
-    _emit(comparison_to_dict(row), COMPARISON_FIELDS, args.format, args.out)
+    write_json(args.out, comparison_to_dict(row))
     return EXIT_OK
 
 
 def _cmd_run(args):
-    raw = load_config(args.config)
-    if args.seed is not None:
-        raw.setdefault("estimation", {})["seed"] = args.seed
-    run(raw, args.out_dir, threads=args.threads, dry_run=args.dry_run)
+    run(load_config(args.config), args.out_dir, threads=args.threads)
     return EXIT_OK
 
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "sample-params": _cmd_sample_params,
     "price": _cmd_price,
     "train": _cmd_train,
     "price-is": _cmd_price,

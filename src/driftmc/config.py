@@ -11,9 +11,11 @@ bit.
 import copy
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -179,8 +181,9 @@ def load_config(path):
 # Field checks: each returns the value, or raises a ConfigError naming it.
 
 def _number(value, name, positive=False):
-    """A finite number, positive if asked."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value)
+    """A finite number, positive if asked; never a bool."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)
             and (value > 0 or not positive)):
         kind = "a positive finite" if positive else "a finite"
         raise ConfigError(f"{name} must be {kind} number, got {value!r}")
@@ -188,9 +191,10 @@ def _number(value, name, positive=False):
 
 
 def _integer(value, name, minimum=None):
-    """A whole number, at least ``minimum`` if given, as an int."""
+    """A whole number, at least ``minimum`` if given, as an int; never a
+    bool."""
     try:
-        whole = int(value) == value
+        whole = int(value) == value and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or (minimum is not None and value < minimum):
@@ -263,7 +267,8 @@ def resolve_config(raw):
     if payoff_block["strike"] is None:
         payoff_block["strike"] = moneyness * basket0 * forward_factor
     _number(payoff_block["strike"], "payoff.strike")
-    if payoff_block["barriers"] is None and payoff_block["barrier_moneyness"]:
+    if (payoff_block["barriers"] is None
+            and payoff_block["barrier_moneyness"] is not None):
         lo, hi = _numbers(payoff_block["barrier_moneyness"],
                           "payoff.barrier_moneyness", 2)
         payoff_block["barriers"] = [lo * basket0, hi * basket0]
@@ -362,7 +367,10 @@ def build_train_config(cfg):
 
 
 def write_json(path, payload):
-    """Write ``payload`` as JSON with deterministic formatting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write ``payload`` as JSON with deterministic formatting, to stdout if
+    ``path`` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")

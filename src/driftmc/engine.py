@@ -32,10 +32,6 @@ DEFAULT_BLOCK_SIZE = 2048
 # Paths simulated at once within a block; bounds the memory of a block.
 CHUNK_SIZE = 512
 
-# Stable field names of emitted report rows.
-REPORT_FIELDS = ("label", "measure", "n", "mean_cents", "se_pct", "kappa",
-                 "theta", "vr", "seed", "per_sample_variance")
-
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -283,14 +279,10 @@ def _format_cell(value):
     return str(value)
 
 
-def csv_text(rows, fields):
-    """Dict rows as CSV text with lossless (repr) float formatting."""
+def rows_to_csv(rows, fields, path):
+    """Write dict rows to ``path`` as CSV with lossless (repr) float
+    formatting."""
     lines = [",".join(fields)]
     lines += [",".join(_format_cell(row[name]) for name in fields)
               for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_csv(rows, fields, path):
-    """Write dict rows to ``path`` as :func:`csv_text`."""
-    Path(path).write_text(csv_text(rows, fields), encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

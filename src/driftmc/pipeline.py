@@ -81,7 +81,7 @@ def train_drift(cfg, sc, out_dir=None):
     return trained, trace
 
 
-def run(raw_config, out_dir, threads=1, dry_run=False):
+def run(raw_config, out_dir, threads=1):
     """Execute the pipeline; returns the comparison rows.
 
     Stages: resolve the config and build its scenario, plain MC at every
@@ -95,8 +95,6 @@ def run(raw_config, out_dir, threads=1, dry_run=False):
         cfg = resolve_config(raw_config)
         sc = build_scenario(cfg)
         write_json(out_dir / "resolved_config.json", cfg)
-        if dry_run:
-            return []
 
         def price_all(drift, tag):
             reports = []

@@ -45,6 +45,22 @@ class TestValidateCommand:
         cfg = write_config(tmp_path)
         assert main(["validate", "--config", str(cfg)]) == 0
 
+    def test_prints_the_resolved_config_run_writes(self, tmp_path, capsys):
+        # byte for byte, and a fixed point: validate on its own output
+        # prints the same bytes
+        cfg = write_config(tmp_path)
+        assert main(["validate", "--config", str(cfg)]) == 0
+        printed = capsys.readouterr().out.encode("utf-8")
+        out_dir = tmp_path / "run"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 0
+        assert printed == (out_dir / "resolved_config.json").read_bytes()
+        resolved = tmp_path / "resolved.json"
+        resolved.write_bytes(printed)
+        capsys.readouterr()
+        assert main(["validate", "--config", str(resolved)]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == printed
+
     def test_invalid_explicit_params_exit_code(self, tmp_path, capsys):
         cfg = {
             "model": {"tag": "black_scholes", "n": 1,
@@ -80,10 +96,9 @@ class TestValidateCommand:
                                         "driftmc-run-v3", "driftmc-run-v4",
                                         "driftmc-run-v5"])
     def test_v1_resolved_config_names_schema(self, tmp_path, capsys, schema):
-        out_dir = tmp_path / "dry"
-        main(["run", "--config", str(write_config(tmp_path)), "--out-dir",
-              str(out_dir), "--dry-run"])
-        resolved = json.loads((out_dir / "resolved_config.json").read_text())
+        assert main(["validate", "--config",
+                     str(write_config(tmp_path))]) == 0
+        resolved = json.loads(capsys.readouterr().out)
         resolved["schema"] = schema
         path = tmp_path / "old.json"
         path.write_text(json.dumps(resolved))
@@ -108,23 +123,6 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["validate", "--config", str(cfg)]) == 2
         assert repr(field) in capsys.readouterr().err
-
-
-class TestSampleParamsCommand:
-    def test_prints_parameters(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["sample-params", "--config", str(cfg)]) == 0
-        block = json.loads(capsys.readouterr().out)
-        assert block["tag"] == "black_scholes"
-        assert len(block["params"]["s0"]) == 2
-
-    def test_seed_override_changes_draw(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        main(["sample-params", "--config", str(cfg)])
-        first = capsys.readouterr().out
-        main(["sample-params", "--config", str(cfg), "--seed", "99"])
-        second = capsys.readouterr().out
-        assert first != second
 
 
 class TestPriceCommands:
@@ -216,15 +214,6 @@ class TestPriceCommands:
                      str(tmp_path / "out")]) == 2
         assert "unknown activation 'logistic'" in capsys.readouterr().err
 
-    def test_price_csv_to_stdout(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert main(["price", "--config", str(cfg), "--n", "64",
-                     "--format", "csv"]) == 0
-        header, row, end = capsys.readouterr().out.split("\n")
-        assert header.split(",")[:3] == ["label", "measure", "n"]
-        assert row.split(",")[1:3] == ["P", "64"]
-        assert end == ""
-
     @pytest.mark.parametrize("command", ["price", "price-is"])
     def test_dump_paths_option_is_gone(self, tmp_path, capsys, command):
         extra = {"price": [],
@@ -266,6 +255,81 @@ class TestPriceCommands:
         err = capsys.readouterr().err
         assert "'label'" in err and str(mc_file) in err
 
+    @pytest.mark.parametrize("field, value", [
+        ("label", 5),
+        ("measure", None),
+        ("n", None),
+        ("n", "400"),
+        ("n", True),
+        ("seed", 7.5),
+        ("mean_cents", "1.0"),
+        ("se_pct", float("nan")),
+        ("kappa", float("inf")),
+        ("theta", "0.1"),
+        ("per_sample_variance", "x"),
+        ("per_sample_variance", False),
+        (None, "{ not json"),
+    ])
+    def test_report_field_of_wrong_type_is_config_error(self, tmp_path,
+                                                        capsys, field, value):
+        # a config error naming the file and the field, not a traceback
+        # from deep in compare or a silent conversion
+        cfg = write_config(tmp_path)
+        mc_file = tmp_path / "mc.json"
+        assert main(["price", "--config", str(cfg), "--n", "16",
+                     "--out", str(mc_file)]) == 0
+        if field is None:
+            mc_file.write_text(value)
+        else:
+            report = json.loads(mc_file.read_text())
+            report[field] = value
+            mc_file.write_text(json.dumps(report))
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(mc_file)]) == 2
+        err = capsys.readouterr().err
+        assert str(mc_file) in err
+        assert ("not valid JSON" if field is None else repr(field)) in err
+
+    def test_all_zero_reports_compare(self, tmp_path, capsys):
+        # an all-zero sample reports an infinite se_pct, which compare reads
+        cfg = write_config(tmp_path, overrides={"payoff": {"moneyness": 100.0}})
+        mc_file = tmp_path / "mc.json"
+        is_file = tmp_path / "is.json"
+        assert main(["price", "--config", str(cfg), "--n", "16",
+                     "--out", str(mc_file)]) == 0
+        report = json.loads(mc_file.read_text())
+        assert report["se_pct"] == float("inf")
+        is_file.write_text(json.dumps(dict(report, measure="P_h")))
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(is_file)]) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["mc_se_pct"] == row["is_se_pct"] == float("inf")
+        assert row["vr"] == 1.0
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (["sample-params", "--config", "{config}"], "sample-params"),
+    (["price", "--config", "{config}", "--format", "csv"], "--format"),
+    (["price-is", "--config", "{config}", "--checkpoint", "{tmp}/c",
+      "--format", "csv"], "--format"),
+    (["compare", "--mc-report", "{tmp}/mc.json", "--is-report",
+      "{tmp}/is.json", "--format", "csv"], "--format"),
+    (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--seed", "1"],
+     "--seed"),
+    (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--dry-run"],
+     "--dry-run"),
+], ids=["sample-params", "price-format", "price-is-format", "compare-format",
+        "run-seed", "run-dry-run"])
+def test_removed_option_exits_from_argparse(tmp_path, capsys, argv, removed):
+    # the config file sets a run, validate prints it resolved, and reports
+    # are JSON
+    config = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(config=config, tmp=tmp_path) for arg in argv])
+    assert exit_info.value.code == 2
+    assert removed in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
 @pytest.mark.parametrize("command", ["price", "price-is", "run"])
@@ -282,13 +346,6 @@ def test_non_positive_threads_exit_config(tmp_path, capsys, command, threads):
 
 
 class TestRunCommand:
-    def test_dry_run_writes_only_config(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out_dir = tmp_path / "dry"
-        assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir),
-                     "--dry-run"]) == 0
-        assert run_artifacts(out_dir) == ["resolved_config.json"]
-
     def test_full_run_emits_artifacts(self, tmp_path):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "full"
@@ -347,22 +404,20 @@ class TestRunCommand:
             assert (out_dir / name).read_bytes() == (rerun_dir / name).read_bytes()
 
     def test_failure_leaves_error_file(self, tmp_path):
-        # invalid explicit params are refused while the config resolves,
-        # also by a dry run
+        # invalid explicit params are refused while the config resolves
         cfg = write_config(tmp_path, overrides={
             "model": {"params": {"sigma": [[0.2, 0.0], [0.0, 0.2]],
                                  "s0": [-1.0, 1.0]},
                       "tag": "black_scholes", "n": 2},
             "payoff": {"weights": [0.5, 0.5], "strike": 1.0},
         })
-        for extra in ([], ["--dry-run"]):
-            out_dir = tmp_path / f"fail{len(extra)}"
-            assert main(["run", "--config", str(cfg), "--out-dir",
-                         str(out_dir), *extra]) == 4
-            assert run_artifacts(out_dir) == ["error.json"]
-            error = json.loads((out_dir / "error.json").read_text())
-            assert error["stage"] == "resolve"
-            assert error["error"] == "ModelValidationError"
+        out_dir = tmp_path / "fail"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 4
+        assert run_artifacts(out_dir) == ["error.json"]
+        error = json.loads((out_dir / "error.json").read_text())
+        assert error["stage"] == "resolve"
+        assert error["error"] == "ModelValidationError"
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1),
@@ -414,12 +469,24 @@ class TestRunCommand:
         ({"model": {"params": dict(TWO_ASSETS, s0=[[1.0, 1.0]])}},
          "model.params.s0"),
         ({"payoff": {"weights": [0.5, 0.4]}}, "payoff.weights"),
+        ({"model": {"rate": True}}, "model.rate"),
+        ({"grid": {"dt": True}}, "grid.dt"),
+        ({"model": {"n": True}}, "model.n"),
+        ({"estimation": {"sample_sizes": [True]}},
+         "estimation.sample_sizes"),
+        ({"payoff": {"barrier_moneyness": 0}}, "payoff.barrier_moneyness"),
+        ({"payoff": {"barrier_moneyness": []}}, "payoff.barrier_moneyness"),
+        ({"payoff": {"barrier_moneyness": False}},
+         "payoff.barrier_moneyness"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
             "barrier-moneyness", "barriers-reversed", "params-mu",
             "params-no-sigma", "params-width", "params-ragged-sigma",
-            "params-s0-string", "params-s0-nested", "weights-sum"])
+            "params-s0-string", "params-s0-nested", "weights-sum",
+            "rate-bool", "dt-bool", "n-bool", "sample-size-bool",
+            "barrier-moneyness-zero", "barrier-moneyness-empty",
+            "barrier-moneyness-false"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the

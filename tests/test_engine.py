@@ -10,11 +10,10 @@ import pytest
 
 from driftmc import engine, streams
 from driftmc.covariation import CovariationSpec, TimeGrid
-from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, REPORT_FIELDS,
-                            EstimatorReport, compare, comparison_to_dict,
-                            estimate_is, estimate_plain, report_from_dict,
-                            report_to_dict, rows_to_csv, _block_plan,
-                            _simulate_block)
+from driftmc.engine import (CHUNK_SIZE, COMPARISON_FIELDS, EstimatorReport,
+                            compare, comparison_to_dict, estimate_is,
+                            estimate_plain, report_from_dict, report_to_dict,
+                            rows_to_csv, _block_plan, _simulate_block)
 from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
@@ -138,7 +137,7 @@ class TestEstimatePlain:
         row = report_to_dict(rep)
         assert json.loads(json.dumps(row))["se_pct"] == math.inf
         path = tmp_path / "report.csv"
-        rows_to_csv([row], REPORT_FIELDS, path)
+        rows_to_csv([row], tuple(row), path)
         assert_csv_holds(path, row)
 
     def test_one_path_sample_is_not_exact(self):
