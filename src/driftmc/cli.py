@@ -1,7 +1,8 @@
 """Command line interface.
 
-Subcommands: validate, price, train, price-is, compare, run.  The config
-file is the one place a run is set; ``validate`` prints it resolved.
+Subcommands: validate, price, train, compare, run.  The config file is the
+one place a run is set; ``validate`` prints it resolved, and every flag
+names an input or output file or sets the thread count.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 validation failure.
 """
 
@@ -31,32 +32,27 @@ def _add_config(parser):
     parser.add_argument("--config", required=True, help="run config JSON file")
 
 
-def _add_pricing(parser):
-    """The options ``price`` and ``price-is`` share."""
-    _add_config(parser)
-    parser.add_argument("--n", type=int, default=None,
-                        help="sample size (default: first configured size)")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--out", default=None,
-                        help="JSON report file (default stdout)")
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="driftmc",
         description="Monte Carlo option pricing with learned drift "
                     "importance sampling")
-    parser.add_argument("--verbose", action="store_true",
-                        help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="resolve and check a config and "
                        "print it resolved, as run writes resolved_config.json")
     _add_config(p)
 
-    p = sub.add_parser("price", help="plain Monte Carlo estimate")
-    _add_pricing(p)
+    p = sub.add_parser(
+        "price", help="estimate at the config's first sample size, with the "
+                      "seed run prices it with: plain Monte Carlo, or "
+                      "importance-sampled with the drift of --checkpoint")
+    _add_config(p)
+    p.add_argument("--checkpoint", default=None,
+                   help="drift checkpoint JSON file written by train or run")
+    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--out", default=None,
+                   help="JSON report file (default stdout)")
 
     p = sub.add_parser(
         "train", help="train the drift network on a coarse grid of the "
@@ -66,30 +62,18 @@ def _build_parser():
     _add_config(p)
     p.add_argument("--out-dir", required=True)
 
-    p = sub.add_parser("price-is", help="importance-sampled estimate from a checkpoint")
-    _add_pricing(p)
-    p.add_argument("--checkpoint", required=True)
-
     p = sub.add_parser("compare", help="combine two report files into a table row")
     p.add_argument("--mc-report", required=True)
     p.add_argument("--is-report", required=True)
     p.add_argument("--out", default=None,
                    help="JSON row file (default stdout)")
 
-    p = sub.add_parser("run", help="full pipeline: price, train, price-is, compare")
+    p = sub.add_parser("run", help="full pipeline: price, train, price with the "
+                       "trained drift, compare")
     _add_config(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1)
     return parser
-
-
-def _sample(args, cfg, importance):
-    """``(n, seed)`` of a price command: ``--n`` and ``--seed`` if given,
-    else the first configured sample size and the seed ``run`` prices it
-    with.  The estimator refuses a non-positive ``--n``."""
-    n = cfg["estimation"]["sample_sizes"][0] if args.n is None else args.n
-    seed = estimate_seed(cfg, 0, importance) if args.seed is None else args.seed
-    return n, seed
 
 
 def _is_integer(value):
@@ -141,25 +125,26 @@ def _cmd_validate(args):
 
 
 def _cmd_price(args):
-    """``price``, and ``price-is`` with the drift of a checkpoint."""
+    """``run``'s first estimate: plain, or with the drift of a checkpoint."""
     cfg = resolve_config(load_config(args.config))
-    importance = args.command == "price-is"
-    n, seed = _sample(args, cfg, importance)
-    if importance:
+    n = cfg["estimation"]["sample_sizes"][0]
+    seed = estimate_seed(cfg, 0, importance=args.checkpoint is not None)
+    if args.checkpoint is None:
+        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads)
+    else:
         report = price_with_checkpoint(cfg, args.checkpoint, n, seed,
                                        threads=args.threads)
-    else:
-        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads)
     write_json(args.out, report_to_dict(report))
     return EXIT_OK
 
 
 def _cmd_train(args):
     cfg = resolve_config(load_config(args.config))
+    sc = build_scenario(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "resolved_config.json", cfg)
-    _, trace = train_drift(cfg, build_scenario(cfg), out_dir=out_dir)
+    _, trace = train_drift(cfg, sc, out_dir)
     if trace.halted_reason:
         raise NonFiniteError(trace.halted_reason)
     print(f"checkpoint written to {out_dir / 'checkpoint.json'}")
@@ -183,7 +168,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "price": _cmd_price,
     "train": _cmd_train,
-    "price-is": _cmd_price,
     "compare": _cmd_compare,
     "run": _cmd_run,
 }
@@ -195,9 +179,7 @@ def main(argv=None):
     if getattr(args, "threads", 1) < 1:
         parser.error(f"argument --threads: must be at least 1, "
                      f"got {args.threads}")
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except ModelValidationError as exc:

@@ -267,8 +267,10 @@ def resolve_config(raw):
     if payoff_block["strike"] is None:
         payoff_block["strike"] = moneyness * basket0 * forward_factor
     _number(payoff_block["strike"], "payoff.strike")
-    if (payoff_block["barriers"] is None
-            and payoff_block["barrier_moneyness"] is not None):
+    if payoff_block["barrier_moneyness"] is not None:
+        if payoff_block["barriers"] is not None:
+            raise ConfigError("set payoff.barriers or "
+                              "payoff.barrier_moneyness, not both")
         lo, hi = _numbers(payoff_block["barrier_moneyness"],
                           "payoff.barrier_moneyness", 2)
         payoff_block["barriers"] = [lo * basket0, hi * basket0]

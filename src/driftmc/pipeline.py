@@ -53,9 +53,9 @@ def price(cfg, sc, n, seed, drift=None, threads=1):
     return estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift, **common)
 
 
-def train_drift(cfg, sc, out_dir=None):
-    """Train the drift network of a resolved config on its scenario ``sc``;
-    optionally persist.
+def train_drift(cfg, sc, out_dir):
+    """Train the drift network of a resolved config on its scenario ``sc``
+    and write its checkpoint and training trace to ``out_dir``.
 
     The net trains on :func:`~driftmc.training.training_grid`, the pricing
     horizon at about ``STEPS_PER_UNIT_TIME`` steps per unit of time but
@@ -70,14 +70,13 @@ def train_drift(cfg, sc, out_dir=None):
     grid = training_grid(sc.grid)
     trained, trace = train(net, sc.model, sc.payoff, grid,
                            CovariationSpec(sc.model.sigma, grid), train_cfg)
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        save_checkpoint(trained, out_dir / "checkpoint.json")
-        rows = [{"step": k, "v_hat": v, "h_norm_sq": h, "informative": int(i)}
-                for k, (v, h, i) in enumerate(zip(
-                    trace.v_hat, trace.h_norm_sq, trace.informative))]
-        rows_to_csv(rows, ("step", "v_hat", "h_norm_sq", "informative"),
-                    out_dir / "training_trace.csv")
+    out_dir = Path(out_dir)
+    save_checkpoint(trained, out_dir / "checkpoint.json")
+    rows = [{"step": k, "v_hat": v, "h_norm_sq": h, "informative": int(i)}
+            for k, (v, h, i) in enumerate(zip(
+                trace.v_hat, trace.h_norm_sq, trace.informative))]
+    rows_to_csv(rows, ("step", "v_hat", "h_norm_sq", "informative"),
+                out_dir / "training_trace.csv")
     return trained, trace
 
 
@@ -96,28 +95,24 @@ def run(raw_config, out_dir, threads=1):
         sc = build_scenario(cfg)
         write_json(out_dir / "resolved_config.json", cfg)
 
-        def price_all(drift, tag):
-            reports = []
-            for j, n in enumerate(cfg["estimation"]["sample_sizes"]):
-                seed = estimate_seed(cfg, j, importance=drift is not None)
-                report = price(cfg, sc, n, seed, drift=drift, threads=threads)
-                log.info("%s n=%d mean=%.4g cents se=%.3g%%", tag, n,
-                         report.mean_cents, report.se_pct)
-                reports.append(report)
-            return reports
+        def price_all(drift):
+            return [price(cfg, sc, n,
+                          estimate_seed(cfg, j, importance=drift is not None),
+                          drift=drift, threads=threads)
+                    for j, n in enumerate(cfg["estimation"]["sample_sizes"])]
 
         stage = "plain"
-        plain_reports = price_all(None, "plain")
+        plain_reports = price_all(None)
 
         stage = "train"
         begin = time.perf_counter()
-        drift, trace = train_drift(cfg, sc, out_dir=out_dir)
+        drift, trace = train_drift(cfg, sc, out_dir)
         training_seconds = time.perf_counter() - begin
         if trace.halted_reason:
             log.warning("training halted early: %s", trace.halted_reason)
 
         stage = "importance"
-        is_reports = price_all(drift, "is")
+        is_reports = price_all(drift)
 
         stage = "compare"
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]

@@ -79,13 +79,13 @@ def test_is_mean_agrees_with_plain(name):
     ("heston", 0, 1 / 50), ("black_scholes", 0, 1 / 252)],
     ids=["black_scholes-0", "black_scholes-1", "heston-0",
          "black_scholes-0-full_grid"])
-def test_trained_drift_reduces_variance(tag, train_seed, dt):
+def test_trained_drift_reduces_variance(tmp_path, tag, train_seed, dt):
     cfg = resolve_config({
         "model": {"tag": tag}, "grid": {"dt": dt},
         "training": {"epochs": 2, "steps_per_epoch": 100, "seed": train_seed},
         "estimation": {"sample_sizes": [N_PATHS]}})
     sc = build_scenario(cfg)
-    drift, _ = train_drift(cfg, sc)
+    drift, _ = train_drift(cfg, sc, tmp_path)
     plain = price(cfg, sc, N_PATHS, estimate_seed(cfg, 0, importance=False))
     weighted = price(cfg, sc, N_PATHS, estimate_seed(cfg, 0, importance=True),
                      drift=drift)

@@ -22,6 +22,10 @@ TINY_CONFIG = {
 }
 
 
+# Overrides for a price whose numbers a test does not read.
+SMALL_SAMPLE = {"estimation": {"sample_sizes": [16]}}
+
+
 def write_config(tmp_path, overrides=None, name="config.json"):
     cfg = json.loads(json.dumps(TINY_CONFIG))
     for key, value in (overrides or {}).items():
@@ -127,13 +131,14 @@ class TestValidateCommand:
 
 class TestPriceCommands:
     def test_price_report_json(self, tmp_path):
-        cfg = write_config(tmp_path)
+        # the first configured sample size, at the estimation seed
+        cfg = write_config(tmp_path, overrides={
+            "estimation": {"sample_sizes": [500, 1000]}})
         out = tmp_path / "report.json"
-        assert main(["price", "--config", str(cfg), "--n", "500",
-                     "--out", str(out)]) == 0
+        assert main(["price", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["measure"] == "P"
-        assert report["n"] == 500
+        assert (report["n"], report["seed"]) == (500, 7)
 
     def test_train_then_price_is_and_compare(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -146,11 +151,10 @@ class TestPriceCommands:
 
         mc_file = tmp_path / "mc.json"
         is_file = tmp_path / "is.json"
-        assert main(["price", "--config", str(cfg), "--n", "400",
-                     "--seed", "7", "--out", str(mc_file)]) == 0
-        assert main(["price-is", "--config", str(cfg),
-                     "--checkpoint", str(checkpoint), "--n", "400",
-                     "--seed", "8", "--out", str(is_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(checkpoint), "--out", str(is_file)]) == 0
         row_file = tmp_path / "row.json"
         assert main(["compare", "--mc-report", str(mc_file),
                      "--is-report", str(is_file), "--out", str(row_file)]) == 0
@@ -163,30 +167,28 @@ class TestPriceCommands:
         out_dir = tmp_path / "full"
         assert main(["run", "--config", str(cfg), "--out-dir",
                      str(out_dir)]) == 0
-        reports = json.loads((out_dir / "reports.json").read_text())["reports"]
-        plain, is_ = (next(r for r in reports
-                           if r["n"] == 400 and r["measure"] == measure)
-                      for measure in ("P", "P_h"))
+        full = json.loads((out_dir / "reports.json").read_text())
+        plain, is_ = (next(r for r in full["reports"] if r["measure"] == m)
+                      for m in ("P", "P_h"))
         mc_file = tmp_path / "mc.json"
         is_file = tmp_path / "is.json"
-        assert main(["price", "--config", str(cfg), "--n", "400",
-                     "--seed", "7", "--out", str(mc_file)]) == 0
-        assert main(["price-is", "--config", str(cfg), "--checkpoint",
-                     str(out_dir / "checkpoint.json"), "--n", "400",
-                     "--out", str(is_file)]) == 0
+        row_file = tmp_path / "row.json"
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(out_dir / "checkpoint.json"), "--out",
+                     str(is_file)]) == 0
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(is_file), "--out", str(row_file)]) == 0
         assert json.loads(mc_file.read_text()) == plain
         assert json.loads(is_file.read_text()) == is_
-
-    @pytest.mark.parametrize("n", ["0", "-5"])
-    def test_non_positive_sample_size_is_config_error(self, tmp_path, n):
-        cfg = write_config(tmp_path)
-        assert main(["price", "--config", str(cfg), "--n", n]) == 2
+        assert json.loads(row_file.read_text()) == full["comparison"][0]
 
     @pytest.mark.parametrize("dt", [0, -0.01])
     def test_non_positive_grid_step_is_config_error(self, tmp_path, capsys,
                                                     dt):
         cfg = write_config(tmp_path, overrides={"grid": {"dt": dt}})
-        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert main(["price", "--config", str(cfg)]) == 2
         assert "grid.dt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("dt", [0.3, 2.0])
@@ -194,7 +196,7 @@ class TestPriceCommands:
         # 1 / 0.3 and 1 / 2.0 are no whole step counts; rounding them would
         # price a grid other than the one the resolved config records
         cfg = write_config(tmp_path, overrides={"grid": {"dt": dt}})
-        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert main(["price", "--config", str(cfg)]) == 2
         assert "grid.dt" in capsys.readouterr().err
 
     @pytest.mark.parametrize("block_size", [0, -128])
@@ -202,7 +204,7 @@ class TestPriceCommands:
                                                      block_size):
         cfg = write_config(tmp_path,
                            overrides={"estimation": {"block_size": block_size}})
-        assert main(["price", "--config", str(cfg), "--n", "16"]) == 2
+        assert main(["price", "--config", str(cfg)]) == 2
         assert "estimation.block_size" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "run"])
@@ -214,12 +216,12 @@ class TestPriceCommands:
                      str(tmp_path / "out")]) == 2
         assert "unknown activation 'logistic'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["price", "price-is"])
-    def test_dump_paths_option_is_gone(self, tmp_path, capsys, command):
-        extra = {"price": [],
-                 "price-is": ["--checkpoint", str(tmp_path / "c")]}[command]
+    @pytest.mark.parametrize("checkpoint", [False, True],
+                             ids=["price", "price-checkpoint"])
+    def test_dump_paths_option_is_gone(self, tmp_path, capsys, checkpoint):
+        extra = ["--checkpoint", str(tmp_path / "c")] if checkpoint else []
         with pytest.raises(SystemExit) as exit_info:
-            main([command, "--config", str(write_config(tmp_path)), *extra,
+            main(["price", "--config", str(write_config(tmp_path)), *extra,
                   "--dump-paths", str(tmp_path / "paths.csv")])
         assert exit_info.value.code == 2
         assert "--dump-paths" in capsys.readouterr().err
@@ -238,15 +240,15 @@ class TestPriceCommands:
         checkpoint = out_dir / "checkpoint.json"
         checkpoint.write_text(json.dumps(edit(json.loads(
             checkpoint.read_text()))))
-        assert main(["price-is", "--config", str(cfg), "--checkpoint",
-                     str(checkpoint), "--n", "16"]) == 2
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(checkpoint)]) == 2
         assert message in capsys.readouterr().err
 
     def test_report_without_label_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
         mc_file = tmp_path / "mc.json"
-        assert main(["price", "--config", str(cfg), "--n", "16",
-                     "--out", str(mc_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
         report = json.loads(mc_file.read_text())
         del report["label"]
         mc_file.write_text(json.dumps(report))
@@ -274,10 +276,10 @@ class TestPriceCommands:
                                                         capsys, field, value):
         # a config error naming the file and the field, not a traceback
         # from deep in compare or a silent conversion
-        cfg = write_config(tmp_path)
+        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
         mc_file = tmp_path / "mc.json"
-        assert main(["price", "--config", str(cfg), "--n", "16",
-                     "--out", str(mc_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
         if field is None:
             mc_file.write_text(value)
         else:
@@ -292,11 +294,12 @@ class TestPriceCommands:
 
     def test_all_zero_reports_compare(self, tmp_path, capsys):
         # an all-zero sample reports an infinite se_pct, which compare reads
-        cfg = write_config(tmp_path, overrides={"payoff": {"moneyness": 100.0}})
+        cfg = write_config(tmp_path, overrides={
+            **SMALL_SAMPLE, "payoff": {"moneyness": 100.0}})
         mc_file = tmp_path / "mc.json"
         is_file = tmp_path / "is.json"
-        assert main(["price", "--config", str(cfg), "--n", "16",
-                     "--out", str(mc_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
         report = json.loads(mc_file.read_text())
         assert report["se_pct"] == float("inf")
         is_file.write_text(json.dumps(dict(report, measure="P_h")))
@@ -310,19 +313,23 @@ class TestPriceCommands:
 @pytest.mark.parametrize("argv, removed", [
     (["sample-params", "--config", "{config}"], "sample-params"),
     (["price", "--config", "{config}", "--format", "csv"], "--format"),
-    (["price-is", "--config", "{config}", "--checkpoint", "{tmp}/c",
-      "--format", "csv"], "--format"),
+    (["price-is", "--config", "{config}", "--checkpoint", "{tmp}/c"],
+     "price-is"),
+    (["price", "--config", "{config}", "--n", "16"], "--n"),
+    (["price", "--config", "{config}", "--seed", "1"], "--seed"),
+    (["--verbose", "validate", "--config", "{config}"], "--verbose"),
     (["compare", "--mc-report", "{tmp}/mc.json", "--is-report",
       "{tmp}/is.json", "--format", "csv"], "--format"),
     (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--seed", "1"],
      "--seed"),
     (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--dry-run"],
      "--dry-run"),
-], ids=["sample-params", "price-format", "price-is-format", "compare-format",
-        "run-seed", "run-dry-run"])
+], ids=["sample-params", "price-format", "price-is", "price-n", "price-seed",
+        "verbose", "compare-format", "run-seed", "run-dry-run"])
 def test_removed_option_exits_from_argparse(tmp_path, capsys, argv, removed):
-    # the config file sets a run, validate prints it resolved, and reports
-    # are JSON
+    # the config file sets a run, validate prints it resolved, price
+    # --checkpoint prices with a drift, reports are JSON, and reports.json
+    # and timings.json hold what a log line would
     config = write_config(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main([arg.format(config=config, tmp=tmp_path) for arg in argv])
@@ -332,12 +339,12 @@ def test_removed_option_exits_from_argparse(tmp_path, capsys, argv, removed):
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("command", ["price", "price-is", "run"])
+@pytest.mark.parametrize("command", ["price", "price-checkpoint", "run"])
 def test_non_positive_threads_exit_config(tmp_path, capsys, command, threads):
-    extra = {"price": [], "price-is": ["--checkpoint", str(tmp_path / "c")],
-             "run": ["--out-dir", str(tmp_path / "out")]}[command]
-    argv = [command, "--config", str(write_config(tmp_path)), *extra,
-            "--threads", threads]
+    argv = {"price": ["price"],
+            "price-checkpoint": ["price", "--checkpoint", str(tmp_path / "c")],
+            "run": ["run", "--out-dir", str(tmp_path / "out")]}[command]
+    argv += ["--config", str(write_config(tmp_path)), "--threads", threads]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -478,6 +485,11 @@ class TestRunCommand:
         ({"payoff": {"barrier_moneyness": []}}, "payoff.barrier_moneyness"),
         ({"payoff": {"barrier_moneyness": False}},
          "payoff.barrier_moneyness"),
+        ({"payoff": {"barriers": [0.5, 2.0],
+                     "barrier_moneyness": [0.9, 0.95]}},
+         "payoff.barriers or payoff.barrier_moneyness"),
+        ({"estimation": {"sample_sizes": [0]}}, "estimation.sample_sizes"),
+        ({"estimation": {"sample_sizes": [-5]}}, "estimation.sample_sizes"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -486,12 +498,13 @@ class TestRunCommand:
             "params-s0-string", "params-s0-nested", "weights-sum",
             "rate-bool", "dt-bool", "n-bool", "sample-size-bool",
             "barrier-moneyness-zero", "barrier-moneyness-empty",
-            "barrier-moneyness-false"])
+            "barrier-moneyness-false", "barriers-both", "sample-size-zero",
+            "sample-size-negative"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the
         # value was once truncated, ignored or crashed mid-run; validate
-        # refuses what run refuses
+        # and train refuse what run refuses
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["validate", "--config", str(cfg)]) == 2
         assert named in capsys.readouterr().err
@@ -503,6 +516,11 @@ class TestRunCommand:
         error = json.loads((out_dir / "error.json").read_text())
         assert error["stage"] == "resolve"
         assert error["error"] == "ConfigError"
+        train_dir = tmp_path / "train"
+        assert main(["train", "--config", str(cfg), "--out-dir",
+                     str(train_dir)]) == 2
+        assert named in capsys.readouterr().err
+        assert not (train_dir / "resolved_config.json").exists()
 
     def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):
         # the weights are 1 / |sigma row k| normalized, whatever the rate

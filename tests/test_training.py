@@ -153,7 +153,8 @@ class TestTrainingGrid:
         assert grid.horizon == horizon and grid.n_steps == expected
 
     @pytest.mark.parametrize("steps, trained_steps", [(252, 50), (16, 16)])
-    def test_train_drift_trains_on_training_grid(self, steps, trained_steps):
+    def test_train_drift_trains_on_training_grid(self, tmp_path, steps,
+                                                 trained_steps):
         # bit for bit the net of train on the coarse grid with its own
         # covariation; a grid no finer than it trains on itself
         cfg = resolve_config({
@@ -162,7 +163,7 @@ class TestTrainingGrid:
             "training": {"epochs": 1, "steps_per_epoch": 6,
                          "batch_size": 32, "seed": 3}})
         sc = build_scenario(cfg)
-        trained, trace = train_drift(cfg, sc)
+        trained, trace = train_drift(cfg, sc, tmp_path)
         grid = TimeGrid(1.0, trained_steps)
         net = init_net(cfg["training"]["hidden_width"], sc.model.d,
                        streams.substream(3, streams.TRAIN, 999_999))
