@@ -29,9 +29,13 @@ from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v6"
+SCHEMA_ID = "driftmc-run-v7"
 
 MAX_SAMPLE_RETRIES = 200
+
+# Strike over the forward basket value when a config sets neither
+# payoff.strike nor payoff.moneyness.
+DEFAULT_MONEYNESS = 1.3
 
 # The keys of ``model.params``; sigma and s0 are required.
 PARAM_FIELDS = ("sigma", "s0", "mean_level", "reversion", "v0")
@@ -48,7 +52,7 @@ DEFAULTS = {
     "payoff": {
         "weights": None,
         "strike": None,
-        "moneyness": 1.3,
+        "moneyness": None,
         "barriers": None,
         "barrier_moneyness": None,
     },
@@ -256,7 +260,6 @@ def resolve_config(raw):
     model = build_model(cfg)
 
     payoff_block = cfg["payoff"]
-    moneyness = _number(payoff_block["moneyness"], "payoff.moneyness")
     if payoff_block["weights"] is None:
         payoff_block["weights"] = basket_weights(model.sigma, n).tolist()
     weights = _numbers(payoff_block["weights"], "payoff.weights", n)
@@ -264,8 +267,14 @@ def resolve_config(raw):
         raise ConfigError(f"payoff.weights must sum to 1, got {weights!r}")
     basket0 = float(np.dot(weights, model.s0))
     forward_factor = math.exp(model.rate * cfg["grid"]["horizon"])
+    moneyness = payoff_block["moneyness"]
     if payoff_block["strike"] is None:
+        moneyness = (DEFAULT_MONEYNESS if moneyness is None
+                     else _number(moneyness, "payoff.moneyness"))
         payoff_block["strike"] = moneyness * basket0 * forward_factor
+    elif moneyness is not None:
+        raise ConfigError("set payoff.strike or payoff.moneyness, not both")
+    payoff_block["moneyness"] = None
     _number(payoff_block["strike"], "payoff.strike")
     if payoff_block["barrier_moneyness"] is not None:
         if payoff_block["barriers"] is not None:

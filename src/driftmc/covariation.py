@@ -88,13 +88,15 @@ class DriftEvaluation:
     """A drift adjustment evaluated on the grid.
 
     ``values[k]`` is the integrand at the left endpoint t_k, ``cumulative[k]``
-    the drift at node t_k (zero at the origin), and ``h_norm_sq`` its squared
-    norm in the drift space, which discretely equals the weighted squared
-    norm of the integrand.
+    the drift at node t_k (zero at the origin), ``shift[k]`` its increment
+    pi f_k dt over step k, and ``h_norm_sq`` its squared norm in the drift
+    space, which discretely equals the weighted squared norm of the
+    integrand.
     """
 
     values: np.ndarray
     cumulative: np.ndarray
+    shift: np.ndarray
     h_norm_sq: float
 
 
@@ -134,10 +136,10 @@ def cameron_martin_map(f, spec):
     increments = (f @ spec.pi) * spec.grid.dt
     cumulative = np.zeros((spec.grid.n_steps + 1, spec.d))
     np.cumsum(increments, axis=0, out=cumulative[1:])
-    steps = cumulative[1:] - cumulative[:-1]
-    h_norm_sq = float(np.sum(np.sum(f * steps, axis=1)))
+    shift = cumulative[1:] - cumulative[:-1]
+    h_norm_sq = float(np.sum(np.sum(f * shift, axis=1)))
     return DriftEvaluation(values=_readonly(f), cumulative=_readonly(cumulative),
-                           h_norm_sq=h_norm_sq)
+                           shift=_readonly(shift), h_norm_sq=h_norm_sq)
 
 
 def sample_increments(spec, rng, n_paths):

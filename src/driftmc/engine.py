@@ -1,12 +1,14 @@
 """Plain and importance-sampled price estimators with table-style reports.
 
 The block is the unit of reproducibility: paths are simulated in
-fixed-size blocks, each block on its own derived random substream, and
-block statistics are merged in block order.  The partition depends only on
-the sample size, so results are bit-identical across worker-thread counts.
+fixed-size blocks, each block on its own derived random substream, and each
+block hands back its per-path weighted payoffs and event flags.  An
+estimate joins the blocks in block order and reduces the joined sample
+once.  The partition depends only on the sample size, so the joined sample,
+and with it every result, is bit-identical across worker-thread counts.
 The chunk is the unit of memory: a block is simulated and priced
 ``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
-the block's one substream, so no array is larger than a chunk and the
+the block's one substream, so no path array is larger than a chunk and the
 numbers are those of one draw of the whole block.  Prices are reported
 discounted, in cents.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .models import simulate
-from .payoffs import check_width, evaluate_batch
+from .payoffs import PayoffBatch, check_width, evaluate_batch
 from .stats import RunningMoments
 from . import streams
 
@@ -64,11 +66,19 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
+def _concatenate(batches):
+    """The PayoffBatch of all paths of ``batches``, in order."""
+    knocked = [b.knocked_out for b in batches]
+    return PayoffBatch(np.concatenate([b.values for b in batches]),
+                       np.concatenate([b.above_strike for b in batches]),
+                       None if knocked[0] is None else np.concatenate(knocked))
+
+
 def _simulate_block(model, payoff, grid, cov, drift, seed, block,
                     discount_cents):
-    """Moments, above-strike count and knocked-out count (None without
-    barriers) of the weighted discounted payoffs of ``block = (index,
-    start, size)``.
+    """The :class:`~driftmc.payoffs.PayoffBatch` of ``block = (index,
+    start, size)``: its weighted discounted payoffs and event flags, in
+    path order.
 
     The block's chunks are drawn in path order from its one substream,
     ``substream(seed, ESTIMATE, index)``, so block ``index`` is the paths
@@ -78,9 +88,7 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, block,
     """
     index, start, size = block
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    values = []
-    above = 0
-    knocked = 0 if payoff.has_barriers else None
+    chunks = []
     for offset in range(0, size, CHUNK_SIZE):
         try:
             batch = simulate(model, grid, cov, rng,
@@ -90,13 +98,11 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, block,
         pay = evaluate_batch(payoff, batch.states, grid)
         # Under P the log-weights are zero and v * exp(0) == v exactly, so a
         # plain block is an IS block with unit weights, bit for bit.
-        values.append(pay.values * np.exp(batch.log_inverse_likelihood)
-                      * discount_cents)
-        above += int(pay.above_strike.sum())
-        if knocked is not None:
-            knocked += int(pay.knocked_out.sum())
+        chunks.append(PayoffBatch(
+            pay.values * np.exp(batch.log_inverse_likelihood)
+            * discount_cents, pay.above_strike, pay.knocked_out))
         del batch  # free this chunk's paths before the next is drawn
-    return RunningMoments.from_array(np.concatenate(values)), above, knocked
+    return _concatenate(chunks)
 
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
@@ -115,16 +121,11 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
                                discount_cents)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(worker, blocks))
-
-    moments = RunningMoments()
-    above = 0
-    knocked = 0 if payoff.has_barriers else None
-    for block_moments, block_above, block_knocked in results:
-        moments = moments.merge(block_moments)
-        above += block_above
-        if knocked is not None:
-            knocked += block_knocked
+        sample = _concatenate(list(pool.map(worker, blocks)))
+    moments = RunningMoments.from_array(sample.values)
+    above = int(np.count_nonzero(sample.above_strike))
+    knocked = (None if sample.knocked_out is None
+               else int(np.count_nonzero(sample.knocked_out)))
 
     mean = moments.mean
     # An all-zero sample has no relative error to speak of, and a one-path

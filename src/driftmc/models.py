@@ -207,8 +207,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     if drift is not None:
         drift_eval = cameron_martin_map(forward(drift, grid.left_times), cov)
         # Finite variation part of the shifted driver: pi f dt per step.
-        shift = drift_eval.cumulative[1:] - drift_eval.cumulative[:-1]
-        rows += shift[:, :, None]
+        rows += drift_eval.shift[:, :, None]
 
     n = spec.n
     states = np.empty((grid.n_steps + 1, spec.n_state, n_paths))

@@ -17,7 +17,7 @@ from .config import (build_scenario, build_train_config, resolve_config,
 from .covariation import CovariationSpec
 from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
                      estimate_is, estimate_plain, report_to_dict, rows_to_csv)
-from .errors import DriftmcError
+from .errors import CheckpointError, DriftmcError
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train, training_grid
 from . import streams
@@ -146,7 +146,12 @@ def _write_timings(out_dir, reports, training_seconds):
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1):
     """One importance-sampled :func:`price` driven by a stored
-    checkpoint."""
+    checkpoint, whose drift must be as wide as the model's driver."""
     sc = build_scenario(cfg)
     drift = load_checkpoint(checkpoint_path)
+    if drift.output_width != sc.model.d:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_path} has drift output width "
+            f"{drift.output_width}, but the model's driver dimension is "
+            f"{sc.model.d}")
     return price(cfg, sc, n, seed, drift=drift, threads=threads)

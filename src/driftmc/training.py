@@ -139,9 +139,8 @@ def objective_on_batch(net, batch, grid, cov):
     if not np.any(batch.payoff_sq):
         return 0.0, np.zeros(net.n_params), drift.h_norm_sq
     # d log_w / d f_k  =  -dM_k + pi f_k dt_k; aggregate paths first.
-    pi_f_dt = drift.cumulative[1:] - drift.cumulative[:-1]
     upstream = -np.einsum("p,pkd->kd", per_path, batch.increments) \
-        + np.sum(per_path) * pi_f_dt
+        + np.sum(per_path) * drift.shift
     grad = backward_grid(net, grid.left_times, upstream)
     return v_hat, grad, drift.h_norm_sq
 

@@ -244,6 +244,22 @@ class TestPriceCommands:
                      str(checkpoint)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_checkpoint_of_another_width_is_named(self, tmp_path, capsys):
+        # a 2-asset Black-Scholes drift cannot price a 3-asset Heston model,
+        # whose driver has dimension 6
+        out_dir = tmp_path / "artifacts"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        heston = write_config(tmp_path, overrides={
+            **SMALL_SAMPLE, "model": {"tag": "heston", "n": 3}},
+            name="heston.json")
+        assert main(["price", "--config", str(heston), "--checkpoint",
+                     str(checkpoint)]) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {checkpoint} has drift output width 2" in err
+        assert "driver dimension is 6" in err
+
     def test_report_without_label_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
         mc_file = tmp_path / "mc.json"
@@ -490,6 +506,8 @@ class TestRunCommand:
          "payoff.barriers or payoff.barrier_moneyness"),
         ({"estimation": {"sample_sizes": [0]}}, "estimation.sample_sizes"),
         ({"estimation": {"sample_sizes": [-5]}}, "estimation.sample_sizes"),
+        ({"payoff": {"strike": 1.0, "moneyness": 2.0}},
+         "payoff.strike or payoff.moneyness"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -499,7 +517,7 @@ class TestRunCommand:
             "rate-bool", "dt-bool", "n-bool", "sample-size-bool",
             "barrier-moneyness-zero", "barrier-moneyness-empty",
             "barrier-moneyness-false", "barriers-both", "sample-size-zero",
-            "sample-size-negative"])
+            "sample-size-negative", "strike-and-moneyness"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the

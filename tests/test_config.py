@@ -107,6 +107,21 @@ class TestResolveConfig:
         assert cfg["payoff"]["barrier_moneyness"] is None
         assert build_payoff(cfg).has_barriers
 
+    def test_moneyness_materialized(self):
+        # the resolved document records the strike it prices, not the
+        # moneyness it came from; a config that sets neither prices 1.3
+        base = {"model": {"tag": "black_scholes", "n": 2, "seed": 1}}
+        default = resolve_config(base)
+        explicit = resolve_config(dict(base, payoff={"moneyness": 1.3}))
+        basket0 = float(np.dot(default["payoff"]["weights"],
+                               default["model"]["params"]["s0"]))
+        for cfg in (default, explicit):
+            assert cfg["payoff"]["strike"] == 1.3 * basket0 * np.exp(0.05)
+            assert cfg["payoff"]["moneyness"] is None
+        strike = resolve_config(dict(base, payoff={"strike": 1.0}))
+        assert (strike["payoff"]["strike"], strike["payoff"]["moneyness"]) \
+            == (1.0, None)
+
     def test_builders(self):
         cfg = resolve_config({"model": {"tag": "stein_stein", "n": 2}})
         model = build_model(cfg)

@@ -132,6 +132,18 @@ class TestCameronMartinMap:
                                    rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(out.h_norm_sq, c * c * u, rtol=1e-12)
 
+    def test_shift_is_the_drift_increment_per_step(self):
+        # simulation and training shift the driver by this field, so it
+        # must be the differenced drift bit for bit, and read-only
+        spec = uniform_spec([[0.3, 0.0], [0.1, 0.2]], n_steps=9)
+        f = np.random.default_rng(5).standard_normal((9, 2))
+        out = cameron_martin_map(f, spec)
+        np.testing.assert_array_equal(
+            out.shift, out.cumulative[1:] - out.cumulative[:-1])
+        np.testing.assert_allclose(out.shift, (f @ spec.pi) * spec.grid.dt,
+                                   rtol=1e-12)
+        assert not out.shift.flags.writeable
+
     def test_isometry_random(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

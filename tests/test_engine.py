@@ -159,15 +159,15 @@ class TestBlockStreams:
                             b_out=[0.5], activation="tanh")
                  if importance else None)
         discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
-        moments = []
+        values = []
         for i, size in ((0, 3), (1, 2)):
             batch = simulate(model, grid, cov,
                              streams.substream(2, streams.ESTIMATE, i), size,
                              drift=drift)
-            values = (evaluate_batch(payoff, batch.states, grid).values
-                      * np.exp(batch.log_inverse_likelihood) * discount_cents)
-            moments.append(RunningMoments.from_array(values))
-        expected = moments[0].merge(moments[1])
+            values.append(evaluate_batch(payoff, batch.states, grid).values
+                          * np.exp(batch.log_inverse_likelihood)
+                          * discount_cents)
+        expected = RunningMoments.from_array(np.concatenate(values))
         assert expected.variance() > 0.0
 
         estimate = estimate_is if importance else estimate_plain
@@ -224,11 +224,39 @@ class TestChunks:
         values = pay.values * np.exp(one_shot.log_inverse_likelihood) * 90.0
         assert 0 < pay.knocked_out.sum() < self.SIZE
 
-        moments, above, knocked = _simulate_block(
-            model, payoff, grid, cov, drift, 6, (0, 0, self.SIZE), 90.0)
-        assert moments == RunningMoments.from_array(values)
-        assert above == int(pay.above_strike.sum())
-        assert knocked == int(pay.knocked_out.sum())
+        block = _simulate_block(model, payoff, grid, cov, drift, 6,
+                                (0, 0, self.SIZE), 90.0)
+        np.testing.assert_array_equal(block.values, values)
+        np.testing.assert_array_equal(block.above_strike, pay.above_strike)
+        np.testing.assert_array_equal(block.knocked_out, pay.knocked_out)
+
+    def test_estimate_reduces_its_blocks_once(self):
+        # blocks of two chunks each and a short last block, on two threads:
+        # the report is the one reduction of the blocks' paths in block order
+        model, _, grid, cov = self.ko_setup()
+        payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0, lower=0.9,
+                            upper=1.15)
+        drift = init_net(3, model.d, rng=np.random.default_rng(4))
+        discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
+        values, knocked = [], 0
+        for i, size in ((0, 600), (1, 600), (2, 300)):
+            batch = simulate(model, grid, cov,
+                             streams.substream(5, streams.ESTIMATE, i), size,
+                             drift=drift)
+            pay = evaluate_batch(payoff, batch.states, grid)
+            values.append(pay.values * np.exp(batch.log_inverse_likelihood)
+                          * discount_cents)
+            knocked += int(pay.knocked_out.sum())
+        expected = RunningMoments.from_array(np.concatenate(values))
+        assert 100 < knocked < 1400
+
+        rep = estimate_is(model, payoff, grid, cov, drift, seed=5, n=1500,
+                          threads=2, block_size=600)
+        assert rep.mean_cents == expected.mean
+        assert rep.per_sample_variance == expected.variance()
+        assert rep.se_pct == 100.0 * expected.standard_error() / abs(
+            expected.mean)
+        assert rep.theta == knocked / 1500
 
     def test_each_chunk_is_priced_through_the_engine_names(self, monkeypatch):
         # benchmark tracing wraps engine.simulate and engine.evaluate_batch
