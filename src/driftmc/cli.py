@@ -2,14 +2,14 @@
 
 Subcommands: validate, price, train, compare, run.  The config file is the
 one place a run is set; ``validate`` prints it resolved, and every flag
-names an input or output file or sets the thread count.
+names an input or output file or sets the thread count.  ``compare``
+reads exactly the fields ``price`` writes.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 validation failure.
 """
 
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -76,30 +76,6 @@ def _build_parser():
     return parser
 
 
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# What each field of a report that compare reads must hold; an all-zero
-# sample reports an infinite se_pct.
-_REPORT_CHECKS = {
-    "label": ("a string", lambda v: isinstance(v, str)),
-    "measure": ("a string", lambda v: isinstance(v, str)),
-    "n": ("an integer", _is_integer),
-    "seed": ("an integer", _is_integer),
-    "mean_cents": ("a finite number", _is_finite),
-    "se_pct": ("a number", lambda v: _is_finite(v) or v == math.inf),
-    "kappa": ("a finite number", _is_finite),
-    "theta": ("a finite number or null", lambda v: v is None or _is_finite(v)),
-    "per_sample_variance": ("a finite number", _is_finite),
-}
-
-
 def _load_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -108,13 +84,7 @@ def _load_report(path):
             raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
     if not isinstance(row, dict):
         raise ConfigError(f"report {path} is not a JSON object")
-    for name, (kind, check) in _REPORT_CHECKS.items():
-        if name not in row:
-            raise ConfigError(f"report {path} has no {name!r} field")
-        if not check(row[name]):
-            raise ConfigError(f"report {path}: {name!r} must be {kind}, "
-                              f"got {row[name]!r}")
-    return report_from_dict(row)
+    return report_from_dict(row, path)
 
 
 def _cmd_validate(args):

@@ -229,6 +229,14 @@ def _numbers(values, name, length=None, check=_number):
     return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
 
 
+def _barrier_pair(values, name):
+    """A (lower, upper) pair of finite numbers with lower < upper."""
+    lo, hi = _numbers(values, name, 2)
+    if not lo < hi:
+        raise ConfigError(f"{name} needs lower < upper barrier, got {values!r}")
+    return lo, hi
+
+
 def resolve_config(raw):
     """Fill defaults, sample parameters, materialize derived fields; a bad
     field raises a ConfigError naming it, bad model parameters a
@@ -269,23 +277,23 @@ def resolve_config(raw):
     forward_factor = math.exp(model.rate * cfg["grid"]["horizon"])
     moneyness = payoff_block["moneyness"]
     if payoff_block["strike"] is None:
-        moneyness = (DEFAULT_MONEYNESS if moneyness is None
-                     else _number(moneyness, "payoff.moneyness"))
+        moneyness = _number(DEFAULT_MONEYNESS if moneyness is None
+                            else moneyness, "payoff.moneyness", positive=True)
         payoff_block["strike"] = moneyness * basket0 * forward_factor
     elif moneyness is not None:
         raise ConfigError("set payoff.strike or payoff.moneyness, not both")
     payoff_block["moneyness"] = None
-    _number(payoff_block["strike"], "payoff.strike")
+    _number(payoff_block["strike"], "payoff.strike", positive=True)
     if payoff_block["barrier_moneyness"] is not None:
         if payoff_block["barriers"] is not None:
             raise ConfigError("set payoff.barriers or "
                               "payoff.barrier_moneyness, not both")
-        lo, hi = _numbers(payoff_block["barrier_moneyness"],
-                          "payoff.barrier_moneyness", 2)
+        lo, hi = _barrier_pair(payoff_block["barrier_moneyness"],
+                               "payoff.barrier_moneyness")
         payoff_block["barriers"] = [lo * basket0, hi * basket0]
         payoff_block["barrier_moneyness"] = None
     if payoff_block["barriers"] is not None:
-        _numbers(payoff_block["barriers"], "payoff.barriers", 2)
+        _barrier_pair(payoff_block["barriers"], "payoff.barriers")
 
     training = cfg["training"]
     width = training["hidden_width"]

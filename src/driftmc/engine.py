@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 from .models import simulate
 from .payoffs import PayoffBatch, check_width, evaluate_batch
 from .stats import RunningMoments
@@ -39,6 +39,8 @@ CHUNK_SIZE = 512
 class EstimatorReport:
     """One estimator summary: a single row of the result tables.
 
+    Every field but ``wall_seconds`` is the report's JSON form, in
+    declaration order, and :data:`_REPORT_CHECKS` states what each holds.
     ``se_pct`` is the standard error as a percent of the mean, ``kappa``
     the fraction of paths whose basket average beat the strike, ``theta``
     the knocked-out fraction (barrier payoffs only) and
@@ -46,11 +48,12 @@ class EstimatorReport:
     estimate in cents squared (the quantity variance ratios compare).
     ``wall_seconds`` is diagnostic only: a run writes it to
     ``timings.json``, outside the byte-identical artifacts.
+    ``sample_size`` is an alias of ``n``, kept only for ``perfbench``.
     """
 
     label: str
     measure: str
-    sample_size: int
+    n: int
     mean_cents: float
     se_pct: float
     kappa: float
@@ -58,6 +61,34 @@ class EstimatorReport:
     per_sample_variance: float
     seed: int
     wall_seconds: float
+
+    @property
+    def sample_size(self):
+        return self.n
+
+
+def _is_integer(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# What each JSON field of a report must hold, in field order; an all-zero
+# sample reports an infinite se_pct.
+_REPORT_CHECKS = {
+    "label": ("a string", lambda v: isinstance(v, str)),
+    "measure": ("a string", lambda v: isinstance(v, str)),
+    "n": ("an integer", _is_integer),
+    "mean_cents": ("a finite number", _is_finite),
+    "se_pct": ("a number", lambda v: _is_finite(v) or v == math.inf),
+    "kappa": ("a finite number", _is_finite),
+    "theta": ("a finite number or null", lambda v: v is None or _is_finite(v)),
+    "per_sample_variance": ("a finite number", _is_finite),
+    "seed": ("an integer", _is_integer),
+}
 
 
 def _block_plan(total, block_size):
@@ -137,7 +168,7 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     return EstimatorReport(
         label=label,
         measure="P" if drift is None else "P_h",
-        sample_size=n,
+        n=n,
         mean_cents=mean,
         se_pct=se_pct,
         kappa=above / n,
@@ -214,12 +245,12 @@ def compare(report_mc, report_is):
     if report_mc.measure != "P" or report_is.measure != "P_h":
         raise ValueError("compare needs one plain (P) and one importance-"
                          "sampled (P_h) report, in that order")
-    if report_mc.sample_size != report_is.sample_size:
+    if report_mc.n != report_is.n:
         raise ValueError("reports were computed at different sample sizes")
     vr = variance_ratio(report_mc, report_is)
     return ComparisonRow(
         label=report_mc.label,
-        n=report_mc.sample_size,
+        n=report_mc.n,
         mc_mean_cents=report_mc.mean_cents,
         mc_se_pct=report_mc.se_pct,
         mc_kappa=report_mc.kappa,
@@ -235,36 +266,23 @@ def compare(report_mc, report_is):
 
 
 def report_to_dict(report):
-    """Report as a flat mapping with the stable field names; ``vr`` belongs
-    to a comparison, not to one report, and stays None."""
-    return {
-        "label": report.label,
-        "measure": report.measure,
-        "n": report.sample_size,
-        "mean_cents": report.mean_cents,
-        "se_pct": report.se_pct,
-        "kappa": report.kappa,
-        "theta": report.theta,
-        "vr": None,
-        "seed": report.seed,
-        "per_sample_variance": report.per_sample_variance,
-    }
+    """Every field but ``wall_seconds``; VR belongs to a comparison row."""
+    return {k: v for k, v in asdict(report).items() if k != "wall_seconds"}
 
 
-def report_from_dict(row):
-    """Rebuild a report from its emitted mapping (wall time not stored)."""
-    return EstimatorReport(
-        label=row["label"],
-        measure=row["measure"],
-        sample_size=int(row["n"]),
-        mean_cents=row["mean_cents"],
-        se_pct=row["se_pct"],
-        kappa=row["kappa"],
-        theta=row["theta"],
-        per_sample_variance=row["per_sample_variance"],
-        seed=int(row["seed"]),
-        wall_seconds=0.0,
-    )
+def report_from_dict(row, source):
+    """Rebuild a report from its JSON mapping, read from ``source``; a
+    missing, unknown or ill-typed field is a ConfigError naming both."""
+    for name in row:
+        if name not in _REPORT_CHECKS:
+            raise ConfigError(f"report {source} has unknown field {name!r}")
+    for name, (kind, check) in _REPORT_CHECKS.items():
+        if name not in row:
+            raise ConfigError(f"report {source} has no {name!r} field")
+        if not check(row[name]):
+            raise ConfigError(f"report {source}: {name!r} must be {kind}, "
+                              f"got {row[name]!r}")
+    return EstimatorReport(**row, wall_seconds=0.0)
 
 
 def comparison_to_dict(row):

@@ -230,7 +230,10 @@ def load_checkpoint(path):
     for name in ("hidden", "output", "activation", "params", "sha256"):
         if name not in record:
             raise CheckpointError(f"checkpoint has no {name!r} field")
-    flat = np.asarray(record["params"], dtype=np.float64)
+    try:
+        flat = np.asarray(record["params"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError("checkpoint has non-numeric 'params'") from exc
     digest = _checkpoint_digest(record["hidden"], record["output"],
                                 record["activation"], flat)
     if digest != record.get("sha256"):

@@ -135,9 +135,9 @@ def _emit_reports(out_dir, plain_reports, is_reports, rows):
 def _write_timings(out_dir, reports, training_seconds):
     """Wall times of a run; they vary from run to run, so they stay out of
     the byte-identical artifacts."""
-    estimates = [{"label": r.label, "measure": r.measure, "n": r.sample_size,
+    estimates = [{"label": r.label, "measure": r.measure, "n": r.n,
                   "seed": r.seed, "wall_seconds": r.wall_seconds,
-                  "paths_per_s": r.sample_size / r.wall_seconds}
+                  "paths_per_s": r.n / r.wall_seconds}
                  for r in reports]
     write_json(out_dir / "timings.json",
                {"training_seconds": training_seconds,

@@ -230,7 +230,9 @@ class TestPriceCommands:
         (lambda record: {k: v for k, v in record.items() if k != "params"},
          "'params'"),
         (list, "not a JSON object"),
-    ], ids=["no-params", "list"])
+        (lambda record: dict(record, params=["x"] * len(record["params"])),
+         "non-numeric 'params'"),
+    ], ids=["no-params", "list", "params-not-numbers"])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys,
                                                   edit, message):
         cfg = write_config(tmp_path)
@@ -272,6 +274,24 @@ class TestPriceCommands:
                      "--is-report", str(mc_file)]) == 2
         err = capsys.readouterr().err
         assert "'label'" in err and str(mc_file) in err
+
+    @pytest.mark.parametrize("field", ["vr", "extra"])
+    def test_report_with_unknown_field_is_config_error(self, tmp_path,
+                                                       capsys, field):
+        # compare reads exactly the fields price writes, so a report with
+        # one more, such as a "vr": null that price does not write, is
+        # refused by file and field
+        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
+        mc_file = tmp_path / "mc.json"
+        assert main(["price", "--config", str(cfg), "--out",
+                     str(mc_file)]) == 0
+        report = json.loads(mc_file.read_text())
+        assert field not in report
+        mc_file.write_text(json.dumps(dict(report, **{field: None})))
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(mc_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"report {mc_file} has unknown field {field!r}" in err
 
     @pytest.mark.parametrize("field, value", [
         ("label", 5),
@@ -480,7 +500,8 @@ class TestRunCommand:
         ({"payoff": {"weights": [0.5, 0.25, 0.25]}}, "payoff.weights"),
         ({"payoff": {"barrier_moneyness": [0.7]}},
          "payoff.barrier_moneyness"),
-        ({"payoff": {"barriers": [1.6, 0.7]}}, "lower < upper barrier"),
+        ({"payoff": {"barriers": [1.6, 0.7]}},
+         "payoff.barriers needs lower < upper barrier"),
         ({"model": {"params": dict(TWO_ASSETS, mu=[0.05, 0.05])}},
          "model.params.mu"),
         ({"model": {"params": {"s0": [1.0, 1.0]}}}, "model.params.sigma"),
@@ -508,6 +529,11 @@ class TestRunCommand:
         ({"estimation": {"sample_sizes": [-5]}}, "estimation.sample_sizes"),
         ({"payoff": {"strike": 1.0, "moneyness": 2.0}},
          "payoff.strike or payoff.moneyness"),
+        ({"payoff": {"moneyness": -1.0}}, "payoff.moneyness"),
+        ({"payoff": {"moneyness": 0}}, "payoff.moneyness"),
+        ({"payoff": {"strike": 0.0, "moneyness": None}}, "payoff.strike"),
+        ({"payoff": {"barrier_moneyness": [1.6, 0.7]}},
+         "payoff.barrier_moneyness needs lower < upper barrier"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -517,7 +543,9 @@ class TestRunCommand:
             "rate-bool", "dt-bool", "n-bool", "sample-size-bool",
             "barrier-moneyness-zero", "barrier-moneyness-empty",
             "barrier-moneyness-false", "barriers-both", "sample-size-zero",
-            "sample-size-negative", "strike-and-moneyness"])
+            "sample-size-negative", "strike-and-moneyness",
+            "moneyness-negative", "moneyness-zero", "strike-zero",
+            "barrier-moneyness-reversed"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the

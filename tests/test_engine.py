@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -387,8 +388,7 @@ class TestCompareAndSerialization:
 
     def test_identical_reports_give_unit_vr(self):
         mc, _ = self._reports()
-        twin = EstimatorReport(label=mc.label, measure="P_h",
-                               sample_size=mc.sample_size,
+        twin = EstimatorReport(label=mc.label, measure="P_h", n=mc.n,
                                mean_cents=mc.mean_cents, se_pct=mc.se_pct,
                                kappa=mc.kappa, theta=None,
                                per_sample_variance=mc.per_sample_variance,
@@ -404,7 +404,7 @@ class TestCompareAndSerialization:
     def test_sample_size_mismatch_rejected(self):
         mc, is_ = self._reports()
         other = EstimatorReport(label=is_.label, measure="P_h",
-                                sample_size=is_.sample_size + 1,
+                                n=is_.n + 1,
                                 mean_cents=1.0, se_pct=1.0, kappa=0.0,
                                 theta=None, per_sample_variance=1.0, seed=0,
                                 wall_seconds=0.0)
@@ -436,8 +436,27 @@ class TestCompareAndSerialization:
         assert tuple(row) == COMPARISON_FIELDS
 
     def test_report_dict_round_trip(self):
+        # every field comes back exactly but the wall time, which the report
+        # JSON does not carry: a plain report, and an importance-sampled
+        # knock-out one, whose theta is a number
         mc, _ = self._reports()
-        rebuilt = report_from_dict(report_to_dict(mc))
-        assert rebuilt.mean_cents == mc.mean_cents
-        assert rebuilt.per_sample_variance == mc.per_sample_variance
-        assert rebuilt.label == mc.label
+        model, _, grid, cov = bs_setup()
+        ko = PayoffSpec(weights=[1.0], strike=1.05, lower=0.6, upper=1.6)
+        drift = ShallowNet(w_in=[0.5], b_in=[0.1], w_out=[[0.3]], b_out=[0.8],
+                           activation="tanh")
+        ko_is = estimate_is(model, ko, grid, cov, drift, seed=3, n=2000,
+                            label="ko")
+        assert mc.theta is None and ko_is.theta is not None
+        for report in (mc, ko_is):
+            row = json.loads(json.dumps(report_to_dict(report)))
+            assert report_from_dict(row, "report.json") == replace(
+                report, wall_seconds=0.0)
+
+    def test_report_json_fields_are_stable(self):
+        # the JSON keys are the report's fields but the wall time, in
+        # declaration order, and read back through one check per key
+        keys = ("label", "measure", "n", "mean_cents", "se_pct", "kappa",
+                "theta", "per_sample_variance", "seed")
+        mc, is_ = self._reports()
+        assert tuple(report_to_dict(mc)) == tuple(report_to_dict(is_)) == keys
+        assert tuple(engine._REPORT_CHECKS) == keys

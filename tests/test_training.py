@@ -228,7 +228,7 @@ class TestCoercivityAndConvexity:
 class TestVarianceRatio:
     def _report(self, var, label="x"):
         from driftmc.engine import EstimatorReport
-        return EstimatorReport(label=label, measure="P", sample_size=10,
+        return EstimatorReport(label=label, measure="P", n=10,
                                mean_cents=1.0, se_pct=1.0, kappa=0.5,
                                theta=None, per_sample_variance=var, seed=0,
                                wall_seconds=0.0)
