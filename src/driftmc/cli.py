@@ -3,21 +3,22 @@
 Subcommands: validate, price, train, compare, run.  The config file is the
 one place a run is set; ``validate`` prints it resolved, and every flag
 names an input or output file or sets the thread count.  ``compare``
-reads exactly the fields ``price`` writes.
+reads exactly the fields ``price`` writes.  A malformed input file (config,
+checkpoint or report) exits 2 with a message naming the file and the field.
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 validation failure.
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
-from .config import build_scenario, load_config, resolve_config, write_json
+from .config import build_scenario, resolve_config, write_json
 from .engine import (compare, comparison_to_dict, report_from_dict,
                      report_to_dict)
 from .errors import (ConfigError, DriftmcError, ModelValidationError,
-                     NonFiniteError, SimulationError, WeightOverflowError)
+                     NonFiniteError, SimulationError, WeightOverflowError,
+                     read_object)
 from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
                        train_drift)
 from .training import STEPS_PER_UNIT_TIME
@@ -76,19 +77,8 @@ def _build_parser():
     return parser
 
 
-def _load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            row = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
-    if not isinstance(row, dict):
-        raise ConfigError(f"report {path} is not a JSON object")
-    return report_from_dict(row, path)
-
-
 def _cmd_validate(args):
-    cfg = resolve_config(load_config(args.config))
+    cfg = resolve_config(read_object(args.config, "config"))
     build_scenario(cfg)
     write_json(None, cfg)
     return EXIT_OK
@@ -96,7 +86,7 @@ def _cmd_validate(args):
 
 def _cmd_price(args):
     """``run``'s first estimate: plain, or with the drift of a checkpoint."""
-    cfg = resolve_config(load_config(args.config))
+    cfg = resolve_config(read_object(args.config, "config"))
     n = cfg["estimation"]["sample_sizes"][0]
     seed = estimate_seed(cfg, 0, importance=args.checkpoint is not None)
     if args.checkpoint is None:
@@ -109,7 +99,7 @@ def _cmd_price(args):
 
 
 def _cmd_train(args):
-    cfg = resolve_config(load_config(args.config))
+    cfg = resolve_config(read_object(args.config, "config"))
     sc = build_scenario(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,15 +112,15 @@ def _cmd_train(args):
 
 
 def _cmd_compare(args):
-    report_mc = _load_report(args.mc_report)
-    report_is = _load_report(args.is_report)
+    report_mc, report_is = (report_from_dict(read_object(path, "report"), path)
+                            for path in (args.mc_report, args.is_report))
     row = compare(report_mc, report_is)
     write_json(args.out, comparison_to_dict(row))
     return EXIT_OK
 
 
 def _cmd_run(args):
-    run(load_config(args.config), args.out_dir, threads=args.threads)
+    run(read_object(args.config, "config"), args.out_dir, threads=args.threads)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .covariation import CovariationSpec, TimeGrid
 from .engine import DEFAULT_BLOCK_SIZE
-from .errors import ConfigError, ModelValidationError
+from .errors import ConfigError, ModelValidationError, integer, number
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec)
 from .network import ACTIVATIONS
@@ -36,6 +36,9 @@ MAX_SAMPLE_RETRIES = 200
 # Strike over the forward basket value when a config sets neither
 # payoff.strike nor payoff.moneyness.
 DEFAULT_MONEYNESS = 1.3
+
+# Bound on |model.rate * grid.horizon|: exp(+-700) are normal doubles.
+MAX_RATE_HORIZON = 700.0
 
 # The keys of ``model.params``; sigma and s0 are required.
 PARAM_FIELDS = ("sigma", "s0", "mean_level", "reversion", "v0")
@@ -169,44 +172,6 @@ def _merge_defaults(config, defaults):
     return out
 
 
-def load_config(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return raw
-
-
-# Field checks: each returns the value, or raises a ConfigError naming it.
-
-def _number(value, name, positive=False):
-    """A finite number, positive if asked; never a bool."""
-    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value)
-            and (value > 0 or not positive)):
-        kind = "a positive finite" if positive else "a finite"
-        raise ConfigError(f"{name} must be {kind} number, got {value!r}")
-    return value
-
-
-def _integer(value, name, minimum=None):
-    """A whole number, at least ``minimum`` if given, as an int; never a
-    bool."""
-    try:
-        whole = int(value) == value and not isinstance(value, bool)
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole or (minimum is not None and value < minimum):
-        least = "" if minimum is None else f" of at least {minimum}"
-        raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
-    return int(value)
-
-
 def _array(values, name, ndim):
     """A rectangular ``ndim``-dimensional array of numbers."""
     try:
@@ -220,7 +185,7 @@ def _array(values, name, ndim):
     return array
 
 
-def _numbers(values, name, length=None, check=_number):
+def _numbers(values, name, length=None, check=number):
     """A non-empty list, of ``length`` entries if given, checked entrywise."""
     if not (isinstance(values, list) and values
             and len(values) == (length or len(values))):
@@ -248,9 +213,9 @@ def resolve_config(raw):
                           "raw config again")
     cfg = _merge_defaults(raw, DEFAULTS)
     for key in ("horizon", "dt"):
-        _number(cfg["grid"][key], f"grid.{key}", positive=True)
+        number(cfg["grid"][key], f"grid.{key}", positive=True)
     steps = cfg["grid"]["horizon"] / cfg["grid"]["dt"]
-    if abs(steps - round(steps)) > 1e-9 * steps:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"grid.dt must divide grid.horizon into whole "
                           f"steps; horizon / dt = {steps!r}")
 
@@ -258,9 +223,13 @@ def resolve_config(raw):
     tag = model_block["tag"]
     if tag not in MODEL_TAGS:
         raise ConfigError(f"unknown model tag {tag!r}")
-    n = model_block["n"] = _integer(model_block["n"], "model.n", 1)
-    model_block["seed"] = _integer(model_block["seed"], "model.seed", 0)
-    _number(model_block["rate"], "model.rate")
+    n = model_block["n"] = integer(model_block["n"], "model.n", 1)
+    model_block["seed"] = integer(model_block["seed"], "model.seed", 0)
+    rate = number(model_block["rate"], "model.rate")
+    horizon = cfg["grid"]["horizon"]
+    if abs(rate * horizon) > MAX_RATE_HORIZON:
+        raise ConfigError(f"model.rate * grid.horizon must be within "
+                          f"±{MAX_RATE_HORIZON}, got {rate!r} * {horizon!r}")
     if model_block["params"] is None:
         spec = sample_parameters(model_block["seed"], tag=tag, n=n,
                                  rate=model_block["rate"])
@@ -274,16 +243,16 @@ def resolve_config(raw):
     if not np.isclose(np.sum(weights), 1.0, atol=1e-9):
         raise ConfigError(f"payoff.weights must sum to 1, got {weights!r}")
     basket0 = float(np.dot(weights, model.s0))
-    forward_factor = math.exp(model.rate * cfg["grid"]["horizon"])
+    forward_factor = math.exp(model.rate * horizon)
     moneyness = payoff_block["moneyness"]
     if payoff_block["strike"] is None:
-        moneyness = _number(DEFAULT_MONEYNESS if moneyness is None
-                            else moneyness, "payoff.moneyness", positive=True)
+        moneyness = number(DEFAULT_MONEYNESS if moneyness is None
+                           else moneyness, "payoff.moneyness", positive=True)
         payoff_block["strike"] = moneyness * basket0 * forward_factor
     elif moneyness is not None:
         raise ConfigError("set payoff.strike or payoff.moneyness, not both")
     payoff_block["moneyness"] = None
-    _number(payoff_block["strike"], "payoff.strike", positive=True)
+    number(payoff_block["strike"], "payoff.strike", positive=True)
     if payoff_block["barrier_moneyness"] is not None:
         if payoff_block["barriers"] is not None:
             raise ConfigError("set payoff.barriers or "
@@ -297,20 +266,20 @@ def resolve_config(raw):
 
     training = cfg["training"]
     width = training["hidden_width"]
-    training["hidden_width"] = _integer(model.d if width is None else width,
-                                        "training.hidden_width", 1)
+    training["hidden_width"] = integer(model.d if width is None else width,
+                                       "training.hidden_width", 1)
     if training["activation"] not in tuple(ACTIVATIONS):
         raise ConfigError("training.activation: unknown activation "
                           f"{training['activation']!r}")
     build_train_config(cfg)  # a bad training block fails here, not mid-run
 
     estimation = cfg["estimation"]
-    estimation["seed"] = _integer(estimation["seed"], "estimation.seed", 0)
-    estimation["block_size"] = _integer(estimation["block_size"],
-                                        "estimation.block_size", 1)
+    estimation["seed"] = integer(estimation["seed"], "estimation.seed", 0)
+    estimation["block_size"] = integer(estimation["block_size"],
+                                       "estimation.block_size", 1)
     estimation["sample_sizes"] = _numbers(
         estimation["sample_sizes"], "estimation.sample_sizes",
-        check=partial(_integer, minimum=1))
+        check=partial(integer, minimum=1))
     return cfg
 
 
@@ -344,11 +313,8 @@ def build_model(cfg):
 def build_payoff(cfg):
     block = cfg["payoff"]
     lower, upper = block["barriers"] or (None, None)
-    try:
-        return PayoffSpec(weights=block["weights"], strike=block["strike"],
-                          lower=lower, upper=upper)
-    except ValueError as exc:
-        raise ConfigError(f"invalid payoff: {exc}") from exc
+    return PayoffSpec(weights=block["weights"], strike=block["strike"],
+                      lower=lower, upper=upper)
 
 
 def build_grid(cfg):
@@ -377,12 +343,9 @@ def build_scenario(cfg):
 
 
 def build_train_config(cfg):
-    """The TrainConfig of a resolved config; an integer field that holds no
-    whole number, or a float field no finite number, is a ConfigError."""
-    return TrainConfig(**{
-        f.name: (_integer if f.type is int else _number)(
-            cfg["training"][f.name], f"training.{f.name}")
-        for f in fields(TrainConfig)})
+    """The TrainConfig of a resolved config, which checks its fields."""
+    return TrainConfig(**{f.name: cfg["training"][f.name]
+                          for f in fields(TrainConfig)})
 
 
 def write_json(path, payload):

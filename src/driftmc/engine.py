@@ -18,11 +18,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, integer, number
 from .models import simulate
 from .payoffs import PayoffBatch, check_width, evaluate_batch
 from .stats import RunningMoments
@@ -67,27 +68,28 @@ class EstimatorReport:
         return self.n
 
 
-def _is_integer(value):
-    return isinstance(value, int) and not isinstance(value, bool)
+def _string(value, name, choices=None):
+    """A string, one of ``choices`` if given."""
+    if not isinstance(value, str) or choices and value not in choices:
+        kind = " or ".join(map(repr, choices)) if choices else "a string"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
-def _is_finite(value):
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-# What each JSON field of a report must hold, in field order; an all-zero
-# sample reports an infinite se_pct.
+# The check of each JSON field of a report, in field order, which returns
+# the value; an all-zero sample reports an infinite se_pct.
 _REPORT_CHECKS = {
-    "label": ("a string", lambda v: isinstance(v, str)),
-    "measure": ("a string", lambda v: isinstance(v, str)),
-    "n": ("an integer", _is_integer),
-    "mean_cents": ("a finite number", _is_finite),
-    "se_pct": ("a number", lambda v: _is_finite(v) or v == math.inf),
-    "kappa": ("a finite number", _is_finite),
-    "theta": ("a finite number or null", lambda v: v is None or _is_finite(v)),
-    "per_sample_variance": ("a finite number", _is_finite),
-    "seed": ("an integer", _is_integer),
+    "label": _string,
+    "measure": partial(_string, choices=("P", "P_h")),
+    "n": partial(integer, minimum=1),
+    "mean_cents": number,
+    "se_pct": lambda v, name: (v if v == math.inf
+                               else number(v, name, minimum=0)),
+    "kappa": partial(number, minimum=0, maximum=1),
+    "theta": lambda v, name: (v if v is None
+                              else number(v, name, minimum=0, maximum=1)),
+    "per_sample_variance": partial(number, minimum=0),
+    "seed": partial(integer, minimum=0),
 }
 
 
@@ -272,17 +274,16 @@ def report_to_dict(report):
 
 def report_from_dict(row, source):
     """Rebuild a report from its JSON mapping, read from ``source``; a
-    missing, unknown or ill-typed field is a ConfigError naming both."""
+    missing, unknown or impossible field is a ConfigError naming both."""
     for name in row:
         if name not in _REPORT_CHECKS:
             raise ConfigError(f"report {source} has unknown field {name!r}")
-    for name, (kind, check) in _REPORT_CHECKS.items():
+    for name in _REPORT_CHECKS:
         if name not in row:
             raise ConfigError(f"report {source} has no {name!r} field")
-        if not check(row[name]):
-            raise ConfigError(f"report {source}: {name!r} must be {kind}, "
-                              f"got {row[name]!r}")
-    return EstimatorReport(**row, wall_seconds=0.0)
+    return EstimatorReport(**{
+        name: check(row[name], f"report {source}: {name!r}")
+        for name, check in _REPORT_CHECKS.items()}, wall_seconds=0.0)
 
 
 def comparison_to_dict(row):

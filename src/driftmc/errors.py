@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the input checks:
+the one reader and the field checks of every JSON file the program reads."""
+
+import json
+import math
+from sys import float_info
 
 
 class DriftmcError(Exception):
@@ -46,9 +51,50 @@ class WeightOverflowError(DriftmcError):
 
 
 class ConfigError(DriftmcError):
-    """A run configuration could not be parsed or resolved, or asks for an
-    option that has no implementation."""
+    """An input file could not be read, or a run configuration, checkpoint
+    or report holds a value the program refuses."""
 
 
-class CheckpointError(DriftmcError):
+class CheckpointError(ConfigError):
     """A checkpoint file is malformed or fails its integrity check."""
+
+
+def read_object(path, what):
+    """The JSON object in the ``what`` file at ``path`` (config, checkpoint
+    or report); every refusal is a ConfigError naming both."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return value
+
+
+def number(value, name, positive=False, minimum=-math.inf, maximum=math.inf):
+    """A number in ``[minimum, maximum]`` that is a finite float, positive
+    if asked; never a bool."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= float_info.max and minimum <= value <= maximum
+            and (value > 0 or not positive)):
+        kind = "a positive finite" if positive else "a finite"
+        span = ("" if (minimum, maximum) == (-math.inf, math.inf)
+                else f" in [{minimum}, {maximum}]")
+        raise ConfigError(f"{name} must be {kind} number{span}, got {value!r}")
+    return value
+
+
+def integer(value, name, minimum=None):
+    """A whole number, at least ``minimum`` if given, as an int; never a
+    bool."""
+    try:
+        whole = int(value) == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or (minimum is not None and value < minimum):
+        least = "" if minimum is None else f" of at least {minimum}"
+        raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
+    return int(value)

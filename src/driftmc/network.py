@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, DimensionError, NonFiniteError
+from .errors import (CheckpointError, ConfigError, DimensionError,
+                     NonFiniteError, integer, number, read_object)
 
 # Scaled tanh constants recommended for unit-variance inputs.
 _ST_A = 1.7159
@@ -217,29 +218,32 @@ def save_checkpoint(net, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            record = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise CheckpointError("checkpoint is not a JSON object")
+    """Read a checkpoint written by :func:`save_checkpoint`; every refusal
+    is a ConfigError that reads ``checkpoint <path>: <field> ...``."""
+    record = read_object(path, "checkpoint")
+    where = f"checkpoint {path}:"
     if record.get("schema") != _CHECKPOINT_SCHEMA:
-        raise CheckpointError(f"unknown checkpoint schema {record.get('schema')!r}")
+        raise CheckpointError(f"{where} schema is not {_CHECKPOINT_SCHEMA!r}")
     for name in ("hidden", "output", "activation", "params", "sha256"):
         if name not in record:
-            raise CheckpointError(f"checkpoint has no {name!r} field")
+            raise CheckpointError(f"{where} {name!r} is missing")
+    l = integer(record["hidden"], f"{where} 'hidden'", minimum=1)
+    d = integer(record["output"], f"{where} 'output'", minimum=1)
+    activation = record["activation"]
+    if activation not in tuple(ACTIVATIONS):
+        raise CheckpointError(f"{where} 'activation': unknown activation "
+                              f"{activation!r}")
+    params = record["params"]
+    if not (isinstance(params, list) and len(params) == l * (d + 2) + d):
+        raise CheckpointError(f"{where} 'params' must be a list of "
+                              f"{l * (d + 2) + d} numbers")
     try:
-        flat = np.asarray(record["params"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError("checkpoint has non-numeric 'params'") from exc
-    digest = _checkpoint_digest(record["hidden"], record["output"],
-                                record["activation"], flat)
-    if digest != record.get("sha256"):
-        raise CheckpointError("checkpoint checksum mismatch")
-    l, d = int(record["hidden"]), int(record["output"])
-    template = ShallowNet(
-        w_in=np.zeros(l), b_in=np.zeros(l), w_out=np.zeros((d, l)),
-        b_out=np.zeros(d), activation=record["activation"])
-    return template.with_params(flat)
+        flat = np.array([number(x, f"'params'[{j}]")
+                         for j, x in enumerate(params)], dtype=np.float64)
+    except ConfigError as exc:
+        raise CheckpointError(f"{where} non-numeric 'params': {exc}") from None
+    if _checkpoint_digest(l, d, activation, flat) != record["sha256"]:
+        raise CheckpointError(f"{where} checksum mismatch")
+    return ShallowNet(w_in=np.zeros(l), b_in=np.zeros(l),
+                      w_out=np.zeros((d, l)), b_out=np.zeros(d),
+                      activation=activation).with_params(flat)

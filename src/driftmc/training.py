@@ -31,7 +31,7 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .errors import ConfigError
+from .errors import integer, number
 from .network import AdamState, adam_step, backward_grid, forward
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
@@ -47,10 +47,9 @@ STEPS_PER_UNIT_TIME = 50
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run.  The fields and their defaults
-    are also the ``training`` block of the run config, so every resolved
-    config records them; a value out of range is a ConfigError naming its
-    ``training.<field>``."""
+    """Hyperparameters of one training run: the fields, defaults and checks
+    of the run config's ``training`` block, which every resolved config
+    records, so a bad value is a ConfigError naming ``training.<field>``."""
 
     batch_size: int = 256
     epochs: int = 10
@@ -59,14 +58,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "steps_per_epoch", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"training.{name} must be at least 0")
-        if self.batch_size < 2:
-            raise ConfigError("training.batch_size must be at least 2")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("training.learning_rate must be positive and "
-                              f"finite, got {self.learning_rate!r}")
+        for name, least in (("batch_size", 2), ("epochs", 0),
+                            ("steps_per_epoch", 0), ("seed", 0)):
+            object.__setattr__(self, name, integer(
+                getattr(self, name), f"training.{name}", least))
+        number(self.learning_rate, "training.learning_rate", positive=True)
 
 
 @dataclass

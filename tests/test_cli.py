@@ -1,12 +1,14 @@
 """End-to-end tests of the command line interface and the run pipeline."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftmc.cli import main
+from driftmc.network import _checkpoint_digest
 
 # Explicit parameters of a two-asset Black-Scholes model.
 TWO_ASSETS = {"sigma": [[0.2, 0.0], [0.0, 0.2]], "s0": [1.0, 1.0]}
@@ -33,6 +35,16 @@ def write_config(tmp_path, overrides=None, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def signed(record, **changes):
+    """A checkpoint record with ``changes`` and a digest that matches them,
+    as a checkpoint written by another program would carry."""
+    record = dict(record, **changes)
+    record["sha256"] = _checkpoint_digest(record["hidden"], record["output"],
+                                          record["activation"],
+                                          record["params"])
+    return record
 
 
 def run_artifacts(out_dir):
@@ -232,9 +244,20 @@ class TestPriceCommands:
         (list, "not a JSON object"),
         (lambda record: dict(record, params=["x"] * len(record["params"])),
          "non-numeric 'params'"),
-    ], ids=["no-params", "list", "params-not-numbers"])
+        (lambda record: signed(record, hidden=-1), "'hidden'"),
+        (lambda record: signed(record, params=[math.nan] * len(
+            record["params"])), "non-numeric 'params'"),
+        (lambda record: signed(record, hidden=str(record["hidden"])),
+         "'hidden'"),
+        (lambda record: signed(record, activation="relu"),
+         "unknown activation 'relu'"),
+    ], ids=["no-params", "list", "params-not-numbers", "hidden-negative",
+            "params-nan", "hidden-string", "activation-relu"])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys,
                                                   edit, message):
+        # exit 2 naming the file and the field, also where the digest
+        # matches: not numpy's message, a numerical failure or a silent
+        # conversion
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "artifacts"
         assert main(["train", "--config", str(cfg), "--out-dir",
@@ -244,7 +267,8 @@ class TestPriceCommands:
             checkpoint.read_text()))))
         assert main(["price", "--config", str(cfg), "--checkpoint",
                      str(checkpoint)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and f"checkpoint {checkpoint}" in err
 
     def test_checkpoint_of_another_width_is_named(self, tmp_path, capsys):
         # a 2-asset Black-Scholes drift cannot price a 3-asset Heston model,
@@ -307,11 +331,21 @@ class TestPriceCommands:
         ("per_sample_variance", "x"),
         ("per_sample_variance", False),
         (None, "{ not json"),
+        ("n", 0),
+        ("n", -5),
+        ("seed", -1),
+        ("kappa", 7.0),
+        ("kappa", -0.5),
+        ("theta", 1.5),
+        ("per_sample_variance", -1.0),
+        ("se_pct", -1.0),
+        ("measure", "Q"),
     ])
     def test_report_field_of_wrong_type_is_config_error(self, tmp_path,
                                                         capsys, field, value):
         # a config error naming the file and the field, not a traceback
-        # from deep in compare or a silent conversion
+        # from deep in compare, a silent conversion or a row of values no
+        # estimate can produce
         cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
         mc_file = tmp_path / "mc.json"
         assert main(["price", "--config", str(cfg), "--out",
@@ -344,6 +378,24 @@ class TestPriceCommands:
         row = json.loads(capsys.readouterr().out)
         assert row["mc_se_pct"] == row["is_se_pct"] == float("inf")
         assert row["vr"] == 1.0
+
+
+@pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]"],
+                         ids=["missing", "not-json", "not-object"])
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "report"])
+def test_unreadable_input_file_is_named(tmp_path, capsys, kind, content):
+    # every input file is read by one reader, and each of its refusals
+    # exits 2 naming the file
+    bad = tmp_path / f"bad-{kind}.json"
+    if content is not None:
+        bad.write_text(content)
+    cfg = str(write_config(tmp_path, overrides=SMALL_SAMPLE))
+    argv = {"config": ["validate", "--config", str(bad)],
+            "checkpoint": ["price", "--config", cfg, "--checkpoint", str(bad)],
+            "report": ["compare", "--mc-report", str(bad),
+                       "--is-report", str(bad)]}[kind]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, removed", [
@@ -534,6 +586,11 @@ class TestRunCommand:
         ({"payoff": {"strike": 0.0, "moneyness": None}}, "payoff.strike"),
         ({"payoff": {"barrier_moneyness": [1.6, 0.7]}},
          "payoff.barrier_moneyness needs lower < upper barrier"),
+        ({"model": {"rate": 800}}, "model.rate * grid.horizon"),
+        ({"model": {"rate": -800}}, "model.rate * grid.horizon"),
+        ({"grid": {"horizon": 1e6, "dt": 1}}, "model.rate * grid.horizon"),
+        ({"grid": {"horizon": 1e308}}, "grid.dt must divide grid.horizon"),
+        ({"model": {"rate": 10**400}}, "model.rate"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -545,7 +602,8 @@ class TestRunCommand:
             "barrier-moneyness-false", "barriers-both", "sample-size-zero",
             "sample-size-negative", "strike-and-moneyness",
             "moneyness-negative", "moneyness-zero", "strike-zero",
-            "barrier-moneyness-reversed"])
+            "barrier-moneyness-reversed", "rate-overflow", "rate-underflow",
+            "horizon-overflow", "step-count-overflow", "rate-huge-int"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the field, where the

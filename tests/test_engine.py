@@ -452,6 +452,14 @@ class TestCompareAndSerialization:
             assert report_from_dict(row, "report.json") == replace(
                 report, wall_seconds=0.0)
 
+    def test_report_reads_whole_float_counts_as_ints(self):
+        # n and seed follow the config's integer rule: 400.0 is 400
+        mc, _ = self._reports()
+        row = dict(report_to_dict(mc), n=float(mc.n), seed=float(mc.seed))
+        back = report_from_dict(row, "report.json")
+        assert (back.n, back.seed) == (mc.n, mc.seed)
+        assert type(back.n) is int and type(back.seed) is int
+
     def test_report_json_fields_are_stable(self):
         # the JSON keys are the report's fields but the wall time, in
         # declaration order, and read back through one check per key

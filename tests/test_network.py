@@ -227,6 +227,10 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="unknown activation"):
             load_checkpoint(path)
 
+    def test_checkpoint_error_is_config_error(self):
+        # the CLI maps both to exit 2, and a test of either holds for both
+        assert issubclass(CheckpointError, ConfigError)
+
     def test_rejects_other_schema(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text('{"schema": "something-else"}')

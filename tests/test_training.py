@@ -7,7 +7,7 @@ from driftmc import streams
 from driftmc.config import build_scenario, build_train_config, resolve_config
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
 from driftmc.engine import variance_ratio
-from driftmc.errors import WeightOverflowError
+from driftmc.errors import ConfigError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, ModelSpec
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import PayoffSpec
@@ -89,6 +89,23 @@ class TestObjective:
                          w_out=np.zeros((1, 1)), b_out=np.array([200.0]))
         with pytest.raises(WeightOverflowError):
             objective_on_batch(big, batch, grid, cov)
+
+
+class TestTrainConfig:
+    def test_whole_float_counts_are_ints(self):
+        cfg = TrainConfig(batch_size=32.0, epochs=2.0, seed=5.0)
+        assert (cfg.batch_size, cfg.epochs, cfg.seed) == (32, 2, 5)
+        assert all(type(v) is int for v in (cfg.batch_size, cfg.epochs,
+                                            cfg.seed))
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("steps_per_epoch", "100"), ("seed", True),
+        ("learning_rate", "0.01"),
+    ])
+    def test_bad_field_is_config_error_naming_it(self, field, value):
+        # the checks of the run config's fields, so valid by construction
+        with pytest.raises(ConfigError, match=f"training.{field}"):
+            TrainConfig(**{field: value})
 
 
 class TestTrain:
