@@ -18,7 +18,7 @@ from .network import (AdamState, ShallowNet, adam_step, forward, init_net,
                       load_checkpoint, save_checkpoint)
 from .payoffs import PayoffSpec, basket_weights, evaluate_batch
 from .training import TrainConfig, TrainTrace, train
-from .config import default_recipe, resolve_config, sample_parameters
+from .config import resolve_config, sample_parameters
 
 __version__ = "0.1.0"
 
@@ -26,8 +26,8 @@ __all__ = [
     "AdamState", "ComparisonRow", "CovariationSpec", "DriftEvaluation",
     "EstimatorReport", "ModelSpec", "PathBatch", "PayoffSpec", "ShallowNet",
     "TimeGrid", "TrainConfig", "TrainTrace", "Violation", "adam_step",
-    "basket_weights", "cameron_martin_map", "compare", "default_recipe",
-    "estimate_is", "estimate_plain", "evaluate_batch", "forward", "init_net",
+    "basket_weights", "cameron_martin_map", "compare", "estimate_is",
+    "estimate_plain", "evaluate_batch", "forward", "init_net",
     "lambda2_inner", "load_checkpoint", "log_likelihood_inverse",
     "resolve_config", "sample_increments", "sample_parameters",
     "save_checkpoint", "simulate", "train", "variance_ratio",

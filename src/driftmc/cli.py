@@ -77,8 +77,17 @@ def _build_parser():
     return parser
 
 
+def _with_config(path, use, *args, **kwargs):
+    """``use`` the config file at ``path``; a refused field names the file."""
+    raw = read_object(path, "config")
+    try:
+        return use(raw, *args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
+
+
 def _cmd_validate(args):
-    cfg = resolve_config(read_object(args.config, "config"))
+    cfg = _with_config(args.config, resolve_config)
     build_scenario(cfg)
     write_json(None, cfg)
     return EXIT_OK
@@ -86,7 +95,7 @@ def _cmd_validate(args):
 
 def _cmd_price(args):
     """``run``'s first estimate: plain, or with the drift of a checkpoint."""
-    cfg = resolve_config(read_object(args.config, "config"))
+    cfg = _with_config(args.config, resolve_config)
     n = cfg["estimation"]["sample_sizes"][0]
     seed = estimate_seed(cfg, 0, importance=args.checkpoint is not None)
     if args.checkpoint is None:
@@ -99,7 +108,7 @@ def _cmd_price(args):
 
 
 def _cmd_train(args):
-    cfg = resolve_config(read_object(args.config, "config"))
+    cfg = _with_config(args.config, resolve_config)
     sc = build_scenario(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -120,7 +129,7 @@ def _cmd_compare(args):
 
 
 def _cmd_run(args):
-    run(read_object(args.config, "config"), args.out_dir, threads=args.threads)
+    _with_config(args.config, run, args.out_dir, threads=args.threads)
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Run configuration: parsing, defaulting, parameter sampling, resolution.
 
 A run config is a single JSON document with a schema id.  Resolution fills
-every default, samples risk-neutral model parameters from the family's
-:func:`default_recipe` unless explicit values are given, and materializes
-derived quantities (weights, strike, barriers), producing a config that is
-a fixed point: running the resolved document reproduces the run bit for
-bit.
+every default, samples risk-neutral model parameters from the model's fixed
+ranges unless ``model.params`` gives them, and materializes derived
+quantities (weights, strike, barriers), producing a config that is a fixed
+point: running the resolved document reproduces the run bit for bit.  Every
+list in it is read by one rule, entry by entry, and a bad entry is refused
+by its index, such as ``model.params.sigma[1][0]``.
 """
 
 import copy
@@ -76,6 +77,22 @@ DEFAULTS = {
 }
 
 
+# Sampling ranges.  They target an effective asset volatility near 30
+# percent a year; with the default 1.3 moneyness this puts a deep
+# out-of-the-money Asian basket call at a positive-payoff fraction below two
+# percent and a plain-MC standard error of a few tens of percent at five
+# thousand paths.  Per volatility model: the row norms of sigma's asset and
+# volatility rows, and the range of mean_level and v0; sqrt(variance level)
+# ~ 0.3 scales Heston's asset rows of norm 1 down.
+S0_RANGE = (0.8, 1.2)
+REVERSION_RANGE = (1.0, 3.0)
+BLACK_SCHOLES_ROW_NORM = 0.30
+VOL_MODEL_RANGES = {
+    HESTON: (1.0, 0.25, (0.04, 0.16)),
+    THREE_HALVES: (1.0, 0.8, (0.04, 0.16)),
+    STEIN_STEIN: (1.35, 0.2, (0.15, 0.30)),
+}
+
 # Entry ranges are (-a, k*a): the positive skew gives asset rows an average
 # pairwise correlation near 3(k-1)^2 / (4(k^2-k+1)), about 0.32 for k = 2.3,
 # the regime of a positively correlated equity basket.  Without it a basket
@@ -86,45 +103,12 @@ _ENTRY_SKEW = 2.3
 
 def _entry_range(target_row_norm, d):
     a = target_row_norm / math.sqrt(d * (_ENTRY_SKEW**2 - _ENTRY_SKEW + 1) / 3.0)
-    return [-a, _ENTRY_SKEW * a]
-
-
-def default_recipe(tag, n):
-    """Parameter sampling ranges per model family.
-
-    Diffusion ranges target an effective asset volatility near 30 percent a
-    year; with the default 1.3 moneyness this puts a deep out-of-the-money
-    Asian basket call at a positive-payoff fraction below two percent and a
-    plain-MC standard error of a few tens of percent at five thousand paths.
-    """
-    recipe = {"s0": [0.8, 1.2]}
-    if tag == BLACK_SCHOLES:
-        recipe["sigma_entry"] = _entry_range(0.30, n)
-        return recipe
-    d = 2 * n
-    recipe["mean_level"] = [0.04, 0.16]
-    recipe["v0"] = [0.04, 0.16]
-    recipe["reversion"] = [1.0, 3.0]
-    if tag == HESTON:
-        # sqrt(variance level) ~ 0.3 scales the asset rows down.
-        recipe["sigma_asset_entry"] = _entry_range(1.0, d)
-        recipe["sigma_vol_entry"] = _entry_range(0.25, d)
-    elif tag == THREE_HALVES:
-        recipe["sigma_asset_entry"] = _entry_range(1.0, d)
-        recipe["sigma_vol_entry"] = _entry_range(0.8, d)
-    elif tag == STEIN_STEIN:
-        recipe["mean_level"] = [0.15, 0.30]
-        recipe["v0"] = [0.15, 0.30]
-        recipe["sigma_asset_entry"] = _entry_range(1.35, d)
-        recipe["sigma_vol_entry"] = _entry_range(0.2, d)
-    else:
-        raise ConfigError(f"unknown model tag {tag!r}")
-    return recipe
+    return -a, _ENTRY_SKEW * a
 
 
 def sample_parameters(seed, tag, n, rate):
-    """Draw a valid model spec from :func:`default_recipe`, deterministically
-    in seed.
+    """Draw a valid risk-neutral model spec from the sampling ranges,
+    deterministically in seed.
 
     Specs violating a structural invariant are rejected and redrawn; after
     ``MAX_SAMPLE_RETRIES`` failures the error names the constraint that
@@ -132,22 +116,25 @@ def sample_parameters(seed, tag, n, rate):
     """
     if n < 1:
         raise ConfigError("the model needs a positive asset count n")
-    recipe = default_recipe(tag, n)
+    if tag != BLACK_SCHOLES and tag not in VOL_MODEL_RANGES:
+        raise ConfigError(f"unknown model tag {tag!r}")
     d = n if tag == BLACK_SCHOLES else 2 * n
     rejected = Counter()
     for attempt in range(MAX_SAMPLE_RETRIES):
         rng = streams.substream(seed, streams.PARAMS, attempt)
-        s0 = rng.uniform(*recipe["s0"], size=n)
+        s0 = rng.uniform(*S0_RANGE, size=n)
         if tag == BLACK_SCHOLES:
-            sigma = rng.uniform(*recipe["sigma_entry"], size=(d, d))
+            sigma = rng.uniform(*_entry_range(BLACK_SCHOLES_ROW_NORM, d),
+                                size=(d, d))
             vol = {}
         else:
-            sigma = np.empty((d, d))
-            sigma[:n] = rng.uniform(*recipe["sigma_asset_entry"], size=(n, d))
-            sigma[n:] = rng.uniform(*recipe["sigma_vol_entry"], size=(n, d))
-            vol = dict(mean_level=rng.uniform(*recipe["mean_level"], size=n),
-                       reversion=rng.uniform(*recipe["reversion"], size=n),
-                       v0=rng.uniform(*recipe["v0"], size=n))
+            asset_norm, vol_norm, level = VOL_MODEL_RANGES[tag]
+            sigma = np.concatenate([
+                rng.uniform(*_entry_range(asset_norm, d), size=(n, d)),
+                rng.uniform(*_entry_range(vol_norm, d), size=(n, d))])
+            vol = dict(mean_level=rng.uniform(*level, size=n),
+                       reversion=rng.uniform(*REVERSION_RANGE, size=n),
+                       v0=rng.uniform(*level, size=n))
         try:
             return ModelSpec(tag=tag, sigma=sigma, s0=s0, rate=rate, **vol)
         except ModelValidationError as exc:
@@ -170,19 +157,6 @@ def _merge_defaults(config, defaults):
         else:
             out[key] = copy.deepcopy(value)
     return out
-
-
-def _array(values, name, ndim):
-    """A rectangular ``ndim``-dimensional array of numbers."""
-    try:
-        array = np.array(values)
-    except ValueError:  # ragged nesting
-        array = None
-    if array is None or array.ndim != ndim or array.dtype.kind not in "iuf":
-        kind = "list" if ndim == 1 else "matrix"
-        raise ConfigError(f"{name} must be a {kind} of numbers, got "
-                          f"{values!r}")
-    return array
 
 
 def _numbers(values, name, length=None, check=number):
@@ -302,10 +276,11 @@ def build_model(cfg):
     for name in ("sigma", "s0"):
         if params.get(name) is None:
             raise ConfigError(f"model.params.{name} is required")
-    kwargs = {k: _array(v, f"model.params.{k}", 2 if k == "sigma" else 1)
-              for k, v in params.items() if v is not None}
-    if kwargs["s0"].size != block["n"]:
-        raise ConfigError(f"model.params.s0 has {kwargs['s0'].size} "
+    kwargs = {k: _numbers(v, f"model.params.{k}", check=(
+        (lambda row, field: _numbers(row, field, len(v))) if k == "sigma"
+        else number)) for k, v in params.items() if v is not None}
+    if len(kwargs["s0"]) != block["n"]:
+        raise ConfigError(f"model.params.s0 has {len(kwargs['s0'])} "
                           f"entries but model.n is {block['n']}")
     return ModelSpec(tag=block["tag"], rate=block["rate"], **kwargs)
 

@@ -88,10 +88,11 @@ def number(value, name, positive=False, minimum=-math.inf, maximum=math.inf):
 
 
 def integer(value, name, minimum=None):
-    """A whole number, at least ``minimum`` if given, as an int; never a
-    bool."""
+    """A whole number in the float range, at least ``minimum`` if given, as
+    an int; never a bool."""
     try:
-        whole = int(value) == value and not isinstance(value, bool)
+        whole = (int(value) == value and not isinstance(value, bool)
+                 and abs(value) <= float_info.max)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or (minimum is not None and value < minimum):

@@ -591,6 +591,20 @@ class TestRunCommand:
         ({"grid": {"horizon": 1e6, "dt": 1}}, "model.rate * grid.horizon"),
         ({"grid": {"horizon": 1e308}}, "grid.dt must divide grid.horizon"),
         ({"model": {"rate": 10**400}}, "model.rate"),
+        ({"model": {"n": 10**400}}, "model.n"),
+        ({"estimation": {"sample_sizes": [10**400]}},
+         "estimation.sample_sizes[0]"),
+        ({"model": {"params": dict(TWO_ASSETS, s0=[True, 1.0])}},
+         "model.params.s0[0]"),
+        ({"model": {"tag": "heston", "params": dict(TWO_ASSETS, v0=[True])}},
+         "model.params.v0[0]"),
+        ({"model": {"params": dict(TWO_ASSETS, s0=[math.nan, 1.0])}},
+         "model.params.s0[0]"),
+        ({"model": {"params": dict(TWO_ASSETS, sigma=[[0.2, math.inf],
+                                                      [0.0, 0.2]])}},
+         "model.params.sigma[0][1]"),
+        ({"model": {"n": 1, "params": {"sigma": [[0.2, 0.1]], "s0": [1.0]}}},
+         "model.params.sigma[0]"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -603,19 +617,24 @@ class TestRunCommand:
             "sample-size-negative", "strike-and-moneyness",
             "moneyness-negative", "moneyness-zero", "strike-zero",
             "barrier-moneyness-reversed", "rate-overflow", "rate-underflow",
-            "horizon-overflow", "step-count-overflow", "rate-huge-int"])
+            "horizon-overflow", "step-count-overflow", "rate-huge-int",
+            "n-huge-int", "sample-size-huge-int", "params-s0-bool",
+            "params-v0-bool", "params-s0-nan", "params-sigma-inf",
+            "params-sigma-not-square"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
-        # refused before anything is written, naming the field, where the
-        # value was once truncated, ignored or crashed mid-run; validate
-        # and train refuse what run refuses
+        # refused before anything is written, naming the config file and
+        # the field, where the value was once truncated, ignored or crashed
+        # mid-run; validate and train refuse what run refuses
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["validate", "--config", str(cfg)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"config {cfg}: " in err
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out-dir",
                      str(out_dir)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"config {cfg}: " in err
         assert run_artifacts(out_dir) == ["error.json"]
         error = json.loads((out_dir / "error.json").read_text())
         assert error["stage"] == "resolve"
@@ -623,7 +642,8 @@ class TestRunCommand:
         train_dir = tmp_path / "train"
         assert main(["train", "--config", str(cfg), "--out-dir",
                      str(train_dir)]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"config {cfg}: " in err
         assert not (train_dir / "resolved_config.json").exists()
 
     def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):

@@ -1,5 +1,6 @@
 """Tests for config resolution and parameter sampling."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 from driftmc import config
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             build_scenario, build_train_config,
-                            default_recipe, resolve_config, sample_parameters,
-                            write_json)
+                            resolve_config, sample_parameters, write_json)
 from driftmc.errors import ConfigError
-from driftmc.models import HESTON, STEIN_STEIN, THREE_HALVES, simulate
+from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
+                            simulate)
 
 
 class TestSampleParameters:
@@ -33,12 +34,32 @@ class TestSampleParameters:
             spec = sample_parameters(seed, tag=tag, n=3, rate=0.05)
             assert (spec.tag, spec.n) == (tag, 3)
 
+    @pytest.mark.parametrize("tag, digest", [
+        (BLACK_SCHOLES,
+         "41c94d2d193d9ba63a603fe1a8551a11f85e116a121ab2e5ba6d3d20ea6e4a2c"),
+        (HESTON,
+         "35df51bcdbc0cd5711bd29a7b87121aa1ed7db9fcd854f1a036cf95cbd25f1ee"),
+        (THREE_HALVES,
+         "2a7a7fc9f855c83d5d352b1ffd1a88a47b2d2e44264792f8610dee9223cf62e4"),
+        (STEIN_STEIN,
+         "0d6da5d0afb35c3b9ca6d8fb07c584f58ad5745750e04ad1f92d753d6cd1040f"),
+    ], ids=[BLACK_SCHOLES, HESTON, THREE_HALVES, STEIN_STEIN])
+    def test_sampled_parameters_are_pinned(self, tag, digest):
+        # the draws of seeds 0-2, byte for byte: a change of a range, of the
+        # draw order or of the stream moves every sampled scenario
+        sha = hashlib.sha256()
+        for seed in range(3):
+            spec = sample_parameters(seed, tag=tag, n=3, rate=0.05)
+            for name in ("sigma", "s0", "mean_level", "reversion", "v0"):
+                if getattr(spec, name) is not None:
+                    sha.update(getattr(spec, name).tobytes())
+        assert sha.hexdigest() == digest
+
     def test_retry_budget_exhaustion_names_constraint(self, monkeypatch):
-        # ranges that can never satisfy the positivity criterion
-        recipe = default_recipe(HESTON, 2)
-        recipe["mean_level"] = [1e-6, 1e-6]
-        recipe["reversion"] = [1e-6, 1e-6]
-        monkeypatch.setattr(config, "default_recipe", lambda tag, n: recipe)
+        # a mean level that can never satisfy the positivity criterion
+        asset_norm, vol_norm, _ = config.VOL_MODEL_RANGES[HESTON]
+        monkeypatch.setitem(config.VOL_MODEL_RANGES, HESTON,
+                            (asset_norm, vol_norm, (1e-6, 1e-6)))
         with pytest.raises(ConfigError, match="feller"):
             sample_parameters(0, tag=HESTON, n=2, rate=0.05)
 
