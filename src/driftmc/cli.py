@@ -4,8 +4,9 @@ Subcommands: validate, price, train, compare, run.  The config file is the
 one place a run is set; ``validate`` prints it resolved, and every flag
 names an input or output file or sets the thread count.  ``compare``
 reads exactly the fields ``price`` writes.  A malformed input file (config,
-checkpoint or report) exits 2 with a message naming the file and the field.
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 validation failure.
+checkpoint or report) exits 2 with a message naming the file and the field;
+so does a config whose model parameters break a model invariant.
+Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 
 import argparse
@@ -13,12 +14,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import build_scenario, resolve_config, write_json
+from .config import build_scenario, resolve_config
 from .engine import (compare, comparison_to_dict, report_from_dict,
                      report_to_dict)
-from .errors import (ConfigError, DriftmcError, ModelValidationError,
-                     NonFiniteError, SimulationError, WeightOverflowError,
-                     read_object)
+from .errors import (ConfigError, DriftmcError, NonFiniteError,
+                     SimulationError, WeightOverflowError, read_object,
+                     write_json)
 from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
                        train_drift)
 from .training import STEPS_PER_UNIT_TIME
@@ -26,7 +27,6 @@ from .training import STEPS_PER_UNIT_TIME
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_VALIDATION = 4
 
 
 def _add_config(parser):
@@ -151,9 +151,6 @@ def main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except ModelValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (WeightOverflowError, SimulationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

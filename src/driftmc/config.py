@@ -10,13 +10,10 @@ by its index, such as ``model.params.sigma[1][0]``.
 """
 
 import copy
-import json
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -178,7 +175,7 @@ def _barrier_pair(values, name):
 
 def resolve_config(raw):
     """Fill defaults, sample parameters, materialize derived fields; a bad
-    field raises a ConfigError naming it, bad model parameters a
+    field raises a ConfigError naming it, bad model parameters its subclass
     :class:`ModelValidationError`."""
     schema = raw.get("schema", SCHEMA_ID)
     if schema != SCHEMA_ID:
@@ -322,12 +319,3 @@ def build_train_config(cfg):
     return TrainConfig(**{f.name: cfg["training"][f.name]
                           for f in fields(TrainConfig)})
 
-
-def write_json(path, payload):
-    """Write ``payload`` as JSON with deterministic formatting, to stdout if
-    ``path`` is None."""
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")

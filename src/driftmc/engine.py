@@ -1,4 +1,5 @@
-"""Plain and importance-sampled price estimators with table-style reports.
+"""Plain and importance-sampled price estimators; each estimator report
+and each comparison row of two reports is one JSON record.
 
 The block is the unit of reproducibility: paths are simulated in
 fixed-size blocks, each block on its own derived random substream, and each
@@ -17,9 +18,8 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +38,7 @@ CHUNK_SIZE = 512
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """One estimator summary: a single row of the result tables.
+    """One estimator summary: one record of ``reports.json``.
 
     Every field but ``wall_seconds`` is the report's JSON form, in
     declaration order, and :data:`_REPORT_CHECKS` states what each holds.
@@ -215,10 +215,6 @@ class ComparisonRow:
     is_seed: int
 
 
-# Column order of emitted comparison rows: the fields of ComparisonRow.
-COMPARISON_FIELDS = tuple(f.name for f in fields(ComparisonRow))
-
-
 def variance_ratio(report_mc, report_is):
     """Plain-MC per-sample variance over importance-sampled variance.
 
@@ -243,7 +239,7 @@ def variance_ratio(report_mc, report_is):
 
 
 def compare(report_mc, report_is):
-    """Combine a plain and an importance-sampled report into a table row."""
+    """Combine a plain and an importance-sampled report into one row."""
     if report_mc.measure != "P" or report_is.measure != "P_h":
         raise ValueError("compare needs one plain (P) and one importance-"
                          "sampled (P_h) report, in that order")
@@ -287,22 +283,6 @@ def report_from_dict(row, source):
 
 
 def comparison_to_dict(row):
-    """Comparison row as a flat mapping in :data:`COMPARISON_FIELDS` order."""
+    """Comparison row as a flat mapping of its fields."""
     return asdict(row)
 
-
-def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def rows_to_csv(rows, fields, path):
-    """Write dict rows to ``path`` as CSV with lossless (repr) float
-    formatting."""
-    lines = [",".join(fields)]
-    lines += [",".join(_format_cell(row[name]) for name in fields)
-              for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,9 +1,12 @@
-"""Exception hierarchy shared across the package, and the input checks:
-the one reader and the field checks of every JSON file the program reads."""
+"""Exception hierarchy shared across the package, and the one reader and
+the one writer of JSON: :func:`read_object` and the field checks read every
+file the program reads, and :func:`write_json` writes every file it
+writes."""
 
 import json
 import math
-from sys import float_info
+import sys
+from pathlib import Path
 
 
 class DriftmcError(Exception):
@@ -16,15 +19,6 @@ class DimensionError(DriftmcError):
 
 class NonFiniteError(DriftmcError):
     """NaN or infinity found where a finite value is required."""
-
-
-class ModelValidationError(DriftmcError):
-    """A model spec violates a structural invariant."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"model spec invalid: {lines}")
 
 
 class SimulationError(DriftmcError):
@@ -59,6 +53,15 @@ class CheckpointError(ConfigError):
     """A checkpoint file is malformed or fails its integrity check."""
 
 
+class ModelValidationError(ConfigError):
+    """A model spec violates a structural invariant: a refused config."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        lines = "; ".join(str(v) for v in self.violations)
+        super().__init__(f"model spec invalid: {lines}")
+
+
 def read_object(path, what):
     """The JSON object in the ``what`` file at ``path`` (config, checkpoint
     or report); every refusal is a ConfigError naming both."""
@@ -78,8 +81,8 @@ def number(value, name, positive=False, minimum=-math.inf, maximum=math.inf):
     """A number in ``[minimum, maximum]`` that is a finite float, positive
     if asked; never a bool."""
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= float_info.max and minimum <= value <= maximum
-            and (value > 0 or not positive)):
+            and abs(value) <= sys.float_info.max
+            and minimum <= value <= maximum and (value > 0 or not positive)):
         kind = "a positive finite" if positive else "a finite"
         span = ("" if (minimum, maximum) == (-math.inf, math.inf)
                 else f" in [{minimum}, {maximum}]")
@@ -92,10 +95,20 @@ def integer(value, name, minimum=None):
     an int; never a bool."""
     try:
         whole = (int(value) == value and not isinstance(value, bool)
-                 and abs(value) <= float_info.max)
+                 and abs(value) <= sys.float_info.max)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or (minimum is not None and value < minimum):
         least = "" if minimum is None else f" of at least {minimum}"
         raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
     return int(value)
+
+
+def write_json(path, payload):
+    """Write ``payload`` as JSON with deterministic formatting, to stdout if
+    ``path`` is None."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")

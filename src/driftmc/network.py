@@ -7,13 +7,12 @@ biases) is part of the public contract and is what checkpoint files store.
 """
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CheckpointError, ConfigError, DimensionError,
-                     NonFiniteError, integer, number, read_object)
+                     NonFiniteError, integer, number, read_object, write_json)
 
 # Scaled tanh constants recommended for unit-variance inputs.
 _ST_A = 1.7159
@@ -203,7 +202,7 @@ def _checkpoint_digest(hidden, output, activation, flat):
 def save_checkpoint(net, path):
     """Write the net as versioned JSON with an integrity checksum."""
     flat = net.to_flat()
-    record = {
+    write_json(path, {
         "schema": _CHECKPOINT_SCHEMA,
         "hidden": net.hidden_width,
         "output": net.output_width,
@@ -211,10 +210,7 @@ def save_checkpoint(net, path):
         "params": [float(x) for x in flat],
         "sha256": _checkpoint_digest(net.hidden_width, net.output_width,
                                      net.activation, flat),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path):

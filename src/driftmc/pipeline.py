@@ -1,28 +1,32 @@
 """Full experiment pipeline: resolve, price, train, reprice, compare.
 
-Every artifact (resolved config, checkpoint, training trace, report tables)
-is written with deterministic formatting, so a rerun of the same config is
-byte-identical, including across worker-thread counts.  The one exception
-is ``timings.json``, the wall times of the training and of each estimate.
-On failure the artifacts produced so far are kept and a machine-readable
-error file is written next to them.
+Every artifact (resolved config, checkpoint, training trace, reports) is
+one JSON record written by :func:`~driftmc.errors.write_json`, so a rerun
+of the same config is byte-identical, including across worker-thread
+counts.  The one exception is ``timings.json``, the wall times of the
+training and of each estimate.  A run first removes the :data:`ARTIFACTS`
+of an earlier run from its directory.  On failure the artifacts produced so
+far are kept and a machine-readable error file is written next to them.
 """
 
 import logging
 import time
+from dataclasses import asdict
 from pathlib import Path
 
-from .config import (build_scenario, build_train_config, resolve_config,
-                     write_json)
+from .config import build_scenario, build_train_config, resolve_config
 from .covariation import CovariationSpec
-from .engine import (COMPARISON_FIELDS, compare, comparison_to_dict,
-                     estimate_is, estimate_plain, report_to_dict, rows_to_csv)
-from .errors import CheckpointError, DriftmcError
+from .engine import (compare, comparison_to_dict, estimate_is, estimate_plain,
+                     report_to_dict)
+from .errors import CheckpointError, DriftmcError, write_json
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train, training_grid
 from . import streams
 
 log = logging.getLogger(__name__)
+
+ARTIFACTS = ("resolved_config.json", "checkpoint.json", "training_trace.json",
+             "reports.json", "timings.json", "error.json")
 
 
 def _write_error(out_dir, stage, exc):
@@ -55,7 +59,8 @@ def price(cfg, sc, n, seed, drift=None, threads=1):
 
 def train_drift(cfg, sc, out_dir):
     """Train the drift network of a resolved config on its scenario ``sc``
-    and write its checkpoint and training trace to ``out_dir``.
+    and write its checkpoint and its training trace, the fields of
+    :class:`~driftmc.training.TrainTrace`, to ``out_dir``.
 
     The net trains on :func:`~driftmc.training.training_grid`, the pricing
     horizon at about ``STEPS_PER_UNIT_TIME`` steps per unit of time but
@@ -70,13 +75,8 @@ def train_drift(cfg, sc, out_dir):
     grid = training_grid(sc.grid)
     trained, trace = train(net, sc.model, sc.payoff, grid,
                            CovariationSpec(sc.model.sigma, grid), train_cfg)
-    out_dir = Path(out_dir)
-    save_checkpoint(trained, out_dir / "checkpoint.json")
-    rows = [{"step": k, "v_hat": v, "h_norm_sq": h, "informative": int(i)}
-            for k, (v, h, i) in enumerate(zip(
-                trace.v_hat, trace.h_norm_sq, trace.informative))]
-    rows_to_csv(rows, ("step", "v_hat", "h_norm_sq", "informative"),
-                out_dir / "training_trace.csv")
+    save_checkpoint(trained, Path(out_dir) / "checkpoint.json")
+    write_json(Path(out_dir) / "training_trace.json", asdict(trace))
     return trained, trace
 
 
@@ -89,6 +89,8 @@ def run(raw_config, out_dir, threads=1):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS:
+        (out_dir / name).unlink(missing_ok=True)
     stage = "resolve"
     try:
         cfg = resolve_config(raw_config)
@@ -116,20 +118,14 @@ def run(raw_config, out_dir, threads=1):
 
         stage = "compare"
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
-        _emit_reports(out_dir, plain_reports, is_reports, rows)
+        write_json(out_dir / "reports.json", {
+            "reports": [report_to_dict(r) for r in plain_reports + is_reports],
+            "comparison": [comparison_to_dict(row) for row in rows]})
         _write_timings(out_dir, plain_reports + is_reports, training_seconds)
         return rows
     except (DriftmcError, OSError, ValueError) as exc:
         _write_error(out_dir, stage, exc)
         raise
-
-
-def _emit_reports(out_dir, plain_reports, is_reports, rows):
-    report_dicts = [report_to_dict(r) for r in plain_reports + is_reports]
-    row_dicts = [comparison_to_dict(row) for row in rows]
-    write_json(out_dir / "reports.json",
-               {"reports": report_dicts, "comparison": row_dicts})
-    rows_to_csv(row_dicts, COMPARISON_FIELDS, out_dir / "reports.csv")
 
 
 def _write_timings(out_dir, reports, training_seconds):

@@ -67,8 +67,9 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Step-by-step record of a training run; ``informative[k]`` is whether
-    step k's batch had a positive payoff."""
+    """Step-by-step record of a training run, whose fields are the JSON of
+    ``training_trace.json``; ``informative[k]`` is whether step k's batch
+    had a positive payoff."""
 
     v_hat: list = field(default_factory=list)
     h_norm_sq: list = field(default_factory=list)

@@ -1,7 +1,11 @@
 """Shared fixtures."""
 
+import math
+
 import numpy as np
 import pytest
+
+from driftmc import training
 
 
 class FixedNormals:
@@ -23,3 +27,21 @@ class FixedNormals:
 def fixed_normals():
     """The :class:`FixedNormals` factory."""
     return FixedNormals
+
+
+@pytest.fixture
+def nan_objective_from(monkeypatch):
+    """``nan_objective_from(step)`` makes the training objective NaN from
+    training step ``step`` on; the earlier steps get the real objective."""
+    real = training.objective_on_batch
+
+    def patch(step):
+        calls = []
+
+        def objective(net, batch, grid, cov):
+            calls.append(None)
+            v_hat, grad, h_norm_sq = real(net, batch, grid, cov)
+            return (math.nan if len(calls) > step else v_hat), grad, h_norm_sq
+
+        monkeypatch.setattr(training, "objective_on_batch", objective)
+    return patch

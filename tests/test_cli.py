@@ -47,6 +47,11 @@ def signed(record, **changes):
     return record
 
 
+# The artifacts of a successful run.
+RUN_ARTIFACTS = ["checkpoint.json", "reports.json", "resolved_config.json",
+                 "timings.json", "training_trace.json"]
+
+
 def run_artifacts(out_dir):
     return sorted(p.name for p in Path(out_dir).iterdir())
 
@@ -85,16 +90,18 @@ class TestValidateCommand:
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
-        assert main(["validate", "--config", str(path)]) == 4
-        assert "s0[0]: must be positive" in capsys.readouterr().err
+        assert main(["validate", "--config", str(path)]) == 2
+        assert (f"config error: config {path}: model spec invalid: s0[0]: "
+                "must be positive") in capsys.readouterr().err
 
     def test_volatility_params_on_black_scholes_exit_code(self, tmp_path,
                                                           capsys):
         params = {**TWO_ASSETS, "v0": [5.0, 5.0], "reversion": [-3.0]}
         cfg = write_config(tmp_path, overrides={
             "model": {"params": params}})
-        assert main(["validate", "--config", str(cfg)]) == 4
+        assert main(["validate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
+        assert f"config {cfg}: model spec invalid" in err
         assert "v0: not a parameter" in err
         assert "reversion: not a parameter" in err
 
@@ -159,7 +166,7 @@ class TestPriceCommands:
                      str(out_dir)]) == 0
         checkpoint = out_dir / "checkpoint.json"
         assert checkpoint.exists()
-        assert (out_dir / "training_trace.csv").exists()
+        assert (out_dir / "training_trace.json").exists()
 
         mc_file = tmp_path / "mc.json"
         is_file = tmp_path / "is.json"
@@ -446,14 +453,14 @@ class TestRunCommand:
         out_dir = tmp_path / "full"
         assert main(["run", "--config", str(cfg), "--out-dir",
                      str(out_dir)]) == 0
-        names = run_artifacts(out_dir)
-        assert names == ["checkpoint.json", "reports.csv", "reports.json",
-                         "resolved_config.json", "timings.json",
-                         "training_trace.csv"]
-        trace = (out_dir / "training_trace.csv").read_text().splitlines()
-        assert trace[0] == "step,v_hat,h_norm_sq,informative"
-        assert len(trace) == 6
-        assert all(line.endswith((",0", ",1")) for line in trace[1:])
+        assert run_artifacts(out_dir) == RUN_ARTIFACTS
+        # the trace is the fields of TrainTrace, one entry a step
+        trace = json.loads((out_dir / "training_trace.json").read_text())
+        assert sorted(trace) == ["h_norm_sq", "halted_reason", "informative",
+                                 "v_hat"]
+        assert len(trace["v_hat"]) == len(trace["h_norm_sq"]) == 5
+        assert [type(i) for i in trace["informative"]] == [bool] * 5
+        assert trace["halted_reason"] is None
         rows = json.loads((out_dir / "reports.json").read_text())["comparison"]
         assert [row["n"] for row in rows] == [400, 800]
         timings = json.loads((out_dir / "timings.json").read_text())
@@ -508,11 +515,41 @@ class TestRunCommand:
         })
         out_dir = tmp_path / "fail"
         assert main(["run", "--config", str(cfg), "--out-dir",
-                     str(out_dir)]) == 4
+                     str(out_dir)]) == 2
         assert run_artifacts(out_dir) == ["error.json"]
         error = json.loads((out_dir / "error.json").read_text())
         assert error["stage"] == "resolve"
         assert error["error"] == "ModelValidationError"
+
+    def test_reused_out_dir_keeps_no_stale_artifact(self, tmp_path):
+        # a run first removes what an earlier run wrote there: the error
+        # file of a failure, the reports of a success
+        good = write_config(tmp_path)
+        bad = write_config(tmp_path, overrides={"model": {"n": 2.9}},
+                           name="bad.json")
+        out_dir = tmp_path / "out"
+        for cfg, code, artifacts in ((bad, 2, ["error.json"]),
+                                     (good, 0, RUN_ARTIFACTS),
+                                     (bad, 2, ["error.json"])):
+            assert main(["run", "--config", str(cfg), "--out-dir",
+                         str(out_dir)]) == code
+            assert run_artifacts(out_dir) == artifacts
+
+    @pytest.mark.parametrize("command, code", [("run", 0), ("train", 3)])
+    def test_training_halt_is_recorded(self, tmp_path, nan_objective_from,
+                                       command, code):
+        # training halts at step 2; run prices with the net of steps 0 and
+        # 1, train exits as a numerical failure, and both keep the
+        # checkpoint and a trace that says why training stopped
+        nan_objective_from(2)
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == code
+        assert (out_dir / "checkpoint.json").exists()
+        trace = json.loads((out_dir / "training_trace.json").read_text())
+        assert trace["halted_reason"] == ("non-finite objective or gradient "
+                                          "at step 2")
+        assert len(trace["v_hat"]) == len(trace["informative"]) == 2
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1),
@@ -658,4 +695,4 @@ class TestRunCommand:
                                        axis=1)
         np.testing.assert_allclose(resolved["payoff"]["weights"],
                                    inverse / inverse.sum(), rtol=1e-15)
-        assert "reports.csv" in run_artifacts(out_dir)
+        assert run_artifacts(out_dir) == RUN_ARTIFACTS

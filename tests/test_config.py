@@ -9,8 +9,8 @@ import pytest
 from driftmc import config
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             build_scenario, build_train_config,
-                            resolve_config, sample_parameters, write_json)
-from driftmc.errors import ConfigError
+                            resolve_config, sample_parameters)
+from driftmc.errors import ConfigError, write_json
 from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
                             simulate)
 

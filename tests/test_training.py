@@ -141,6 +141,24 @@ class TestTrain:
         assert trace.informative == [v > 0.0 for v in trace.v_hat]
         assert trace.uninformative_steps == trace.v_hat.count(0.0) >= 1
 
+    def test_non_finite_objective_halts_with_the_last_good_net(
+            self, nan_objective_from):
+        # the objective is NaN at step 2: the run returns the net after
+        # step 1's update and the trace of steps 0 and 1, as a two-step run
+        # does, and says why it stopped
+        model, payoff, grid, cov = bs_setup(strike_ratio=0.9)
+        net = init_net(2, 1, rng=np.random.default_rng(12))
+        expected, two_steps = train(net, model, payoff, grid, cov, TrainConfig(
+            epochs=1, steps_per_epoch=2, batch_size=32, seed=4))
+        nan_objective_from(2)
+        halted, trace = train(net, model, payoff, grid, cov, TrainConfig(
+            epochs=1, steps_per_epoch=5, batch_size=32, seed=4))
+        np.testing.assert_array_equal(halted.to_flat(), expected.to_flat())
+        assert np.any(halted.to_flat() != net.to_flat())
+        assert trace.v_hat == two_steps.v_hat and trace.n_steps == 2
+        assert trace.halted_reason == ("non-finite objective or gradient "
+                                       "at step 2")
+
     @pytest.mark.slow
     def test_deep_otm_training_halves_objective(self):
         # plain positive-payoff fraction ~1%: on one common batch the
