@@ -13,7 +13,7 @@ import numpy as np
 
 from driftmc import (CovariationSpec, ModelSpec, TimeGrid, cameron_martin_map,
                      estimate_is, estimate_plain, log_likelihood_inverse,
-                     sample_increments, simulate)
+                     sample_increments)
 from driftmc.network import ShallowNet
 from driftmc.payoffs import PayoffSpec
 

@@ -12,16 +12,14 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure.
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from .config import build_scenario, resolve_config
 from .engine import (compare, comparison_to_dict, report_from_dict,
                      report_to_dict)
-from .errors import (ConfigError, DriftmcError, NonFiniteError,
-                     SimulationError, WeightOverflowError, read_object,
+from .errors import (ConfigError, DriftmcError, NumericalError, read_object,
                      write_json)
-from .pipeline import (estimate_seed, price, price_with_checkpoint, run,
-                       train_drift)
+from .pipeline import (TRAIN_ARTIFACTS, estimate_seed, fresh_out_dir, price,
+                       price_with_checkpoint, run, train_drift)
 from .training import STEPS_PER_UNIT_TIME
 
 EXIT_OK = 0
@@ -108,14 +106,13 @@ def _cmd_price(args):
 
 
 def _cmd_train(args):
+    out_dir = fresh_out_dir(args.out_dir, TRAIN_ARTIFACTS)
     cfg = _with_config(args.config, resolve_config)
     sc = build_scenario(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "resolved_config.json", cfg)
     _, trace = train_drift(cfg, sc, out_dir)
     if trace.halted_reason:
-        raise NonFiniteError(trace.halted_reason)
+        raise NumericalError(trace.halted_reason)
     print(f"checkpoint written to {out_dir / 'checkpoint.json'}")
     return EXIT_OK
 
@@ -123,8 +120,7 @@ def _cmd_train(args):
 def _cmd_compare(args):
     report_mc, report_is = (report_from_dict(read_object(path, "report"), path)
                             for path in (args.mc_report, args.is_report))
-    row = compare(report_mc, report_is)
-    write_json(args.out, comparison_to_dict(row))
+    write_json(args.out, comparison_to_dict(compare(report_mc, report_is)))
     return EXIT_OK
 
 
@@ -151,7 +147,7 @@ def main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         return _COMMANDS[args.command](args)
-    except (WeightOverflowError, SimulationError, NonFiniteError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, DriftmcError, OSError, ValueError) as exc:

@@ -1,5 +1,6 @@
-"""Plain and importance-sampled price estimators; each estimator report
-and each comparison row of two reports is one JSON record.
+"""Plain and importance-sampled price estimators; each estimator report is
+one JSON record, and a comparison row is the two reports it compares and
+their variance ratio, so a row states each estimate once.
 
 The block is the unit of reproducibility: paths are simulated in
 fixed-size blocks, each block on its own derived random substream, and each
@@ -38,7 +39,7 @@ CHUNK_SIZE = 512
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """One estimator summary: one record of ``reports.json``.
+    """One estimator summary: ``price``'s output, one side of a comparison row.
 
     Every field but ``wall_seconds`` is the report's JSON form, in
     declaration order, and :data:`_REPORT_CHECKS` states what each holds.
@@ -198,21 +199,12 @@ def estimate_is(model, payoff, grid, cov, drift, seed, n, label="run",
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """Plain-vs-importance-sampled metrics at one sample size."""
+    """A plain and an importance-sampled report at one sample size and their
+    variance ratio: one record of ``reports.json["comparison"]``."""
 
-    label: str
-    n: int
-    mc_mean_cents: float
-    mc_se_pct: float
-    mc_kappa: float
-    mc_theta: float | None
-    is_mean_cents: float
-    is_se_pct: float
-    is_kappa: float
-    is_theta: float | None
+    plain: EstimatorReport
+    importance: EstimatorReport
     vr: float
-    mc_seed: int
-    is_seed: int
 
 
 def variance_ratio(report_mc, report_is):
@@ -245,22 +237,8 @@ def compare(report_mc, report_is):
                          "sampled (P_h) report, in that order")
     if report_mc.n != report_is.n:
         raise ValueError("reports were computed at different sample sizes")
-    vr = variance_ratio(report_mc, report_is)
-    return ComparisonRow(
-        label=report_mc.label,
-        n=report_mc.n,
-        mc_mean_cents=report_mc.mean_cents,
-        mc_se_pct=report_mc.se_pct,
-        mc_kappa=report_mc.kappa,
-        mc_theta=report_mc.theta,
-        is_mean_cents=report_is.mean_cents,
-        is_se_pct=report_is.se_pct,
-        is_kappa=report_is.kappa,
-        is_theta=report_is.theta,
-        vr=vr,
-        mc_seed=report_mc.seed,
-        is_seed=report_is.seed,
-    )
+    return ComparisonRow(report_mc, report_is,
+                         variance_ratio(report_mc, report_is))
 
 
 def report_to_dict(report):
@@ -283,6 +261,7 @@ def report_from_dict(row, source):
 
 
 def comparison_to_dict(row):
-    """Comparison row as a flat mapping of its fields."""
-    return asdict(row)
+    """A comparison row's JSON: its two reports and their VR."""
+    return {"plain": report_to_dict(row.plain),
+            "importance": report_to_dict(row.importance), "vr": row.vr}
 

@@ -17,11 +17,15 @@ class DimensionError(DriftmcError):
     """Array shapes do not match the grid or the driver dimension."""
 
 
-class NonFiniteError(DriftmcError):
+class NumericalError(DriftmcError):
+    """A computation left the range where its numbers mean anything."""
+
+
+class NonFiniteError(NumericalError):
     """NaN or infinity found where a finite value is required."""
 
 
-class SimulationError(DriftmcError):
+class SimulationError(NumericalError):
     """Paths blew up to a non-finite state during simulation.
 
     ``path_indices`` index the simulated batch; the estimators re-raise
@@ -40,7 +44,7 @@ class SimulationError(DriftmcError):
         return SimulationError(offset + i for i in self.path_indices)
 
 
-class WeightOverflowError(DriftmcError):
+class WeightOverflowError(NumericalError):
     """A likelihood-ratio exponent exceeded the overflow guard."""
 
 

@@ -4,9 +4,11 @@ Every artifact (resolved config, checkpoint, training trace, reports) is
 one JSON record written by :func:`~driftmc.errors.write_json`, so a rerun
 of the same config is byte-identical, including across worker-thread
 counts.  The one exception is ``timings.json``, the wall times of the
-training and of each estimate.  A run first removes the :data:`ARTIFACTS`
-of an earlier run from its directory.  On failure the artifacts produced so
-far are kept and a machine-readable error file is written next to them.
+training and of each estimate.  ``reports.json`` holds the comparison rows,
+each two reports and their VR, so it states every estimate once.  ``run``
+and ``train`` first remove what an earlier call wrote to their directory.
+On failure the artifacts produced so far are kept and a machine-readable
+error file is written next to them.
 """
 
 import logging
@@ -16,8 +18,7 @@ from pathlib import Path
 
 from .config import build_scenario, build_train_config, resolve_config
 from .covariation import CovariationSpec
-from .engine import (compare, comparison_to_dict, estimate_is, estimate_plain,
-                     report_to_dict)
+from .engine import compare, comparison_to_dict, estimate_is, estimate_plain
 from .errors import CheckpointError, DriftmcError, write_json
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import train, training_grid
@@ -25,14 +26,20 @@ from . import streams
 
 log = logging.getLogger(__name__)
 
-ARTIFACTS = ("resolved_config.json", "checkpoint.json", "training_trace.json",
-             "reports.json", "timings.json", "error.json")
+# The files ``train`` writes, and every file ``run`` writes.
+TRAIN_ARTIFACTS = ("resolved_config.json", "checkpoint.json",
+                   "training_trace.json")
+ARTIFACTS = TRAIN_ARTIFACTS + ("reports.json", "timings.json", "error.json")
 
 
-def _write_error(out_dir, stage, exc):
-    write_json(Path(out_dir) / "error.json",
-               {"stage": stage, "error": type(exc).__name__,
-                "message": str(exc)})
+def fresh_out_dir(out_dir, artifacts=ARTIFACTS):
+    """``out_dir`` as a Path, created if missing, without the ``artifacts``
+    that an earlier run or train left there."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in artifacts:
+        (out_dir / name).unlink(missing_ok=True)
+    return out_dir
 
 
 def run_label(cfg):
@@ -87,10 +94,7 @@ def run(raw_config, out_dir, threads=1):
     sample size, drift training, importance-sampled estimates, comparison
     table.  The resolved config is written once its scenario builds.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ARTIFACTS:
-        (out_dir / name).unlink(missing_ok=True)
+    out_dir = fresh_out_dir(out_dir)
     stage = "resolve"
     try:
         cfg = resolve_config(raw_config)
@@ -118,13 +122,13 @@ def run(raw_config, out_dir, threads=1):
 
         stage = "compare"
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
-        write_json(out_dir / "reports.json", {
-            "reports": [report_to_dict(r) for r in plain_reports + is_reports],
-            "comparison": [comparison_to_dict(row) for row in rows]})
+        write_json(out_dir / "reports.json",
+                   {"comparison": [comparison_to_dict(row) for row in rows]})
         _write_timings(out_dir, plain_reports + is_reports, training_seconds)
         return rows
     except (DriftmcError, OSError, ValueError) as exc:
-        _write_error(out_dir, stage, exc)
+        write_json(out_dir / "error.json", {
+            "stage": stage, "error": type(exc).__name__, "message": str(exc)})
         raise
 
 

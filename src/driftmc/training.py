@@ -23,7 +23,6 @@ unbiased for any drift.  Simulation is most of a training step, so the
 coarse grid makes training several times cheaper.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -31,13 +30,11 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .errors import integer, number
+from .errors import NonFiniteError, NumericalError, integer, number
 from .network import AdamState, adam_step, backward_grid, forward
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
 from . import streams
-
-log = logging.getLogger(__name__)
 
 # Training grid steps per unit of time.  VR on the 252-step pricing grid
 # (Black-Scholes / Heston / 3/2 / Stein-Stein) was 286 / 105 / 131 / 72
@@ -147,8 +144,9 @@ def train(net, model, payoff, grid, cov, config):
 
     Every step draws a fresh batch from its own substream of
     ``config.seed``.  The trained net carries the parameters after the last
-    Adam update.  A non-finite objective or gradient at step s halts the
-    run, and the net is returned as it was before that step's update.
+    Adam update.  A numerical failure at step s halts the run: the net is
+    returned as it was before that step's update, and the trace's
+    ``halted_reason`` names the failure and the step.
     """
     trace = TrainTrace()
     params = net.to_flat()
@@ -156,13 +154,15 @@ def train(net, model, payoff, grid, cov, config):
 
     for step in range(config.epochs * config.steps_per_epoch):
         rng = streams.substream(config.seed, streams.TRAIN, step)
-        batch = simulate_training_batch(model, payoff, grid, cov, rng,
-                                        config.batch_size)
-        current = net.with_params(params)
-        v_hat, grad, h_norm_sq = objective_on_batch(current, batch, grid, cov)
-        if not (np.isfinite(v_hat) and np.all(np.isfinite(grad))):
-            trace.halted_reason = f"non-finite objective or gradient at step {step}"
-            log.error(trace.halted_reason)
+        try:
+            batch = simulate_training_batch(model, payoff, grid, cov, rng,
+                                            config.batch_size)
+            v_hat, grad, h_norm_sq = objective_on_batch(
+                net.with_params(params), batch, grid, cov)
+            if not (np.isfinite(v_hat) and np.all(np.isfinite(grad))):
+                raise NonFiniteError("non-finite objective or gradient")
+        except NumericalError as exc:
+            trace.halted_reason = f"{exc} at step {step}"
             break
         trace.v_hat.append(v_hat)
         trace.h_norm_sq.append(h_norm_sq)

@@ -178,7 +178,7 @@ class TestPriceCommands:
         assert main(["compare", "--mc-report", str(mc_file),
                      "--is-report", str(is_file), "--out", str(row_file)]) == 0
         row = json.loads(row_file.read_text())
-        assert row["n"] == 400
+        assert row["plain"]["n"] == row["importance"]["n"] == 400
         assert row["vr"] > 0.0
 
     def test_price_commands_reproduce_run(self, tmp_path):
@@ -186,9 +186,8 @@ class TestPriceCommands:
         out_dir = tmp_path / "full"
         assert main(["run", "--config", str(cfg), "--out-dir",
                      str(out_dir)]) == 0
-        full = json.loads((out_dir / "reports.json").read_text())
-        plain, is_ = (next(r for r in full["reports"] if r["measure"] == m)
-                      for m in ("P", "P_h"))
+        reports = json.loads((out_dir / "reports.json").read_text())
+        row = reports["comparison"][0]
         mc_file = tmp_path / "mc.json"
         is_file = tmp_path / "is.json"
         row_file = tmp_path / "row.json"
@@ -199,9 +198,9 @@ class TestPriceCommands:
                      str(is_file)]) == 0
         assert main(["compare", "--mc-report", str(mc_file),
                      "--is-report", str(is_file), "--out", str(row_file)]) == 0
-        assert json.loads(mc_file.read_text()) == plain
-        assert json.loads(is_file.read_text()) == is_
-        assert json.loads(row_file.read_text()) == full["comparison"][0]
+        assert json.loads(mc_file.read_text()) == row["plain"]
+        assert json.loads(is_file.read_text()) == row["importance"]
+        assert json.loads(row_file.read_text()) == row
 
     @pytest.mark.parametrize("dt", [0, -0.01])
     def test_non_positive_grid_step_is_config_error(self, tmp_path, capsys,
@@ -383,7 +382,10 @@ class TestPriceCommands:
         assert main(["compare", "--mc-report", str(mc_file),
                      "--is-report", str(is_file)]) == 0
         row = json.loads(capsys.readouterr().out)
-        assert row["mc_se_pct"] == row["is_se_pct"] == float("inf")
+        # the row holds its two input reports unchanged
+        assert row["plain"] == report
+        assert row["importance"] == dict(report, measure="P_h")
+        assert row["plain"]["se_pct"] == float("inf")
         assert row["vr"] == 1.0
 
 
@@ -461,8 +463,15 @@ class TestRunCommand:
         assert len(trace["v_hat"]) == len(trace["h_norm_sq"]) == 5
         assert [type(i) for i in trace["informative"]] == [bool] * 5
         assert trace["halted_reason"] is None
-        rows = json.loads((out_dir / "reports.json").read_text())["comparison"]
-        assert [row["n"] for row in rows] == [400, 800]
+        # each estimate is stated once, in the row that compares it
+        reports = json.loads((out_dir / "reports.json").read_text())
+        assert list(reports) == ["comparison"]
+        rows = reports["comparison"]
+        assert [(row["plain"]["n"], row["plain"]["seed"],
+                 row["importance"]["n"], row["importance"]["seed"])
+                for row in rows] == [(400, 7, 400, 8), (800, 9, 800, 10)]
+        assert {row["plain"]["measure"] for row in rows} == {"P"}
+        assert {row["importance"]["measure"] for row in rows} == {"P_h"}
         timings = json.loads((out_dir / "timings.json").read_text())
         assert sorted(timings) == ["estimates", "training_seconds"]
         assert timings["training_seconds"] > 0.0
@@ -550,6 +559,51 @@ class TestRunCommand:
         assert trace["halted_reason"] == ("non-finite objective or gradient "
                                           "at step 2")
         assert len(trace["v_hat"]) == len(trace["informative"]) == 2
+
+    @pytest.mark.parametrize("command, code", [("run", 0), ("train", 3)])
+    def test_weight_overflow_halts_training(self, tmp_path, capsys, command,
+                                            code):
+        # at learning rate 1e3 step 1 overflows a log-weight: training
+        # halts with the net of step 0, which run prices (its VR is NaN,
+        # since every weight underflows) and train reports as a numerical
+        # failure, and both keep the checkpoint and the trace
+        cfg = write_config(tmp_path,
+                           overrides={"training": {"learning_rate": 1e3}})
+        out_dir = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == code
+        assert (out_dir / "checkpoint.json").exists()
+        trace = json.loads((out_dir / "training_trace.json").read_text())
+        assert "log weight reached" in trace["halted_reason"]
+        assert trace["halted_reason"].endswith(" at step 1")
+        assert len(trace["v_hat"]) == 1
+        if command == "run":
+            assert run_artifacts(out_dir) == RUN_ARTIFACTS
+        else:
+            assert trace["halted_reason"] in capsys.readouterr().err
+
+    def test_halted_run_logs_the_halt_once(self, tmp_path, caplog,
+                                          nan_objective_from):
+        # the trace records the halt; stderr gets one line about it
+        nan_objective_from(2)
+        assert main(["run", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        halts = [r for r in caplog.records if "at step 2" in r.getMessage()]
+        assert [(r.name, r.levelname) for r in halts] == [
+            ("driftmc.pipeline", "WARNING")]
+
+    def test_train_into_reused_out_dir_keeps_no_stale_artifact(self,
+                                                               tmp_path):
+        # a refused config leaves no checkpoint of an earlier train behind
+        # for price --checkpoint to pick up
+        out_dir = tmp_path / "out"
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == 0
+        bad = write_config(tmp_path, overrides={"payoff": {"moneyness": -1}},
+                           name="bad.json")
+        assert main(["train", "--config", str(bad), "--out-dir",
+                     str(out_dir)]) == 2
+        assert run_artifacts(out_dir) == []
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", -1),

@@ -3,17 +3,17 @@
 import json
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from driftmc import engine, streams
 from driftmc.covariation import CovariationSpec, TimeGrid
-from driftmc.engine import (CHUNK_SIZE, EstimatorReport, compare,
-                            comparison_to_dict, estimate_is, estimate_plain,
-                            report_from_dict, report_to_dict, _block_plan,
-                            _simulate_block)
+from driftmc.engine import (CHUNK_SIZE, ComparisonRow, EstimatorReport,
+                            compare, comparison_to_dict, estimate_is,
+                            estimate_plain, report_from_dict, report_to_dict,
+                            variance_ratio, _block_plan, _simulate_block)
 from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
@@ -401,13 +401,18 @@ class TestCompareAndSerialization:
         assert 0.0 <= rep.theta <= 1.0
 
     def test_comparison_columns_are_stable(self):
-        # the fields of a comparison row's JSON are ComparisonRow's; this
-        # pins the format compare writes against a renamed field
-        row = comparison_to_dict(compare(*self._reports()))
-        assert sorted(row) == sorted((
-            "label", "n", "mc_mean_cents", "mc_se_pct", "mc_kappa", "mc_theta",
-            "is_mean_cents", "is_se_pct", "is_kappa", "is_theta", "vr",
-            "mc_seed", "is_seed"))
+        # a comparison row's JSON is its two reports, each in the report's
+        # own JSON, and their VR; this pins the format compare writes
+        mc, is_ = self._reports()
+        assert [f.name for f in fields(ComparisonRow)] == [
+            "plain", "importance", "vr"]
+        compared = compare(mc, is_)
+        assert compared.plain is mc and compared.importance is is_
+        row = comparison_to_dict(compared)
+        assert sorted(row) == ["importance", "plain", "vr"]
+        assert row["plain"] == report_to_dict(mc)
+        assert row["importance"] == report_to_dict(is_)
+        assert row["vr"] == variance_ratio(mc, is_)
 
     def test_report_dict_round_trip(self):
         # every field comes back exactly but the wall time, which the report

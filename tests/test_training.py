@@ -1,5 +1,7 @@
 """Tests for the variance objective, its gradient, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,23 @@ class TestTrain:
         assert trace.v_hat == two_steps.v_hat and trace.n_steps == 2
         assert trace.halted_reason == ("non-finite objective or gradient "
                                        "at step 2")
+
+    def test_weight_overflow_halts_with_the_last_good_net(self):
+        # a learning rate of 1e3 makes step 0's update so large that step
+        # 1's batch overflows a log-weight: the run halts as a one-step run
+        # does, and the trace names the overflow and the step
+        model, payoff, grid, cov = bs_setup(strike_ratio=0.9)
+        net = init_net(2, 1, rng=np.random.default_rng(12))
+        config = TrainConfig(epochs=1, steps_per_epoch=5, batch_size=32,
+                             seed=4, learning_rate=1e3)
+        expected, one_step = train(net, model, payoff, grid, cov,
+                                   replace(config, steps_per_epoch=1))
+        halted, trace = train(net, model, payoff, grid, cov, config)
+        np.testing.assert_array_equal(halted.to_flat(), expected.to_flat())
+        assert trace.v_hat == one_step.v_hat and trace.n_steps == 1
+        assert one_step.halted_reason is None
+        assert "log weight reached" in trace.halted_reason
+        assert trace.halted_reason.endswith(" at step 1")
 
     @pytest.mark.slow
     def test_deep_otm_training_halves_objective(self):
