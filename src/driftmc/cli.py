@@ -125,7 +125,8 @@ def _cmd_compare(args):
 
 
 def _cmd_run(args):
-    _with_config(args.config, run, args.out_dir, threads=args.threads)
+    out_dir = fresh_out_dir(args.out_dir)
+    _with_config(args.config, run, out_dir, threads=args.threads)
     return EXIT_OK
 
 

@@ -20,6 +20,11 @@ from .errors import DimensionError, NonFiniteError, WeightOverflowError
 
 # Per-path log-weights above this abort the run: the drift has drifted off.
 MAX_LOG_WEIGHT = 50.0
+# Paths whose normals are drawn and mixed at once, so that a slice is mixed
+# while it is still in cache.  A product's last bits can depend on its
+# column count, so a batch is cut into slices from its first path on, and
+# the chunks of ``engine`` are whole slices.
+SLICE_PATHS = 64
 
 
 def _readonly(a):
@@ -147,17 +152,27 @@ def sample_increments(spec, rng, n_paths):
 
     Step k is sigma z sqrt(dt) with z standard normal, so its covariance
     is pi dt; increments are independent across steps and paths.  The
-    normals are drawn in shape (n_paths, n_steps, d) and mixed by one small
-    matrix product per step into a paths-innermost (n_steps, d, n_paths)
-    buffer.  Returns that buffer as an (n_paths, n_steps, d) view, which is
+    normals are drawn path-major, ``SLICE_PATHS`` paths at a time, each
+    slice of shape (paths, n_steps, d) mixed by one small matrix product
+    per step straight into its columns of a paths-innermost
+    (n_steps, d, n_paths) buffer.  The stream is read in the order of one
+    (n_paths, n_steps, d) draw, and no normal array larger than a slice is
+    held.  Returns the buffer as an (n_paths, n_steps, d) view, which is
     not C-contiguous: copy before reshaping.  ``n_paths = 0`` yields an
     empty batch.
     """
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
-    z = rng.standard_normal((n_paths, spec.grid.n_steps, spec.d))
-    z *= np.sqrt(spec.grid.dt)
-    return np.matmul(spec.sigma, z.transpose(1, 2, 0)).transpose(2, 0, 1)
+    n_steps, d = spec.grid.n_steps, spec.d
+    dm = np.empty((n_steps, d, n_paths))
+    scale = np.sqrt(spec.grid.dt)
+    for start in range(0, n_paths, SLICE_PATHS):
+        stop = min(start + SLICE_PATHS, n_paths)
+        z = rng.standard_normal((stop - start, n_steps, d))
+        z *= scale
+        np.matmul(spec.sigma, z.transpose(1, 2, 0), out=dm[:, :, start:stop])
+        del z  # free this slice before the next is drawn
+    return dm.transpose(2, 0, 1)
 
 
 def log_likelihood_inverse(drift, increments, spec):

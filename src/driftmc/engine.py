@@ -10,9 +10,11 @@ once.  The partition depends only on the sample size, so the joined sample,
 and with it every result, is bit-identical across worker-thread counts.
 The chunk is the unit of memory: a block is simulated and priced
 ``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
-the block's one substream, so no path array is larger than a chunk and the
-numbers are those of one draw of the whole block.  Prices are reported
-discounted, in cents.
+the block's one substream, so the numbers are those of one draw of the
+whole block.  A chunk holds its increments and its states, paths-innermost,
+and while it draws, one slice of ``SLICE_PATHS`` paths of normals (see
+:func:`~driftmc.covariation.sample_increments`), so no path array is larger
+than a chunk.  Prices are reported discounted, in cents.
 """
 
 import logging
@@ -33,8 +35,11 @@ from . import streams
 log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 2048
-# Paths simulated at once within a block; bounds the memory of a block.
-CHUNK_SIZE = 512
+# Paths simulated at once within a block; bounds the memory of a block.  A
+# 20-dim Heston chunk on 252 steps holds 10.3 MB of increments and 10.4 MB
+# of states.  A multiple of SLICE_PATHS, so a block's chunks draw the
+# slices of one draw of the whole block.
+CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)

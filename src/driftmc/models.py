@@ -10,9 +10,11 @@ log inverse likelihood then accumulates alongside the states.
 
 Paths are stored innermost: increments and states live in
 (n_steps, d, n_paths) and (n_steps+1, n_state, n_paths) buffers, so each
-Euler step reads and writes contiguous rows of all paths.  Callers see
-them as (n_paths, ...)-shaped views, which are not C-contiguous; copy
-before reshaping.
+Euler step reads and writes contiguous rows of all paths, in place.  These
+two buffers are all a simulation holds of its paths besides one slice of
+normals while the increments are drawn.  Callers see them as
+(n_paths, ...)-shaped views, which are not C-contiguous; copy before
+reshaping.
 """
 
 from dataclasses import dataclass
@@ -184,12 +186,13 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     """Euler-Maruyama paths of the model on the given grid.
 
     The driver increments are drawn by :func:`sample_increments` from
-    ``rng``, so ``cov`` must carry the model's own sigma on ``grid``.  With ``drift`` set, they are shifted by the finite variation
-    part of the measure change and the log inverse likelihood is
-    accumulated from those same shifted increments, so a zero drift
-    reproduces the unshifted batch exactly.  The recursion runs on a
-    paths-innermost (n_steps+1, n_state, n_paths) buffer, so every step
-    works on contiguous rows of all paths; the returned
+    ``rng``, a slice of normals at a time, so ``cov`` must carry the
+    model's own sigma on ``grid``.  With ``drift`` set, they are shifted by
+    the finite variation part of the measure change and the log inverse
+    likelihood is accumulated from those same shifted increments, so a zero
+    drift reproduces the unshifted batch exactly.  The recursion runs in
+    place on a paths-innermost (n_steps+1, n_state, n_paths) buffer, so
+    every step works on contiguous rows of all paths; the returned
     :class:`PathBatch` holds (n_paths, ...)-shaped views of the buffers,
     which are not C-contiguous: copy before reshaping.
     """
@@ -230,29 +233,60 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
 
 def _euler_loop(spec, states, dm, h):
     """Euler steps on paths-innermost ``states`` (n_steps+1, n_state,
-    n_paths) driven by ``dm`` (n_steps, d, n_paths)."""
+    n_paths) driven by ``dm`` (n_steps, d, n_paths).
+
+    Each step is x_{k+1} = (x_k + a) + b dM_k on whole (n_state, n_paths)
+    rows, written in place: the drift term ``a`` is built in row k+1
+    itself, and the diffusion coefficient ``b`` is row k for Black-Scholes
+    and a scratch row otherwise.  Every term takes the operations of the
+    model's scalar recursion in its order, so every value is the one that
+    recursion gives.
+    """
     n = spec.n
     # Risk-neutral: every asset drifts at the short rate.
     growth = spec.rate * h
+    bdm = np.empty(states.shape[1:])  # b dM_k
     if spec.has_volatility:
         # Parameters as columns, to broadcast along the paths.
         theta, m = spec.reversion[:, None], spec.mean_level[:, None]
+        b = np.empty_like(bdm)
+        bs, bv = b[:n], b[n:]
+        vp = np.empty_like(bv)
+        if spec.tag == STEIN_STEIN:
+            bv.fill(1.0)
     for k in range(dm.shape[0]):
-        s = states[k, :n]
+        x, nxt = states[k], states[k + 1]
         if spec.tag == BLACK_SCHOLES:
-            states[k + 1, :n] = s + s * growth + s * dm[k]
-            continue
-        v = states[k, n:]
-        dm1, dm2 = dm[k, :n], dm[k, n:]
+            # a = s r h, b = s
+            np.multiply(x, growth, out=nxt)
+            b = x
+        else:
+            s, v, ds, dv = x[:n], x[n:], nxt[:n], nxt[n:]
+            np.multiply(s, growth, out=ds)
         if spec.tag == HESTON:
-            vp = np.maximum(v, 0.0)
-            root = np.sqrt(vp)
-            states[k + 1, :n] = s + s * growth + s * root * dm1
-            states[k + 1, n:] = v + theta * (m - vp) * h + root * dm2
+            # a = (s r h, theta (m - v+) h), b = (s sqrt(v+), sqrt(v+))
+            np.maximum(v, 0.0, out=vp)
+            np.sqrt(vp, out=bv)
+            np.multiply(s, bv, out=bs)
+            np.subtract(m, vp, out=dv)
+            dv *= theta
+            dv *= h
         elif spec.tag == THREE_HALVES:
-            vp = np.maximum(v, 0.0)
-            states[k + 1, :n] = s + s * growth + s * np.sqrt(vp) * dm1
-            states[k + 1, n:] = v + theta * vp * (m - vp) * h + vp**1.5 * dm2
-        else:  # STEIN_STEIN, volatility signed
-            states[k + 1, :n] = s + s * growth + s * v * dm1
-            states[k + 1, n:] = v + theta * (m - v) * h + dm2
+            # a = (s r h, theta v+ (m - v+) h), b = (s sqrt(v+), v+^1.5)
+            np.maximum(v, 0.0, out=vp)
+            np.sqrt(vp, out=bs)
+            bs *= s
+            np.multiply(theta, vp, out=bv)
+            np.subtract(m, vp, out=dv)
+            dv *= bv
+            dv *= h
+            np.power(vp, 1.5, out=bv)
+        elif spec.tag == STEIN_STEIN:  # volatility signed
+            # a = (s r h, theta (m - v) h), b = (s v, 1)
+            np.multiply(s, v, out=bs)
+            np.subtract(m, v, out=dv)
+            dv *= theta
+            dv *= h
+        nxt += x
+        np.multiply(b, dm[k], out=bdm)
+        nxt += bdm

@@ -11,7 +11,8 @@ from driftmc import training
 class FixedNormals:
     """Generator stand-in whose ``standard_normal(shape)`` returns a fixed
     array: zeros by default, which collapses a simulation onto its
-    deterministic Euler skeleton."""
+    deterministic Euler skeleton.  A fixed array must be the normals of one
+    draw, so a batch of at most ``SLICE_PATHS`` paths."""
 
     def __init__(self, z=None):
         self.z = z

@@ -544,6 +544,23 @@ class TestRunCommand:
                          str(out_dir)]) == code
             assert run_artifacts(out_dir) == artifacts
 
+    @pytest.mark.parametrize("content", [None, "{ not json"],
+                             ids=["missing", "not-json"])
+    def test_unreadable_config_keeps_no_stale_artifact(self, tmp_path,
+                                                       capsys, content):
+        # a config that cannot be read still clears the earlier run's
+        # artifacts, as train does, so none of them reads as its result
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path)),
+                     "--out-dir", str(out_dir)]) == 0
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        assert main(["run", "--config", str(bad), "--out-dir",
+                     str(out_dir)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert run_artifacts(out_dir) == []
+
     @pytest.mark.parametrize("command, code", [("run", 0), ("train", 3)])
     def test_training_halt_is_recorded(self, tmp_path, nan_objective_from,
                                        command, code):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from driftmc.covariation import (CovariationSpec, TimeGrid, cameron_martin_map,
-                                 lambda2_inner, log_likelihood_inverse,
-                                 sample_increments)
+from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
+                                 cameron_martin_map, lambda2_inner,
+                                 log_likelihood_inverse, sample_increments)
 from driftmc.errors import DimensionError, NonFiniteError
 
 
@@ -204,6 +204,17 @@ class TestSampleIncrements:
         a = sample_increments(spec, np.random.default_rng(77), 100)
         b = sample_increments(spec, np.random.default_rng(77), 100)
         np.testing.assert_array_equal(a, b)
+
+    def test_slices_read_the_stream_of_one_draw(self):
+        # the normals are drawn a slice at a time, in the order of one
+        # (n_paths, n_steps, d) draw, and the last slice is a short one
+        sigma = np.tril(np.random.default_rng(3).uniform(0.1, 0.4, (5, 5)))
+        spec = uniform_spec(sigma, n_steps=12)
+        n_paths = 3 * SLICE_PATHS + 5
+        dm = sample_increments(spec, np.random.default_rng(11), n_paths)
+        z = np.random.default_rng(11).standard_normal((n_paths, 12, 5))
+        np.testing.assert_array_max_ulp(
+            dm, (z * np.sqrt(spec.grid.dt)) @ sigma.T, maxulp=4)
 
     def test_empty_batch(self):
         spec = uniform_spec(np.eye(2), n_steps=8)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftmc import engine, streams
-from driftmc.covariation import CovariationSpec, TimeGrid
+from driftmc.covariation import SLICE_PATHS, CovariationSpec, TimeGrid
 from driftmc.engine import (CHUNK_SIZE, ComparisonRow, EstimatorReport,
                             compare, comparison_to_dict, estimate_is,
                             estimate_plain, report_from_dict, report_to_dict,
@@ -299,6 +299,12 @@ class TestChunks:
 
         peak(CHUNK_SIZE)  # first-call allocations are not the block's
         assert peak(4 * CHUNK_SIZE) <= 1.5 * peak(CHUNK_SIZE)
+
+
+def test_chunks_are_whole_slices():
+    # a product's last bits can depend on its width, so a chunk's slices
+    # must be those of one draw of the whole block
+    assert CHUNK_SIZE % SLICE_PATHS == 0
 
 
 @pytest.mark.parametrize("entry", ["plain", "is", "training"])

@@ -1,11 +1,15 @@
 """Tests for model validation and Euler path simulation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from driftmc.config import build_scenario, resolve_config
-from driftmc.covariation import (CovariationSpec, TimeGrid, cameron_martin_map,
-                                 log_likelihood_inverse, sample_increments)
+from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
+                                 cameron_martin_map, log_likelihood_inverse,
+                                 sample_increments)
+from driftmc.engine import CHUNK_SIZE
 from driftmc.errors import (DimensionError, ModelValidationError,
                             SimulationError)
 from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
@@ -377,3 +381,34 @@ class TestPathsInnermostLayout:
         np.testing.assert_allclose(
             log_likelihood_inverse(cm, batch.increments, cov),
             log_likelihood_inverse(cm, increments, cov), rtol=1e-12)
+
+
+class TestChunkMemory:
+    """A chunk holds its increments, its states and one slice of normals,
+    never a normal array of all its paths."""
+
+    def peak_bytes(self, draw):
+        draw()  # first-call allocations are not the chunk's
+        tracemalloc.start()
+        try:
+            draw()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_chunk_peak_is_increments_states_and_one_slice(self):
+        model = heston_model(n=10)  # a 20-dim driver
+        grid, cov = grid_and_cov(model, n_steps=50)
+        drift = init_net(3, model.d, rng=np.random.default_rng(0))
+        increments = grid.n_steps * model.d * CHUNK_SIZE * 8
+        states = (grid.n_steps + 1) * model.n_state * CHUNK_SIZE * 8
+        one_slice = SLICE_PATHS * grid.n_steps * model.d * 8
+        slack = 64 * 1024  # Python objects
+        assert self.peak_bytes(lambda: sample_increments(
+            cov, np.random.default_rng(1), CHUNK_SIZE)) <= (
+                increments + one_slice + slack)
+        # simulate's Euler scratch rows and finiteness mask (states / 8)
+        # come after the draw and fit in the room of its slice
+        assert self.peak_bytes(lambda: simulate(
+            model, grid, cov, np.random.default_rng(1), CHUNK_SIZE,
+            drift=drift)) <= increments + states + one_slice + slack
