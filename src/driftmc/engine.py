@@ -3,11 +3,11 @@ one JSON record, and a comparison row is the two reports it compares and
 their variance ratio, so a row states each estimate once.
 
 The block is the unit of reproducibility: paths are simulated in
-fixed-size blocks, each block on its own derived random substream, and each
-block hands back its per-path weighted payoffs and event flags.  An
-estimate joins the blocks in block order and reduces the joined sample
-once.  The partition depends only on the sample size, so the joined sample,
-and with it every result, is bit-identical across worker-thread counts.
+fixed-size blocks, each block on its own derived random substream.  Each
+chunk writes its weighted payoffs into its slice of the estimate's one
+per-path array, and each block returns its event counts; the estimate
+reduces the array once.  The partition depends only on the sample size, so
+the array, and with it every result, is bit-identical across thread counts.
 The chunk is the unit of memory: a block is simulated and priced
 ``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
 the block's one substream, so the numbers are those of one draw of the
@@ -26,9 +26,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, SimulationError, integer, number
+from .errors import (ConfigError, NonFiniteError, SimulationError,
+                     integer, number)
 from .models import simulate
-from .payoffs import PayoffBatch, check_width, evaluate_batch
+from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
 from . import streams
 
@@ -105,19 +106,11 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
-def _concatenate(batches):
-    """The PayoffBatch of all paths of ``batches``, in order."""
-    knocked = [b.knocked_out for b in batches]
-    return PayoffBatch(np.concatenate([b.values for b in batches]),
-                       np.concatenate([b.above_strike for b in batches]),
-                       None if knocked[0] is None else np.concatenate(knocked))
-
-
 def _simulate_block(model, payoff, grid, cov, drift, seed, block,
-                    discount_cents):
-    """The :class:`~driftmc.payoffs.PayoffBatch` of ``block = (index,
-    start, size)``: its weighted discounted payoffs and event flags, in
-    path order.
+                    discount_cents, values):
+    """Write the weighted discounted payoffs of ``block = (index, start,
+    size)`` into ``values[start:start + size]``, and return its counts of
+    paths above the strike and of knocked-out paths.
 
     The block's chunks are drawn in path order from its one substream,
     ``substream(seed, ESTIMATE, index)``, so block ``index`` is the paths
@@ -127,21 +120,23 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, block,
     """
     index, start, size = block
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    chunks = []
-    for offset in range(0, size, CHUNK_SIZE):
+    above = knocked = 0
+    for lo in range(start, start + size, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, start + size)
         try:
-            batch = simulate(model, grid, cov, rng,
-                             min(CHUNK_SIZE, size - offset), drift=drift)
+            batch = simulate(model, grid, cov, rng, hi - lo, drift=drift)
         except SimulationError as exc:
-            raise exc.shifted(start + offset) from exc
+            raise exc.shifted(lo) from exc
         pay = evaluate_batch(payoff, batch.states, grid)
         # Under P the log-weights are zero and v * exp(0) == v exactly, so a
         # plain block is an IS block with unit weights, bit for bit.
-        chunks.append(PayoffBatch(
-            pay.values * np.exp(batch.log_inverse_likelihood)
-            * discount_cents, pay.above_strike, pay.knocked_out))
+        values[lo:hi] = (pay.values * np.exp(batch.log_inverse_likelihood)
+                         * discount_cents)
+        above += int(np.count_nonzero(pay.above_strike))
+        if payoff.has_barriers:
+            knocked += int(np.count_nonzero(pay.knocked_out))
         del batch  # free this chunk's paths before the next is drawn
-    return _concatenate(chunks)
+    return above, knocked
 
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
@@ -153,18 +148,18 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     check_width(payoff, model.n)
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
-    blocks = _block_plan(n, block_size)
-
-    def worker(block):
-        return _simulate_block(model, payoff, grid, cov, drift, seed, block,
-                               discount_cents)
-
+    values = np.empty(n)
+    # Blocks write disjoint slices of ``values``, so they need no lock.
+    worker = partial(_simulate_block, model, payoff, grid, cov, drift, seed,
+                     discount_cents=discount_cents, values=values)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        sample = _concatenate(list(pool.map(worker, blocks)))
-    moments = RunningMoments.from_array(sample.values)
-    above = int(np.count_nonzero(sample.above_strike))
-    knocked = (None if sample.knocked_out is None
-               else int(np.count_nonzero(sample.knocked_out)))
+        counts = list(pool.map(worker, _block_plan(n, block_size)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = RunningMoments.from_array(values)
+    if not (math.isfinite(moments.mean) and math.isfinite(moments.m2)):
+        raise NonFiniteError(f"estimate {label!r} is not finite: mean "
+                             f"{moments.mean}, variance {moments.variance()}")
+    above, knocked = map(sum, zip(*counts))
 
     mean = moments.mean
     # An all-zero sample has no relative error to speak of, and a one-path
@@ -180,7 +175,7 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
         mean_cents=mean,
         se_pct=se_pct,
         kappa=above / n,
-        theta=None if knocked is None else knocked / n,
+        theta=knocked / n if payoff.has_barriers else None,
         per_sample_variance=moments.variance(),
         seed=seed,
         wall_seconds=time.perf_counter() - begin,

@@ -530,6 +530,30 @@ class TestRunCommand:
         assert error["stage"] == "resolve"
         assert error["error"] == "ModelValidationError"
 
+    @pytest.mark.parametrize("command", ["price", "run"])
+    def test_non_finite_estimate_exits_numerical(self, tmp_path, capsys,
+                                                 command):
+        # a finite config whose estimate is not finite: no report that
+        # compare would refuse, and run names the stage that failed
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({
+            "model": {"tag": "black_scholes", "n": 1,
+                      "params": {"sigma": [[0.2]], "s0": [1e200]}},
+            "payoff": {"moneyness": 0.5}, "grid": {"dt": 0.1},
+            "estimation": {"sample_sizes": [500]}}))
+        out = tmp_path / "out"
+        target = ["--out", str(out)] if command == "price" else [
+            "--out-dir", str(out)]
+        assert main([command, "--config", str(cfg), *target]) == 3
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "RuntimeWarning" not in err
+        if command == "price":
+            assert not out.exists()
+        else:
+            error = json.loads((out / "error.json").read_text())
+            assert (error["stage"], error["error"]) == ("plain",
+                                                        "NonFiniteError")
+
     def test_reused_out_dir_keeps_no_stale_artifact(self, tmp_path):
         # a run first removes what an earlier run wrote there: the error
         # file of a failure, the reports of a success

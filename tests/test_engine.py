@@ -14,7 +14,8 @@ from driftmc.engine import (CHUNK_SIZE, ComparisonRow, EstimatorReport,
                             compare, comparison_to_dict, estimate_is,
                             estimate_plain, report_from_dict, report_to_dict,
                             variance_ratio, _block_plan, _simulate_block)
-from driftmc.errors import DimensionError, SimulationError, WeightOverflowError
+from driftmc.errors import (DimensionError, NonFiniteError, SimulationError,
+                            WeightOverflowError)
 from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
 from driftmc.network import ShallowNet, init_net
 from driftmc.payoffs import PayoffSpec, evaluate_batch
@@ -74,9 +75,20 @@ class TestEstimatePlain:
         kwargs = dict(seed=3, n=10_000, label="bs", block_size=1024)
         serial = estimate_plain(model, payoff, grid, cov, threads=1, **kwargs)
         threaded = estimate_plain(model, payoff, grid, cov, threads=8, **kwargs)
-        assert serial.mean_cents == threaded.mean_cents
-        assert serial.per_sample_variance == threaded.per_sample_variance
-        assert serial.kappa == threaded.kappa
+        assert report_to_dict(serial) == report_to_dict(threaded)
+
+        # an importance-sampled knock-out with a partial last block and a
+        # partial last chunk: kappa and theta are sums of the blocks' counts
+        model, _, grid, cov = TestChunks().ko_setup()
+        payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0, lower=0.9,
+                            upper=1.15)
+        drift = init_net(3, model.d, rng=np.random.default_rng(4))
+        reports = [report_to_dict(estimate_is(
+            model, payoff, grid, cov, drift, seed=5, n=1500, threads=threads,
+            block_size=600)) for threads in (1, 2, 3)]
+        assert 0.0 < reports[0]["theta"] < 1.0
+        assert 0.0 < reports[0]["kappa"] < 1.0
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_block_size_choice_changes_nothing_statistically(self):
         # different block sizes use different substreams, so only agreement
@@ -122,6 +134,19 @@ class TestEstimatePlain:
         assert rep.se_pct == math.inf
         row = report_to_dict(rep)
         assert json.loads(json.dumps(row))["se_pct"] == math.inf
+
+    def test_non_finite_estimate_is_refused(self, recwarn):
+        # every path is finite, but the squared deviations overflow: the
+        # estimate raises instead of reporting an infinite variance, and
+        # its one reduction prints no overflow warning
+        model = ModelSpec(tag=BLACK_SCHOLES, sigma=[[0.2]], s0=[1e200],
+                          rate=0.05)
+        payoff = PayoffSpec(weights=[1.0], strike=0.5e200)
+        grid = TimeGrid(1.0, 10)
+        cov = CovariationSpec(model.sigma, grid)
+        with pytest.raises(NonFiniteError, match="variance inf"):
+            estimate_plain(model, payoff, grid, cov, seed=0, n=500)
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_one_path_sample_is_not_exact(self):
         # one path has no error estimate: its SE must not read as zero
@@ -197,6 +222,9 @@ class TestChunks:
 
     @pytest.mark.parametrize("importance", [False, True])
     def test_chunks_draw_the_numbers_of_one_shot(self, importance):
+        # a block starting at path 100 writes the one-shot numbers into its
+        # slice of the estimate's array, touches nothing else, and returns
+        # the one-shot's event counts
         model, payoff, grid, cov = self.ko_setup()
         drift = (init_net(3, model.d, rng=np.random.default_rng(4))
                  if importance else None)
@@ -204,14 +232,18 @@ class TestChunks:
                             streams.substream(6, streams.ESTIMATE, 0),
                             self.SIZE, drift=drift)
         pay = evaluate_batch(payoff, one_shot.states, grid)
-        values = pay.values * np.exp(one_shot.log_inverse_likelihood) * 90.0
+        expected = pay.values * np.exp(one_shot.log_inverse_likelihood) * 90.0
         assert 0 < pay.knocked_out.sum() < self.SIZE
 
-        block = _simulate_block(model, payoff, grid, cov, drift, 6,
-                                (0, 0, self.SIZE), 90.0)
-        np.testing.assert_array_equal(block.values, values)
-        np.testing.assert_array_equal(block.above_strike, pay.above_strike)
-        np.testing.assert_array_equal(block.knocked_out, pay.knocked_out)
+        start = 100
+        values = np.full(start + self.SIZE + 50, np.nan)
+        counts = _simulate_block(model, payoff, grid, cov, drift, 6,
+                                 (0, start, self.SIZE), 90.0, values)
+        np.testing.assert_array_equal(values[start:start + self.SIZE],
+                                      expected)
+        assert np.isnan(values[:start]).all()
+        assert np.isnan(values[start + self.SIZE:]).all()
+        assert counts == (pay.above_strike.sum(), pay.knocked_out.sum())
 
     def test_estimate_reduces_its_blocks_once(self):
         # blocks of two chunks each and a short last block, on two threads:
