@@ -4,16 +4,17 @@ The driver of every model here is a d-dimensional Gaussian martingale whose
 covariation is pi = Sigma Sigma' per unit time.  Drift adjustments live in
 the image of the map J(f)(t) = integral_0^t pi f dt, and J is an isometry:
 the drift-space norm of J(f) equals the weighted L2 norm of f.  This script
-walks through the discrete versions of these facts.
+walks through the discrete versions of these facts, importing each name
+from the ``driftmc`` module that defines it.
 
 Run:  python demos/01_drift_space_isometry.py
 """
 
 import numpy as np
 
-from driftmc import (CovariationSpec, TimeGrid, cameron_martin_map, forward,
-                     lambda2_inner)
-from driftmc.network import ShallowNet
+from driftmc.covariation import (CovariationSpec, TimeGrid,
+                                 cameron_martin_map, lambda2_inner)
+from driftmc.network import ShallowNet, forward
 
 rng = np.random.default_rng(0)
 

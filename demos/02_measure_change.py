@@ -4,16 +4,18 @@ Adding the finite-variation part pi f dt to the Gaussian increments tilts
 the sampling measure; multiplying each payoff by the inverse stochastic
 exponential exp(-sum f.dM + |h|^2/2) undoes the tilt in expectation.  This
 script checks both directions numerically on a two-asset Black-Scholes
-model.
+model, importing each name from the ``driftmc`` module that defines it.
 
 Run:  python demos/02_measure_change.py
 """
 
 import numpy as np
 
-from driftmc import (CovariationSpec, ModelSpec, TimeGrid, cameron_martin_map,
-                     estimate_is, estimate_plain, log_likelihood_inverse,
-                     sample_increments)
+from driftmc.covariation import (CovariationSpec, TimeGrid,
+                                 cameron_martin_map, log_likelihood_inverse,
+                                 sample_increments)
+from driftmc.engine import estimate_is, estimate_plain
+from driftmc.models import ModelSpec
 from driftmc.network import ShallowNet
 from driftmc.payoffs import PayoffSpec
 

@@ -1,11 +1,13 @@
 """Command line interface.
 
 Subcommands: validate, price, train, compare, run.  The config file is the
-one place a run is set; ``validate`` prints it resolved, and every flag
-names an input or output file or sets the thread count.  ``compare``
-reads exactly the fields ``price`` writes.  A malformed input file (config,
-checkpoint or report) exits 2 with a message naming the file and the field;
-so does a config whose model parameters break a model invariant.
+one place a run is set; ``validate`` prints it resolved, refusing what
+resolve refuses, as resolve builds every spec that can refuse a field.
+Every flag names an input or output file or sets the thread count.
+``compare`` reads exactly the fields ``price`` writes and refuses two
+reports of different scenarios, measures or sample sizes, naming both
+files.  A malformed input file (config, checkpoint or report) exits 2 with
+a message naming the file and the field; so does a bad model spec.
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 """
 
@@ -85,9 +87,7 @@ def _with_config(path, use, *args, **kwargs):
 
 
 def _cmd_validate(args):
-    cfg = _with_config(args.config, resolve_config)
-    build_scenario(cfg)
-    write_json(None, cfg)
+    write_json(None, _with_config(args.config, resolve_config))
     return EXIT_OK
 
 
@@ -120,7 +120,12 @@ def _cmd_train(args):
 def _cmd_compare(args):
     report_mc, report_is = (report_from_dict(read_object(path, "report"), path)
                             for path in (args.mc_report, args.is_report))
-    write_json(args.out, comparison_to_dict(compare(report_mc, report_is)))
+    try:
+        row = compare(report_mc, report_is)
+    except ValueError as exc:
+        raise ConfigError(f"reports {args.mc_report} and {args.is_report}: "
+                          f"{exc}") from exc
+    write_json(args.out, comparison_to_dict(row))
     return EXIT_OK
 
 

@@ -6,13 +6,14 @@ ranges unless ``model.params`` gives them, and materializes derived
 quantities (weights, strike, barriers), producing a config that is a fixed
 point: running the resolved document reproduces the run bit for bit.  Every
 list in it is read by one rule, entry by entry, and a bad entry is refused
-by its index, such as ``model.params.sigma[1][0]``.
+by its index, such as ``model.params.sigma[1][0]``.  Resolution builds
+every spec, so the field checks each spec makes of itself refuse here.
 """
 
 import copy
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -22,7 +23,6 @@ from .engine import DEFAULT_BLOCK_SIZE
 from .errors import ConfigError, ModelValidationError, integer, number
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec)
-from .network import ACTIVATIONS
 from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
@@ -61,11 +61,7 @@ DEFAULTS = {
         "horizon": 1.0,
         "dt": 1.0 / 252.0,
     },
-    "training": {
-        **{f.name: f.default for f in fields(TrainConfig)},
-        "hidden_width": None,
-        "activation": "scaled_tanh",
-    },
+    "training": {f.name: f.default for f in fields(TrainConfig)},
     "estimation": {
         "sample_sizes": [5000, 20000, 100000],
         "seed": 7,
@@ -165,14 +161,6 @@ def _numbers(values, name, length=None, check=number):
     return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
 
 
-def _barrier_pair(values, name):
-    """A (lower, upper) pair of finite numbers with lower < upper."""
-    lo, hi = _numbers(values, name, 2)
-    if not lo < hi:
-        raise ConfigError(f"{name} needs lower < upper barrier, got {values!r}")
-    return lo, hi
-
-
 def resolve_config(raw):
     """Fill defaults, sample parameters, materialize derived fields; a bad
     field raises a ConfigError naming it, bad model parameters its subclass
@@ -211,8 +199,6 @@ def resolve_config(raw):
     if payoff_block["weights"] is None:
         payoff_block["weights"] = basket_weights(model.sigma, n).tolist()
     weights = _numbers(payoff_block["weights"], "payoff.weights", n)
-    if not np.isclose(np.sum(weights), 1.0, atol=1e-9):
-        raise ConfigError(f"payoff.weights must sum to 1, got {weights!r}")
     basket0 = float(np.dot(weights, model.s0))
     forward_factor = math.exp(model.rate * horizon)
     moneyness = payoff_block["moneyness"]
@@ -223,26 +209,24 @@ def resolve_config(raw):
     elif moneyness is not None:
         raise ConfigError("set payoff.strike or payoff.moneyness, not both")
     payoff_block["moneyness"] = None
-    number(payoff_block["strike"], "payoff.strike", positive=True)
     if payoff_block["barrier_moneyness"] is not None:
         if payoff_block["barriers"] is not None:
             raise ConfigError("set payoff.barriers or "
                               "payoff.barrier_moneyness, not both")
-        lo, hi = _barrier_pair(payoff_block["barrier_moneyness"],
-                               "payoff.barrier_moneyness")
+        lo, hi = _numbers(payoff_block["barrier_moneyness"],
+                          "payoff.barrier_moneyness", 2)
+        if not lo < hi:
+            raise ConfigError("payoff.barrier_moneyness needs lower < upper "
+                              f"barrier, got {[lo, hi]!r}")
         payoff_block["barriers"] = [lo * basket0, hi * basket0]
         payoff_block["barrier_moneyness"] = None
     if payoff_block["barriers"] is not None:
-        _barrier_pair(payoff_block["barriers"], "payoff.barriers")
+        _numbers(payoff_block["barriers"], "payoff.barriers", 2)
+    build_payoff(cfg)  # PayoffSpec refuses the rest of the payoff block
 
-    training = cfg["training"]
-    width = training["hidden_width"]
-    training["hidden_width"] = integer(model.d if width is None else width,
-                                       "training.hidden_width", 1)
-    if training["activation"] not in tuple(ACTIVATIONS):
-        raise ConfigError("training.activation: unknown activation "
-                          f"{training['activation']!r}")
-    build_train_config(cfg)  # a bad training block fails here, not mid-run
+    if cfg["training"]["hidden_width"] is None:
+        cfg["training"]["hidden_width"] = model.d
+    cfg["training"] = asdict(build_train_config(cfg))  # fails here, not mid-run
 
     estimation = cfg["estimation"]
     estimation["seed"] = integer(estimation["seed"], "estimation.seed", 0)
@@ -316,6 +300,5 @@ def build_scenario(cfg):
 
 def build_train_config(cfg):
     """The TrainConfig of a resolved config, which checks its fields."""
-    return TrainConfig(**{f.name: cfg["training"][f.name]
-                          for f in fields(TrainConfig)})
+    return TrainConfig(**cfg["training"])
 

@@ -10,13 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError, number
 
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Weights, strike and optional barriers; with barriers the call is
-    knocked out."""
+    """Weights summing to 1, a positive strike and optional ordered
+    barriers, which knock the call out; a bad field is a ConfigError naming
+    ``payoff.<field>``, so every spec is valid by construction."""
 
     weights: np.ndarray
     strike: float
@@ -26,15 +27,17 @@ class PayoffSpec:
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64)
         w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
         if not np.isclose(w.sum(), 1.0, atol=1e-9):
-            raise ValueError("basket weights must sum to 1")
-        if not self.strike > 0.0:
-            raise ValueError("strike must be positive")
+            raise ConfigError("payoff.weights must sum to 1, got "
+                              f"{self.weights!r}")
+        object.__setattr__(self, "weights", w)
+        number(self.strike, "payoff.strike", positive=True)
         if (self.lower is None) != (self.upper is None):
-            raise ValueError("knock-out payoff needs both barriers")
+            raise ConfigError("payoff.barriers needs both barriers or "
+                              f"neither, got {[self.lower, self.upper]!r}")
         if self.has_barriers and not self.lower < self.upper:
-            raise ValueError("need lower < upper barrier")
+            raise ConfigError("payoff.barriers needs lower < upper barrier, "
+                              f"got {[self.lower, self.upper]!r}")
 
     @property
     def n_assets(self):

@@ -11,6 +11,8 @@ On failure the artifacts produced so far are kept and a machine-readable
 error file is written next to them.
 """
 
+import hashlib
+import json
 import logging
 import time
 from dataclasses import asdict
@@ -43,9 +45,14 @@ def fresh_out_dir(out_dir, artifacts=ARTIFACTS):
 
 
 def run_label(cfg):
+    """``<tag>-<asian|knockout>-<digest>``: 12 hex digits of the SHA-256 of
+    the model, payoff and grid blocks, so two scenarios' reports do not
+    compare; a drift trained under another ``training`` block still does."""
     tag = cfg["model"]["tag"]
     kind = "knockout" if cfg["payoff"]["barriers"] else "asian"
-    return f"{tag}-{kind}"
+    scenario = json.dumps({k: cfg[k] for k in ("model", "payoff", "grid")},
+                          sort_keys=True)
+    return f"{tag}-{kind}-{hashlib.sha256(scenario.encode()).hexdigest()[:12]}"
 
 
 def estimate_seed(cfg, index, importance):
@@ -77,8 +84,8 @@ def train_drift(cfg, sc, out_dir):
     """
     train_cfg = build_train_config(cfg)
     rng = streams.substream(train_cfg.seed, streams.TRAIN, 999_999)
-    net = init_net(cfg["training"]["hidden_width"], sc.model.d, rng,
-                   activation=cfg["training"]["activation"])
+    net = init_net(train_cfg.hidden_width, sc.model.d, rng,
+                   activation=train_cfg.activation)
     grid = training_grid(sc.grid)
     trained, trace = train(net, sc.model, sc.payoff, grid,
                            CovariationSpec(sc.model.sigma, grid), train_cfg)

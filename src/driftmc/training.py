@@ -30,8 +30,9 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .errors import NonFiniteError, NumericalError, integer, number
-from .network import AdamState, adam_step, backward_grid, forward
+from .errors import (ConfigError, NonFiniteError, NumericalError, integer,
+                     number)
+from .network import ACTIVATIONS, AdamState, adam_step, backward_grid, forward
 from .models import simulate
 from .payoffs import check_width, evaluate_batch
 from . import streams
@@ -44,22 +45,30 @@ STEPS_PER_UNIT_TIME = 50
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training run: the fields, defaults and checks
-    of the run config's ``training`` block, which every resolved config
-    records, so a bad value is a ConfigError naming ``training.<field>``."""
+    """The run config's whole ``training`` block: its fields, defaults and
+    checks, so a bad value is a ConfigError naming ``training.<field>``.
+    Resolve fills in ``hidden_width`` None as the model's driver dimension."""
 
     batch_size: int = 256
     epochs: int = 10
     steps_per_epoch: int = 100
     learning_rate: float = 1e-2
     seed: int = 0
+    hidden_width: int | None = None
+    activation: str = "scaled_tanh"
 
     def __post_init__(self):
         for name, least in (("batch_size", 2), ("epochs", 0),
                             ("steps_per_epoch", 0), ("seed", 0)):
             object.__setattr__(self, name, integer(
                 getattr(self, name), f"training.{name}", least))
+        if self.hidden_width is not None:
+            object.__setattr__(self, "hidden_width", integer(
+                self.hidden_width, "training.hidden_width", 1))
         number(self.learning_rate, "training.learning_rate", positive=True)
+        if self.activation not in tuple(ACTIVATIONS):  # a list is no key
+            raise ConfigError("training.activation: unknown activation "
+                              f"{self.activation!r}")
 
 
 @dataclass

@@ -148,6 +148,32 @@ class TestValidateCommand:
         assert repr(field) in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def priced_reports(tmp_path_factory):
+    """Report files of two-asset Black-Scholes Asians at moneyness 1.0:
+    plain at 400 paths ("mc"), and with one trained drift at 400 ("is") and
+    800 paths ("is_wide"), and at moneyness 1.2 ("is_otm")."""
+    tmp_path = tmp_path_factory.mktemp("reports")
+    cfg = write_config(tmp_path, {"payoff": {"moneyness": 1.0}})
+    out_dir = tmp_path / "train"
+    assert main(["train", "--config", str(cfg), "--out-dir",
+                 str(out_dir)]) == 0
+    checkpoint = ["--checkpoint", str(out_dir / "checkpoint.json")]
+    configs = {
+        "mc": (cfg, []), "is": (cfg, checkpoint),
+        "is_wide": (write_config(tmp_path, {
+            "payoff": {"moneyness": 1.0},
+            "estimation": {"sample_sizes": [800]}}, "wide.json"), checkpoint),
+        "is_otm": (write_config(tmp_path, {"payoff": {"moneyness": 1.2}},
+                                "otm.json"), checkpoint)}
+    reports = {}
+    for name, (path, extra) in configs.items():
+        reports[name] = tmp_path / f"{name}-report.json"
+        assert main(["price", "--config", str(path), *extra, "--out",
+                     str(reports[name])]) == 0
+    return reports
+
+
 class TestPriceCommands:
     def test_price_report_json(self, tmp_path):
         # the first configured sample size, at the estimation seed
@@ -388,6 +414,21 @@ class TestPriceCommands:
         assert row["plain"]["se_pct"] == float("inf")
         assert row["vr"] == 1.0
 
+    @pytest.mark.parametrize("mc, is_, why", [
+        ("is", "mc", "one plain (P) and one importance-sampled (P_h)"),
+        ("mc", "is_wide", "different sample sizes"),
+        ("mc", "is_otm", "different scenarios"),
+    ], ids=["swapped", "sample-sizes", "moneyness"])
+    def test_compare_refusal_names_both_files(self, priced_reports, capsys,
+                                              mc, is_, why):
+        # the moneyness pair prices two options that differ only in their
+        # strike, so a variance ratio of the two would mean nothing
+        mc_file, is_file = priced_reports[mc], priced_reports[is_]
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(is_file)]) == 2
+        err = capsys.readouterr().err
+        assert f"reports {mc_file} and {is_file}: " in err and why in err
+
 
 @pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]"],
                          ids=["missing", "not-json", "not-object"])
@@ -479,7 +520,7 @@ class TestRunCommand:
         assert [(e["measure"], e["n"], e["seed"]) for e in estimates] == [
             ("P", 400, 7), ("P", 800, 9), ("P_h", 400, 8), ("P_h", 800, 10)]
         for e in estimates:
-            assert e["label"] == "black_scholes-asian"
+            assert e["label"].startswith("black_scholes-asian-")
             assert e["wall_seconds"] > 0.0
             assert e["paths_per_s"] == pytest.approx(e["n"] / e["wall_seconds"])
 
@@ -655,6 +696,8 @@ class TestRunCommand:
         ("batch_size", None),
         ("steps_per_epoch", 2.5),
         ("seed", -1),
+        ("hidden_width", 0),
+        ("activation", "relu"),
     ])
     def test_bad_training_block_fails_at_resolve(self, tmp_path, capsys,
                                                  field, value):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from driftmc.covariation import TimeGrid
+from driftmc.errors import ConfigError
 from driftmc.payoffs import PayoffSpec, basket_weights, evaluate_batch
 
 
@@ -30,21 +31,23 @@ def knockout_spec(strike, lower, upper, weights=(1.0,)):
 
 
 class TestSpecInvariants:
+    # the spec refuses its own fields, naming each as the run config does
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="payoff.weights"):
             PayoffSpec(weights=[0.5, 0.4], strike=1.0)
 
     def test_strike_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="payoff.strike"):
             call_spec(0.0)
 
     def test_barriers_ordered(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="payoff.barriers"):
             knockout_spec(1.0, lower=2.0, upper=1.0)
 
     def test_barriers_come_in_pairs(self):
         for lower, upper in [(0.5, None), (None, 2.0)]:
-            with pytest.raises(ValueError, match="both barriers"):
+            with pytest.raises(ConfigError,
+                               match="payoff.barriers needs both barriers"):
                 PayoffSpec(weights=[1.0], strike=1.0, lower=lower, upper=upper)
 
     def test_barriers_decide_knockout(self):
