@@ -147,7 +147,7 @@ def cameron_martin_map(f, spec):
                            shift=_readonly(shift), h_norm_sq=h_norm_sq)
 
 
-def sample_increments(spec, rng, n_paths):
+def sample_increments(spec, rng, n_paths, out=None):
     """Draw driver increments for ``n_paths`` paths.
 
     Step k is sigma z sqrt(dt) with z standard normal, so its covariance
@@ -155,7 +155,8 @@ def sample_increments(spec, rng, n_paths):
     normals are drawn path-major, ``SLICE_PATHS`` paths at a time, each
     slice of shape (paths, n_steps, d) mixed by one small matrix product
     per step straight into its columns of a paths-innermost
-    (n_steps, d, n_paths) buffer.  The stream is read in the order of one
+    (n_steps, d, n_paths) buffer: ``out`` if given, in any memory layout,
+    else a new array.  The stream is read in the order of one
     (n_paths, n_steps, d) draw, and no normal array larger than a slice is
     held.  Returns the buffer as an (n_paths, n_steps, d) view, which is
     not C-contiguous: copy before reshaping.  ``n_paths = 0`` yields an
@@ -164,15 +165,19 @@ def sample_increments(spec, rng, n_paths):
     if n_paths < 0:
         raise ValueError("n_paths must be nonnegative")
     n_steps, d = spec.grid.n_steps, spec.d
-    dm = np.empty((n_steps, d, n_paths))
+    if out is None:
+        out = np.empty((n_steps, d, n_paths))
+    elif out.shape != (n_steps, d, n_paths):
+        raise DimensionError(f"out must have shape (n_steps, d, n_paths) = "
+                             f"{(n_steps, d, n_paths)}, got {out.shape}")
     scale = np.sqrt(spec.grid.dt)
     for start in range(0, n_paths, SLICE_PATHS):
         stop = min(start + SLICE_PATHS, n_paths)
         z = rng.standard_normal((stop - start, n_steps, d))
         z *= scale
-        np.matmul(spec.sigma, z.transpose(1, 2, 0), out=dm[:, :, start:stop])
+        np.matmul(spec.sigma, z.transpose(1, 2, 0), out=out[:, :, start:stop])
         del z  # free this slice before the next is drawn
-    return dm.transpose(2, 0, 1)
+    return out.transpose(2, 0, 1)
 
 
 def log_likelihood_inverse(drift, increments, spec):

@@ -12,11 +12,15 @@ Paths are stored innermost: increments and states live in
 (n_steps, d, n_paths) and (n_steps+1, n_state, n_paths) buffers, so each
 Euler step reads and writes contiguous rows of all paths, in place.  These
 two buffers are all a simulation holds of its paths besides one slice of
-normals while the increments are drawn.  Callers see them as
-(n_paths, ...)-shaped views, which are not C-contiguous; copy before
-reshaping.
+normals while the increments are drawn.  The caller may own them: a
+simulation fills the buffers it is given, so a caller that simulates in
+chunks allocates one set and reuses it, and each batch is a view that is
+valid until the next simulation writes into the same buffers.  Callers see
+the buffers as (n_paths, ...)-shaped views, which are not C-contiguous;
+copy before reshaping.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +178,9 @@ class PathBatch:
     are the driver increments that produced the states;
     ``log_inverse_likelihood`` is zero under the original measure.  Both
     arrays are views of paths-innermost buffers, so they are not
-    C-contiguous: copy before reshaping.
+    C-contiguous: copy before reshaping.  When the caller gave
+    :func:`simulate` the buffers, they hold this batch only until the
+    caller simulates into them again.
     """
 
     states: np.ndarray
@@ -182,7 +188,13 @@ class PathBatch:
     log_inverse_likelihood: np.ndarray
 
 
-def simulate(spec, grid, cov, rng, n_paths, drift=None):
+def leading(buffer, shape):
+    """The C-contiguous array of ``shape`` on the first entries of the
+    flat ``buffer``: one chunk's view of a buffer sized for the widest."""
+    return buffer[:math.prod(shape)].reshape(shape)
+
+
+def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
     """Euler-Maruyama paths of the model on the given grid.
 
     The driver increments are drawn by :func:`sample_increments` from
@@ -192,9 +204,14 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
     likelihood is accumulated from those same shifted increments, so a zero
     drift reproduces the unshifted batch exactly.  The recursion runs in
     place on a paths-innermost (n_steps+1, n_state, n_paths) buffer, so
-    every step works on contiguous rows of all paths; the returned
-    :class:`PathBatch` holds (n_paths, ...)-shaped views of the buffers,
-    which are not C-contiguous: copy before reshaping.
+    every step works on contiguous rows of all paths.
+
+    ``out``, if given, is the pair of paths-innermost buffers to fill, the
+    increments (n_steps, d, n_paths) and the states
+    (n_steps+1, n_state, n_paths), which the caller owns; otherwise both
+    are new arrays.  The returned :class:`PathBatch` holds
+    (n_paths, ...)-shaped views of the buffers, valid until the next call
+    that writes into them, and not C-contiguous: copy before reshaping.
     """
     if not np.array_equal(cov.sigma, spec.sigma):
         raise DimensionError("covariation was built from another sigma")
@@ -202,8 +219,13 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
         raise DimensionError("covariation was built on a different grid")
     if drift is not None and drift.output_width != spec.d:
         raise DimensionError("drift output width must match the driver dimension")
+    shape = (grid.n_steps + 1, spec.n_state, n_paths)
+    increments, states = (None, None) if out is None else out
+    if states is not None and states.shape != shape:
+        raise DimensionError(f"states must have shape (n_steps+1, n_state, "
+                             f"n_paths) = {shape}, got {states.shape}")
 
-    dm = sample_increments(cov, rng, n_paths)
+    dm = sample_increments(cov, rng, n_paths, out=increments)
     rows = dm.transpose(1, 2, 0)  # the (n_steps, d, n_paths) buffer
 
     drift_eval = None
@@ -212,8 +234,9 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None):
         # Finite variation part of the shifted driver: pi f dt per step.
         rows += drift_eval.shift[:, :, None]
 
+    if states is None:
+        states = np.empty(shape)
     n = spec.n
-    states = np.empty((grid.n_steps + 1, spec.n_state, n_paths))
     states[0, :n] = spec.s0[:, None]
     if spec.has_volatility:
         states[0, n:] = spec.v0[:, None]

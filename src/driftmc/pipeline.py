@@ -47,11 +47,14 @@ def fresh_out_dir(out_dir, artifacts=ARTIFACTS):
 def run_label(cfg):
     """``<tag>-<asian|knockout>-<digest>``: 12 hex digits of the SHA-256 of
     the model, payoff and grid blocks, so two scenarios' reports do not
-    compare; a drift trained under another ``training`` block still does."""
+    compare; a drift trained under another ``training`` block still does.
+    The digest leaves out ``model.seed``: it only chose the parameters,
+    which the resolved ``model.params`` states."""
     tag = cfg["model"]["tag"]
     kind = "knockout" if cfg["payoff"]["barriers"] else "asian"
-    scenario = json.dumps({k: cfg[k] for k in ("model", "payoff", "grid")},
-                          sort_keys=True)
+    model = {k: v for k, v in cfg["model"].items() if k != "seed"}
+    scenario = json.dumps({"model": model, "payoff": cfg["payoff"],
+                           "grid": cfg["grid"]}, sort_keys=True)
     return f"{tag}-{kind}-{hashlib.sha256(scenario.encode()).hexdigest()[:12]}"
 
 

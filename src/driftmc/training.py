@@ -30,10 +30,11 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .errors import (ConfigError, NonFiniteError, NumericalError, integer,
-                     number)
+from .engine import CHUNK_SIZE
+from .errors import (ConfigError, NonFiniteError, NumericalError,
+                     SimulationError, integer, number)
 from .network import ACTIVATIONS, AdamState, adam_step, backward_grid, forward
-from .models import simulate
+from .models import leading, simulate
 from .payoffs import check_width, evaluate_batch
 from . import streams
 
@@ -118,11 +119,33 @@ def training_grid(grid):
 
 
 def simulate_training_batch(model, payoff, grid, cov, rng, batch_size):
-    """Draw one training batch under the original measure."""
+    """Draw one training batch under the original measure.
+
+    The batch owns its one (n_steps, d, batch_size) increments array, which
+    the objective reads whole, but holds the states of one chunk only:
+    ``CHUNK_SIZE`` paths at a time are simulated into their columns of the
+    increments and into one reused chunk of states, and priced into their
+    slice of ``payoff_sq``.  The chunks read the stream in path order, so
+    the batch is that of one :func:`~driftmc.models.simulate` call of
+    ``batch_size`` paths, and a path that blows up is reported by its
+    batch-wide id.
+    """
     check_width(payoff, model.n)
-    batch = simulate(model, grid, cov, rng, batch_size)
-    values = evaluate_batch(payoff, batch.states, grid).values
-    return TrainingBatch(payoff_sq=values**2, increments=batch.increments)
+    increments = np.empty((grid.n_steps, model.d, batch_size))
+    states = np.empty((grid.n_steps + 1) * model.n_state
+                      * min(CHUNK_SIZE, batch_size))
+    payoff_sq = np.empty(batch_size)
+    for lo in range(0, batch_size, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, batch_size)
+        out = (increments[:, :, lo:hi],
+               leading(states, (grid.n_steps + 1, model.n_state, hi - lo)))
+        try:
+            batch = simulate(model, grid, cov, rng, hi - lo, out=out)
+        except SimulationError as exc:
+            raise exc.shifted(lo) from exc
+        payoff_sq[lo:hi] = evaluate_batch(payoff, batch.states, grid).values**2
+    return TrainingBatch(payoff_sq=payoff_sq,
+                         increments=increments.transpose(2, 0, 1))
 
 
 def objective_on_batch(net, batch, grid, cov):

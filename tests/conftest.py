@@ -30,6 +30,29 @@ def fixed_normals():
     return FixedNormals
 
 
+class BlowUpNormals:
+    """Generator stand-in drawing zero normals, except for the path at
+    ``path`` of the whole sequence of draws, which is forced over the
+    edge on its first two steps."""
+
+    def __init__(self, path):
+        self.path = path
+        self.drawn = 0
+
+    def standard_normal(self, shape):
+        z = np.zeros(shape)
+        if 0 <= self.path - self.drawn < shape[0]:
+            z[self.path - self.drawn, :2] = 1e200
+        self.drawn += shape[0]
+        return z
+
+
+@pytest.fixture
+def blow_up_normals():
+    """The :class:`BlowUpNormals` factory."""
+    return BlowUpNormals
+
+
 @pytest.fixture
 def nan_objective_from(monkeypatch):
     """``nan_objective_from(step)`` makes the training objective NaN from

@@ -429,6 +429,27 @@ class TestPriceCommands:
         err = capsys.readouterr().err
         assert f"reports {mc_file} and {is_file}: " in err and why in err
 
+    def test_model_seed_does_not_split_a_scenario(self, tmp_path):
+        # with explicit params, model.seed chooses nothing, so configs that
+        # differ only in it price one scenario and their reports compare
+        configs = [write_config(tmp_path, {
+            **SMALL_SAMPLE, "model": {"seed": seed, "params": TWO_ASSETS}},
+            f"seed-{seed}.json") for seed in (0, 5)]
+        out_dir = tmp_path / "train"
+        assert main(["train", "--config", str(configs[1]), "--out-dir",
+                     str(out_dir)]) == 0
+        mc_file, is_file = tmp_path / "mc.json", tmp_path / "is.json"
+        assert main(["price", "--config", str(configs[0]), "--out",
+                     str(mc_file)]) == 0
+        assert main(["price", "--config", str(configs[1]), "--checkpoint",
+                     str(out_dir / "checkpoint.json"), "--out",
+                     str(is_file)]) == 0
+        labels = {json.loads(p.read_text())["label"]
+                  for p in (mc_file, is_file)}
+        assert len(labels) == 1
+        assert main(["compare", "--mc-report", str(mc_file),
+                     "--is-report", str(is_file)]) == 0
+
 
 @pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]"],
                          ids=["missing", "not-json", "not-object"])

@@ -1,7 +1,9 @@
 """Tests for the block-parallel estimators and report plumbing."""
 
+import itertools
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -193,23 +195,6 @@ def heston_two_assets():
                      v0=[0.04, 0.04])
 
 
-class BlowUpNormals:
-    """Generator stand-in drawing zero normals, except for the path at
-    ``path`` of the whole sequence of draws, which is forced over the
-    edge on its first two steps."""
-
-    def __init__(self, path):
-        self.path = path
-        self.drawn = 0
-
-    def standard_normal(self, shape):
-        z = np.zeros(shape)
-        if 0 <= self.path - self.drawn < shape[0]:
-            z[self.path - self.drawn, :2] = 1e200
-        self.drawn += shape[0]
-        return z
-
-
 class TestChunks:
     SIZE = 2 * CHUNK_SIZE + 37  # two full chunks and a partial one
 
@@ -296,14 +281,42 @@ class TestChunks:
                                                      37]
         assert all(a is b for a, b in zip(priced, drawn, strict=True))
 
-    def test_blow_up_reports_estimate_wide_path_id(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunks_of_a_worker_share_one_set_of_buffers(self, monkeypatch,
+                                                         threads):
+        # each worker thread allocates one pair of chunk buffers, which
+        # every chunk of every block it runs reuses, and no two workers
+        # share a pair
+        model, payoff, grid, cov = bs_setup(n_steps=4)
+        drawn = {}
+
+        def simulate_spy(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            drawn.setdefault(threading.get_ident(), []).append(batch)
+            return batch
+
+        monkeypatch.setattr(engine, "simulate", simulate_spy)
+        estimate_plain(model, payoff, grid, cov, seed=0, n=3 * self.SIZE,
+                       threads=threads, block_size=self.SIZE)
+        assert sum(map(len, drawn.values())) == 9
+        firsts = [batches[0] for batches in drawn.values()]
+        for first, batches in zip(firsts, drawn.values()):
+            for batch in batches[1:]:
+                assert np.shares_memory(batch.states, first.states)
+                assert np.shares_memory(batch.increments, first.increments)
+        for a, b in itertools.combinations(firsts, 2):
+            assert not np.shares_memory(a.states, b.states)
+            assert not np.shares_memory(a.increments, b.increments)
+
+    def test_blow_up_reports_estimate_wide_path_id(self, monkeypatch,
+                                                   blow_up_normals):
         # the second chunk of the second block: block start + chunk offset
         # + index within the chunk
         model, payoff, grid, cov = bs_setup(n_steps=4)
         local = CHUNK_SIZE + 7
         monkeypatch.setattr(
             streams, "substream",
-            lambda seed, purpose, index: BlowUpNormals(
+            lambda seed, purpose, index: blow_up_normals(
                 local if index == 1 else -1))
         with pytest.raises(SimulationError) as err:
             estimate_plain(model, payoff, grid, cov, seed=0,

@@ -15,7 +15,8 @@ from driftmc.errors import (DimensionError, ModelValidationError,
 from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                             THREE_HALVES, ModelSpec, simulate)
 from driftmc.network import ShallowNet, forward, init_net
-from driftmc.payoffs import evaluate_batch
+from driftmc.payoffs import PayoffSpec, evaluate_batch
+from driftmc.training import simulate_training_batch
 
 
 def bs_model(n=1, vol=0.2, s0=1.0, rate=0.05):
@@ -189,6 +190,19 @@ class TestSimulateBlackScholes:
         with pytest.raises(DimensionError, match="another sigma"):
             simulate(model, grid, other, rng=np.random.default_rng(1),
                      n_paths=4)
+
+    @pytest.mark.parametrize("bad", [0, 1], ids=["increments", "states"])
+    def test_buffer_of_another_shape_rejected(self, bad):
+        # a buffer one path too narrow is refused before anything is drawn
+        model = bs_model(n=2)
+        grid, cov = grid_and_cov(model, n_steps=4)
+        out = [np.empty((4, 2, 3)), np.empty((5, 2, 3))]
+        out[bad] = out[bad][:, :, :2]
+        rng = np.random.default_rng(1)
+        with pytest.raises(DimensionError, match="must have shape"):
+            simulate(model, grid, cov, rng, n_paths=3, out=tuple(out))
+        assert rng.bit_generator.state == np.random.default_rng(
+            1).bit_generator.state
 
     def test_explosion_aborts_with_path_index(self, fixed_normals):
         model = bs_model()
@@ -412,3 +426,19 @@ class TestChunkMemory:
         assert self.peak_bytes(lambda: simulate(
             model, grid, cov, np.random.default_rng(1), CHUNK_SIZE,
             drift=drift)) <= increments + states + one_slice + slack
+
+    def test_training_batch_holds_one_chunk_of_states(self):
+        # the objective needs every path's increments, but no more than
+        # one chunk of states is ever held
+        model = heston_model(n=10)
+        grid, cov = grid_and_cov(model, n_steps=50)
+        payoff = PayoffSpec(weights=np.full(model.n, 1 / model.n),
+                            strike=1.0)
+        size = 4 * CHUNK_SIZE
+        increments = grid.n_steps * model.d * size * 8
+        states = (grid.n_steps + 1) * model.n_state * CHUNK_SIZE * 8
+        one_slice = SLICE_PATHS * grid.n_steps * model.d * 8
+        slack = 64 * 1024  # Python objects and per-chunk payoffs
+        assert self.peak_bytes(lambda: simulate_training_batch(
+            model, payoff, grid, cov, np.random.default_rng(1), size)) <= (
+                increments + states + one_slice + slack)

@@ -8,11 +8,11 @@ import pytest
 from driftmc import streams
 from driftmc.config import build_scenario, build_train_config, resolve_config
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
-from driftmc.engine import variance_ratio
-from driftmc.errors import ConfigError, WeightOverflowError
-from driftmc.models import BLACK_SCHOLES, ModelSpec
+from driftmc.engine import CHUNK_SIZE, variance_ratio
+from driftmc.errors import ConfigError, SimulationError, WeightOverflowError
+from driftmc.models import BLACK_SCHOLES, ModelSpec, simulate
 from driftmc.network import ShallowNet, forward, init_net
-from driftmc.payoffs import PayoffSpec
+from driftmc.payoffs import PayoffSpec, evaluate_batch
 from driftmc.pipeline import train_drift
 from driftmc.training import (TrainConfig, objective_on_batch,
                               simulate_training_batch, train, training_grid)
@@ -91,6 +91,32 @@ class TestObjective:
                          w_out=np.zeros((1, 1)), b_out=np.array([200.0]))
         with pytest.raises(WeightOverflowError):
             objective_on_batch(big, batch, grid, cov)
+
+
+class TestTrainingBatch:
+    SIZE = 2 * CHUNK_SIZE + 37  # two full chunks and a partial one
+
+    def test_chunks_draw_the_batch_of_one_shot(self):
+        sc = build_scenario(resolve_config({
+            "model": {"tag": "heston", "n": 3},
+            "payoff": {"moneyness": 1.1, "barrier_moneyness": [0.7, 1.6]},
+            "grid": {"dt": 1 / 16}}))
+        batch = simulate_training_batch(sc.model, sc.payoff, sc.grid, sc.cov,
+                                        np.random.default_rng(2), self.SIZE)
+        one_shot = simulate(sc.model, sc.grid, sc.cov,
+                            np.random.default_rng(2), self.SIZE)
+        pay = evaluate_batch(sc.payoff, one_shot.states, sc.grid)
+        assert 0 < np.count_nonzero(pay.values) < self.SIZE
+        np.testing.assert_array_equal(batch.payoff_sq, pay.values**2)
+        np.testing.assert_array_equal(batch.increments, one_shot.increments)
+
+    def test_blow_up_reports_batch_wide_path_id(self, blow_up_normals):
+        model, payoff, grid, cov = bs_setup(n_steps=4)
+        path_id = CHUNK_SIZE + 7
+        with pytest.raises(SimulationError) as err:
+            simulate_training_batch(model, payoff, grid, cov,
+                                    blow_up_normals(path_id), self.SIZE)
+        assert err.value.path_indices == (path_id,)
 
 
 class TestTrainConfig:
