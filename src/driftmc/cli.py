@@ -7,8 +7,9 @@ Every flag names an input or output file or sets the thread count.
 ``compare`` reads exactly the fields ``price`` writes and refuses two
 reports of different scenarios, measures or sample sizes, naming both
 files.  A malformed input file (config, checkpoint or report) exits 2 with
-a message naming the file and the field; so does a bad model spec.
-Exit codes: 0 ok, 2 config error, 3 numerical failure.
+a message naming the file and the field; so does a bad model spec.  An
+output file or directory that cannot be written exits 2 with "error:".
+Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
 """
 
 import argparse
@@ -156,7 +157,10 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, DriftmcError, OSError, ValueError) as exc:
+    except OSError as exc:  # input files fail in read_object, as ConfigError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (DriftmcError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

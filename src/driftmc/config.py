@@ -226,7 +226,8 @@ def resolve_config(raw):
 
     if cfg["training"]["hidden_width"] is None:
         cfg["training"]["hidden_width"] = model.d
-    cfg["training"] = asdict(build_train_config(cfg))  # fails here, not mid-run
+    # TrainConfig checks the block here, so a bad field fails before a run
+    cfg["training"] = asdict(TrainConfig(**cfg["training"]))
 
     estimation = cfg["estimation"]
     estimation["seed"] = integer(estimation["seed"], "estimation.seed", 0)
@@ -296,9 +297,4 @@ def build_scenario(cfg):
     payoff = build_payoff(cfg)
     grid = build_grid(cfg)
     return Scenario(model, payoff, grid, CovariationSpec(model.sigma, grid))
-
-
-def build_train_config(cfg):
-    """The TrainConfig of a resolved config, which checks its fields."""
-    return TrainConfig(**cfg["training"])
 

@@ -23,7 +23,7 @@ MAX_LOG_WEIGHT = 50.0
 # Paths whose normals are drawn and mixed at once, so that a slice is mixed
 # while it is still in cache.  A product's last bits can depend on its
 # column count, so a batch is cut into slices from its first path on, and
-# the chunks of ``engine`` are whole slices.
+# a chunk, ``models.CHUNK_SIZE`` paths, is whole slices.
 SLICE_PATHS = 64
 
 

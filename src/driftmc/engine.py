@@ -11,14 +11,15 @@ the array, and with it every result, is bit-identical across thread counts.
 The chunk is the unit of memory: a block is simulated and priced
 ``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
 the block's one substream, so the numbers are those of one draw of the
-whole block.  Each worker thread allocates one increments and one states
-buffer, one chunk wide and paths-innermost, on its first block and
-simulates every chunk of every block it runs into them, so a chunk's batch
-is valid until the worker draws its next chunk, and what an estimate asks
-of the allocator does not change from block to block.  While a chunk
+whole block.  Each thread of an estimate's pool allocates one increments
+and one states buffer, paths-innermost and as wide as the estimate's widest
+chunk, ``min(CHUNK_SIZE, block_size, n)`` paths, when the thread starts.
+It simulates every chunk of every block it runs into them, so a chunk's
+batch is valid until the thread draws its next chunk, and what an estimate
+asks of the allocator does not change from block to block.  While a chunk
 draws, it also holds one slice of ``SLICE_PATHS`` paths of normals (see
-:func:`~driftmc.covariation.sample_increments`), so no path array is
-larger than a chunk.  Prices are reported discounted, in cents.
+:func:`~driftmc.covariation.sample_increments`), so no path array is larger
+than a chunk.  Prices are reported discounted, in cents.
 """
 
 import logging
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import (ConfigError, NonFiniteError, SimulationError,
                      integer, number)
-from .models import leading, simulate
+from .models import CHUNK_SIZE, leading, simulate
 from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
 from . import streams
@@ -41,11 +42,6 @@ from . import streams
 log = logging.getLogger(__name__)
 
 DEFAULT_BLOCK_SIZE = 2048
-# Paths simulated at once within a block; bounds the memory of a block.  A
-# 20-dim Heston chunk on 252 steps holds 10.3 MB of increments and 10.4 MB
-# of states.  A multiple of SLICE_PATHS, so a block's chunks draw the
-# slices of one draw of the whole block.
-CHUNK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -111,27 +107,8 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
-def _chunk_buffers(scratch, model, grid, width):
-    """The flat increments and states buffers of the calling worker, at
-    least ``width`` paths wide.
-
-    ``scratch`` is the estimate's ``threading.local``: a worker allocates
-    its pair on its first block and reuses it for every later block, so
-    the buffers are freed once, when the estimate ends, and not after each
-    block, which let the allocator return them to the system and fault them
-    in again on the next block.
-    """
-    buffers = getattr(scratch, "buffers", None)
-    if buffers is None or buffers[1].size < (
-            (grid.n_steps + 1) * model.n_state * width):
-        buffers = scratch.buffers = (
-            np.empty(grid.n_steps * model.d * width),
-            np.empty((grid.n_steps + 1) * model.n_state * width))
-    return buffers
-
-
 def _simulate_block(model, payoff, grid, cov, drift, seed, block,
-                    discount_cents, values, scratch=None):
+                    discount_cents, values, buffers):
     """Write the weighted discounted payoffs of ``block = (index, start,
     size)`` into ``values[start:start + size]``, and return its counts of
     paths above the strike and of knocked-out paths.
@@ -139,17 +116,15 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, block,
     The block's chunks are drawn in path order from its one substream,
     ``substream(seed, ESTIMATE, index)``, so block ``index`` is the paths
     of one :func:`~driftmc.models.simulate` call of ``size`` paths on that
-    substream.  Every chunk is simulated into the worker's one pair of
-    chunk-wide buffers, kept in ``scratch`` (see :func:`_chunk_buffers`),
+    substream.  Every chunk is simulated into ``buffers``, the calling
+    thread's flat increments and states, as wide as any chunk of the block,
     through contiguous leading views, so a short last chunk has the layout
     of a chunk of its own.  A path that blows up is reported by its
     estimate-wide id, ``start`` plus its place in the block.
     """
     index, start, size = block
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    increments, states = _chunk_buffers(
-        threading.local() if scratch is None else scratch, model, grid,
-        min(CHUNK_SIZE, size))
+    increments, states = buffers
     above = knocked = 0
     for lo in range(start, start + size, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, start + size)
@@ -181,12 +156,19 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
     values = np.empty(n)
-    # Blocks write disjoint slices of ``values``, so they need no lock, and
-    # each worker thread keeps its own chunk buffers in ``scratch``.
-    worker = partial(_simulate_block, model, payoff, grid, cov, drift, seed,
-                     discount_cents=discount_cents, values=values,
-                     scratch=threading.local())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    width = min(CHUNK_SIZE, block_size, n)
+    local = threading.local()
+
+    def allocate():
+        local.buffers = (np.empty(grid.n_steps * model.d * width),
+                         np.empty((grid.n_steps + 1) * model.n_state * width))
+
+    def worker(block):
+        # Blocks write disjoint slices of ``values``, so they need no lock.
+        return _simulate_block(model, payoff, grid, cov, drift, seed, block,
+                               discount_cents, values, local.buffers)
+
+    with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
         counts = list(pool.map(worker, _block_plan(n, block_size)))
     with np.errstate(over="ignore", invalid="ignore"):
         moments = RunningMoments.from_array(values)

@@ -18,12 +18,12 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import build_scenario, build_train_config, resolve_config
+from .config import build_scenario, resolve_config
 from .covariation import CovariationSpec
 from .engine import compare, comparison_to_dict, estimate_is, estimate_plain
 from .errors import CheckpointError, DriftmcError, write_json
 from .network import init_net, load_checkpoint, save_checkpoint
-from .training import train, training_grid
+from .training import TrainConfig, train, training_grid
 from . import streams
 
 log = logging.getLogger(__name__)
@@ -85,7 +85,7 @@ def train_drift(cfg, sc, out_dir):
     unchanged: it maps continuous time to the drift, so only the grid it is
     sampled on changes, and training costs a fraction of a pricing-grid run.
     """
-    train_cfg = build_train_config(cfg)
+    train_cfg = TrainConfig(**cfg["training"])
     rng = streams.substream(train_cfg.seed, streams.TRAIN, 999_999)
     net = init_net(train_cfg.hidden_width, sc.model.d, rng,
                    activation=train_cfg.activation)

@@ -30,11 +30,10 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .engine import CHUNK_SIZE
 from .errors import (ConfigError, NonFiniteError, NumericalError,
                      SimulationError, integer, number)
 from .network import ACTIVATIONS, AdamState, adam_step, backward_grid, forward
-from .models import leading, simulate
+from .models import CHUNK_SIZE, leading, simulate
 from .payoffs import check_width, evaluate_batch
 from . import streams
 
@@ -123,12 +122,12 @@ def simulate_training_batch(model, payoff, grid, cov, rng, batch_size):
 
     The batch owns its one (n_steps, d, batch_size) increments array, which
     the objective reads whole, but holds the states of one chunk only:
-    ``CHUNK_SIZE`` paths at a time are simulated into their columns of the
-    increments and into one reused chunk of states, and priced into their
-    slice of ``payoff_sq``.  The chunks read the stream in path order, so
-    the batch is that of one :func:`~driftmc.models.simulate` call of
-    ``batch_size`` paths, and a path that blows up is reported by its
-    batch-wide id.
+    ``CHUNK_SIZE`` paths at a time, as in the estimators, are simulated into
+    their columns of the increments and into one reused chunk of states,
+    and priced into their slice of ``payoff_sq``.  The chunks read the
+    stream in path order, so the batch is that of one
+    :func:`~driftmc.models.simulate` call of ``batch_size`` paths, and a
+    path that blows up is reported by its batch-wide id.
     """
     check_width(payoff, model.n)
     increments = np.empty((grid.n_steps, model.d, batch_size))

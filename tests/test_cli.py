@@ -469,6 +469,20 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, kind, content):
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["price", "run"])
+def test_unwritable_output_is_no_config_error(tmp_path, capsys, command):
+    # the config is fine, only the output path is not: a missing directory
+    # for price's report, a file in the way of run's directory
+    cfg = str(write_config(tmp_path, overrides=SMALL_SAMPLE))
+    in_the_way = tmp_path / "file"
+    in_the_way.write_text("")
+    argv = {"price": ["price", "--out", str(tmp_path / "missing" / "x")],
+            "run": ["run", "--out-dir", str(in_the_way / "out")]}[command]
+    assert main(argv + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "config error" not in err
+
+
 @pytest.mark.parametrize("argv, removed", [
     (["sample-params", "--config", "{config}"], "sample-params"),
     (["price", "--config", "{config}", "--format", "csv"], "--format"),
@@ -801,6 +815,7 @@ class TestRunCommand:
          "model.params.sigma[0][1]"),
         ({"model": {"n": 1, "params": {"sigma": [[0.2, 0.1]], "s0": [1.0]}}},
          "model.params.sigma[0]"),
+        ({"model": {"tag": []}}, "unknown model tag []"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -816,7 +831,7 @@ class TestRunCommand:
             "horizon-overflow", "step-count-overflow", "rate-huge-int",
             "n-huge-int", "sample-size-huge-int", "params-s0-bool",
             "params-v0-bool", "params-s0-nan", "params-sigma-inf",
-            "params-sigma-not-square"])
+            "params-sigma-not-square", "tag-list"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the config file and

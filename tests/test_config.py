@@ -8,11 +8,11 @@ import pytest
 
 from driftmc import config
 from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
-                            build_scenario, build_train_config,
-                            resolve_config, sample_parameters)
+                            build_scenario, resolve_config, sample_parameters)
 from driftmc.errors import ConfigError, write_json
 from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
                             simulate)
+from driftmc.training import TrainConfig
 
 
 class TestSampleParameters:
@@ -149,7 +149,7 @@ class TestResolveConfig:
         assert model.tag == "stein_stein"
         grid = build_grid(cfg)
         assert grid.n_steps == 252
-        train_cfg = build_train_config(cfg)
+        train_cfg = TrainConfig(**cfg["training"])
         assert train_cfg.batch_size == cfg["training"]["batch_size"]
         payoff = build_payoff(cfg)
         assert payoff.n_assets == 2

@@ -12,13 +12,14 @@ import pytest
 
 from driftmc import engine, streams
 from driftmc.covariation import SLICE_PATHS, CovariationSpec, TimeGrid
-from driftmc.engine import (CHUNK_SIZE, ComparisonRow, EstimatorReport,
-                            compare, comparison_to_dict, estimate_is,
-                            estimate_plain, report_from_dict, report_to_dict,
-                            variance_ratio, _block_plan, _simulate_block)
+from driftmc.engine import (ComparisonRow, EstimatorReport, compare,
+                            comparison_to_dict, estimate_is, estimate_plain,
+                            report_from_dict, report_to_dict, variance_ratio,
+                            _block_plan, _simulate_block)
 from driftmc.errors import (DimensionError, NonFiniteError, SimulationError,
                             WeightOverflowError)
-from driftmc.models import BLACK_SCHOLES, HESTON, ModelSpec, simulate
+from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, ModelSpec,
+                            simulate)
 from driftmc.network import ShallowNet, init_net
 from driftmc.payoffs import PayoffSpec, evaluate_batch
 from driftmc.stats import RunningMoments
@@ -222,8 +223,10 @@ class TestChunks:
 
         start = 100
         values = np.full(start + self.SIZE + 50, np.nan)
+        buffers = (np.empty(grid.n_steps * model.d * CHUNK_SIZE),
+                   np.empty((grid.n_steps + 1) * model.n_state * CHUNK_SIZE))
         counts = _simulate_block(model, payoff, grid, cov, drift, 6,
-                                 (0, start, self.SIZE), 90.0, values)
+                                 (0, start, self.SIZE), 90.0, values, buffers)
         np.testing.assert_array_equal(values[start:start + self.SIZE],
                                       expected)
         assert np.isnan(values[:start]).all()

@@ -1,5 +1,6 @@
 """Tests for model validation and Euler path simulation."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,11 +10,11 @@ from driftmc.config import build_scenario, resolve_config
 from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
                                  cameron_martin_map, log_likelihood_inverse,
                                  sample_increments)
-from driftmc.engine import CHUNK_SIZE
 from driftmc.errors import (DimensionError, ModelValidationError,
                             SimulationError)
-from driftmc.models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
-                            THREE_HALVES, ModelSpec, simulate)
+from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, MODEL_TAGS,
+                            STEIN_STEIN, THREE_HALVES, ModelSpec, _euler_loop,
+                            simulate)
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import PayoffSpec, evaluate_batch
 from driftmc.training import simulate_training_batch
@@ -397,6 +398,38 @@ class TestPathsInnermostLayout:
             log_likelihood_inverse(cm, increments, cov), rtol=1e-12)
 
 
+class TestBlowUpReachesLastRow:
+    """``simulate`` finds a blow-up from its last state row alone: every
+    Euler step adds x_k to x_{k+1}, so a coordinate that leaves the finite
+    numbers never comes back."""
+
+    @pytest.mark.parametrize("kick", [1e200, -1e200, 1e300, -1e300,
+                                      math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("tag", MODEL_TAGS)
+    def test_non_finite_anywhere_is_non_finite_last(self, tag, kick):
+        sc = sampled_scenario(tag)
+        model, grid, cov = sc.model, sc.grid, sc.cov
+        n_paths, path = 5, 2
+        normals = np.random.default_rng(3).standard_normal(
+            (grid.n_steps, cov.d, n_paths))
+        for step in (0, grid.n_steps // 2, grid.n_steps - 1):
+            for coordinate in (0, cov.d - 1):  # an asset, a volatility
+                dm = np.sqrt(grid.dt) * np.einsum("ij,kjp->kip", cov.sigma,
+                                                  normals)
+                dm[step, coordinate, path] = kick
+                states = np.empty((grid.n_steps + 1, model.n_state, n_paths))
+                states[0, :model.n] = model.s0[:, None]
+                if model.has_volatility:
+                    states[0, model.n:] = model.v0[:, None]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _euler_loop(model, states, dm, grid.dt)
+                anywhere = ~np.isfinite(states).all(axis=(0, 1))
+                last = ~np.isfinite(states[-1]).all(axis=0)
+                np.testing.assert_array_equal(anywhere, last)
+                assert not np.delete(anywhere, path).any()
+                assert last[path] or math.isfinite(kick)
+
+
 class TestChunkMemory:
     """A chunk holds its increments, its states and one slice of normals,
     never a normal array of all its paths."""
@@ -421,7 +454,7 @@ class TestChunkMemory:
         assert self.peak_bytes(lambda: sample_increments(
             cov, np.random.default_rng(1), CHUNK_SIZE)) <= (
                 increments + one_slice + slack)
-        # simulate's Euler scratch rows and finiteness mask (states / 8)
+        # simulate's Euler scratch rows and its last row's finiteness mask
         # come after the draw and fit in the room of its slice
         assert self.peak_bytes(lambda: simulate(
             model, grid, cov, np.random.default_rng(1), CHUNK_SIZE,

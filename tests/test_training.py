@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from driftmc import streams
-from driftmc.config import build_scenario, build_train_config, resolve_config
+from driftmc.config import build_scenario, resolve_config
 from driftmc.covariation import CovariationSpec, TimeGrid, cameron_martin_map
-from driftmc.engine import CHUNK_SIZE, variance_ratio
+from driftmc.engine import variance_ratio
 from driftmc.errors import ConfigError, SimulationError, WeightOverflowError
-from driftmc.models import BLACK_SCHOLES, ModelSpec, simulate
+from driftmc.models import BLACK_SCHOLES, CHUNK_SIZE, ModelSpec, simulate
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import PayoffSpec, evaluate_batch
 from driftmc.pipeline import train_drift
@@ -249,7 +249,8 @@ class TestTrainingGrid:
                        streams.substream(3, streams.TRAIN, 999_999))
         expected, expected_trace = train(
             net, sc.model, sc.payoff, grid,
-            CovariationSpec(sc.model.sigma, grid), build_train_config(cfg))
+            CovariationSpec(sc.model.sigma, grid),
+            TrainConfig(**cfg["training"]))
         np.testing.assert_array_equal(trained.to_flat(), expected.to_flat())
         assert trace.v_hat == expected_trace.v_hat
 
