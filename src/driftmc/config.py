@@ -107,10 +107,6 @@ def sample_parameters(seed, tag, n, rate):
     ``MAX_SAMPLE_RETRIES`` failures the error names the constraint that
     rejected most drafts.
     """
-    if n < 1:
-        raise ConfigError("the model needs a positive asset count n")
-    if tag != BLACK_SCHOLES and tag not in VOL_MODEL_RANGES:
-        raise ConfigError(f"unknown model tag {tag!r}")
     d = n if tag == BLACK_SCHOLES else 2 * n
     rejected = Counter()
     for attempt in range(MAX_SAMPLE_RETRIES):

@@ -66,7 +66,8 @@ class TimeGrid:
 @dataclass(frozen=True)
 class CovariationSpec:
     """Diffusion matrix and its covariation density ``pi = sigma sigma'``
-    on a grid."""
+    on a grid.  ``sigma`` is not checked here: a model's is square, finite
+    and without a zero row, as :class:`~driftmc.models.ModelSpec` checks."""
 
     sigma: np.ndarray
     grid: TimeGrid
@@ -75,12 +76,6 @@ class CovariationSpec:
     def __post_init__(self):
         sigma = _readonly(self.sigma)
         object.__setattr__(self, "sigma", sigma)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise DimensionError("sigma must be a square matrix")
-        if not np.all(np.isfinite(sigma)):
-            raise NonFiniteError("sigma has non-finite entries")
-        if np.any(np.linalg.norm(sigma, axis=1) == 0.0):
-            raise ValueError("sigma must not contain a zero row")
         object.__setattr__(self, "pi", _readonly(sigma @ sigma.T))
 
     @property
@@ -160,16 +155,11 @@ def sample_increments(spec, rng, n_paths, out=None):
     (n_paths, n_steps, d) draw, and no normal array larger than a slice is
     held.  Returns the buffer as an (n_paths, n_steps, d) view, which is
     not C-contiguous: copy before reshaping.  ``n_paths = 0`` yields an
-    empty batch.
+    empty batch.  :func:`~driftmc.models.simulate` checks ``out``'s shape.
     """
-    if n_paths < 0:
-        raise ValueError("n_paths must be nonnegative")
     n_steps, d = spec.grid.n_steps, spec.d
     if out is None:
         out = np.empty((n_steps, d, n_paths))
-    elif out.shape != (n_steps, d, n_paths):
-        raise DimensionError(f"out must have shape (n_steps, d, n_paths) = "
-                             f"{(n_steps, d, n_paths)}, got {out.shape}")
     scale = np.sqrt(spec.grid.dt)
     for start in range(0, n_paths, SLICE_PATHS):
         stop = min(start + SLICE_PATHS, n_paths)

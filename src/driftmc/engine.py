@@ -148,10 +148,6 @@ def _simulate_block(model, payoff, grid, cov, drift, seed, block,
 
 def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
               block_size):
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     check_width(payoff, model.n)
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)

@@ -74,7 +74,7 @@ def read_object(path, what):
             value = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{what} {path}: {exc.strerror}") from exc
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (RecursionError, ValueError) as exc:  # not UTF-8, JSON, too deep
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise ConfigError(f"{what} {path} is not a JSON object")

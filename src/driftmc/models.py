@@ -219,19 +219,22 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
     ``out``, if given, is the pair of paths-innermost buffers to fill, the
     increments (n_steps, d, n_paths) and the states
     (n_steps+1, n_state, n_paths), which the caller owns; otherwise both
-    are new arrays.  The returned :class:`PathBatch` holds
-    (n_paths, ...)-shaped views of the buffers, valid until the next call
-    that writes into them, and not C-contiguous: copy before reshaping.
+    are new arrays.  Their shapes and ``cov``'s sigma and grid are checked
+    here, before anything is drawn; :class:`ModelSpec` checked sigma.  The
+    returned :class:`PathBatch` holds (n_paths, ...)-shaped views of the
+    buffers, valid until the next call that writes into them, and not
+    C-contiguous: copy before reshaping.
     """
     if not np.array_equal(cov.sigma, spec.sigma):
         raise DimensionError("covariation was built from another sigma")
     if (cov.grid.horizon, cov.grid.n_steps) != (grid.horizon, grid.n_steps):
         raise DimensionError("covariation was built on a different grid")
-    shape = (grid.n_steps + 1, spec.n_state, n_paths)
+    shapes = ((grid.n_steps, spec.d, n_paths),
+              (grid.n_steps + 1, spec.n_state, n_paths))
+    if out is not None and tuple(a.shape for a in out) != shapes:
+        raise DimensionError(f"out must have shapes {shapes}, got "
+                             f"{tuple(a.shape for a in out)}")
     increments, states = (None, None) if out is None else out
-    if states is not None and states.shape != shape:
-        raise DimensionError(f"states must have shape (n_steps+1, n_state, "
-                             f"n_paths) = {shape}, got {states.shape}")
 
     dm = sample_increments(cov, rng, n_paths, out=increments)
     rows = dm.transpose(1, 2, 0)  # the (n_steps, d, n_paths) buffer
@@ -243,7 +246,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
         rows += drift_eval.shift[:, :, None]
 
     if states is None:
-        states = np.empty(shape)
+        states = np.empty(shapes[1])
     n = spec.n
     states[0, :n] = spec.s0[:, None]
     if spec.has_volatility:

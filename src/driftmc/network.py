@@ -88,9 +88,6 @@ class ShallowNet:
     def with_params(self, flat):
         """Rebuild the net from a canonical flat parameter vector."""
         flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise DimensionError(
-                f"expected {self.n_params} parameters, got {flat.shape}")
         l, d = self.hidden_width, self.output_width
         return ShallowNet(
             w_in=flat[:l],
@@ -121,10 +118,6 @@ def forward(net, t):
     """Evaluate the net at the times ``t``, shape (m,), as an (m, d) array."""
     psi, _ = ACTIVATIONS[net.activation]
     t = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(t)):
-        raise NonFiniteError("time input is non-finite")
-    if t.ndim != 1:
-        raise DimensionError("t must be a 1-d array")
     hidden = psi(np.outer(t, net.w_in) + net.b_in)
     return hidden @ net.w_out.T + net.b_out
 
@@ -139,10 +132,6 @@ def backward_grid(net, times, upstreams):
     psi, psi_prime = ACTIVATIONS[net.activation]
     times = np.asarray(times, dtype=np.float64)
     upstreams = np.asarray(upstreams, dtype=np.float64)
-    if upstreams.shape != (times.size, net.output_width):
-        raise DimensionError("upstreams must have shape (len(times), d)")
-    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(upstreams))):
-        raise NonFiniteError("backward inputs are non-finite")
     z = np.outer(times, net.w_in) + net.b_in     # (m, hidden)
     hidden = psi(z)
     g_b_out = upstreams.sum(axis=0)
@@ -179,8 +168,6 @@ def adam_step(params, grad, state):
     """One Adam update with bias correction; returns (params, state)."""
     params = np.asarray(params, dtype=np.float64)
     grad = np.asarray(grad, dtype=np.float64)
-    if params.shape != grad.shape or params.shape != state.m.shape:
-        raise DimensionError("params, grad and state sizes differ")
     t = state.step + 1
     m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
     v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad**2

@@ -59,8 +59,6 @@ def basket_weights(sigma, n):
     """Inverse-volatility weights 1 / |sigma row k| of the n assets,
     normalized to sum to 1; the asset rows are the first n rows of sigma."""
     norms = np.linalg.norm(np.asarray(sigma, dtype=np.float64)[:n], axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("sigma must not contain a zero asset row")
     raw = 1.0 / norms
     return raw / raw.sum()
 
@@ -99,11 +97,6 @@ def evaluate_batch(spec, states, grid):
     paths-innermost batch from :func:`~driftmc.models.simulate`.
     """
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 3 or states.shape[1] != grid.n_steps + 1:
-        raise DimensionError(
-            "states must have shape (n_paths, n_steps+1, n_state)")
-    if states.shape[2] < spec.n_assets:
-        raise DimensionError("state dimension smaller than the basket size")
     # (n_steps+1, n_paths): node first, paths innermost.
     basket = spec.weights @ states.transpose(1, 2, 0)[:, :spec.n_assets]
     average = (node_quadrature(grid) @ basket) / grid.horizon

@@ -451,8 +451,9 @@ class TestPriceCommands:
                      "--is-report", str(is_file)]) == 0
 
 
-@pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]"],
-                         ids=["missing", "not-json", "not-object"])
+@pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]",
+                                     "[" * 100_000],
+                         ids=["missing", "not-json", "not-object", "too-deep"])
 @pytest.mark.parametrize("kind", ["config", "checkpoint", "report"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, kind, content):
     # every input file is read by one reader, and each of its refusals
@@ -816,6 +817,8 @@ class TestRunCommand:
         ({"model": {"n": 1, "params": {"sigma": [[0.2, 0.1]], "s0": [1.0]}}},
          "model.params.sigma[0]"),
         ({"model": {"tag": []}}, "unknown model tag []"),
+        ({"model": {"n": 0}}, "model.n must be an integer of at least 1"),
+        ({"model": {"tag": "garch"}}, "unknown model tag 'garch'"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation", "weights-width",
@@ -831,7 +834,7 @@ class TestRunCommand:
             "horizon-overflow", "step-count-overflow", "rate-huge-int",
             "n-huge-int", "sample-size-huge-int", "params-s0-bool",
             "params-v0-bool", "params-s0-nan", "params-sigma-inf",
-            "params-sigma-not-square", "tag-list"])
+            "params-sigma-not-square", "tag-list", "n-zero", "tag-unknown"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the config file and
@@ -856,6 +859,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert named in err and f"config {cfg}: " in err
         assert not (train_dir / "resolved_config.json").exists()
+
+    def test_zero_sigma_row_fails_at_resolve(self, tmp_path, capsys):
+        # the model spec refuses a zero row of sigma before the basket
+        # weights or the covariation see it, so validate and run exit 2
+        cfg = write_config(tmp_path, overrides={"model": {"params": dict(
+            TWO_ASSETS, sigma=[[0.2, 0.0], [0.0, 0.0]])}})
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "sigma[1]: zero row" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 2
+        assert "sigma[1]: zero row" in capsys.readouterr().err
+        error = json.loads((out_dir / "error.json").read_text())
+        assert (error["stage"], error["error"]) == ("resolve",
+                                                    "ModelValidationError")
 
     def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):
         # the weights are 1 / |sigma row k| normalized, whatever the rate

@@ -75,10 +75,6 @@ class TestSampleParameters:
                                    sc.model.s0 * (1.0 + 0.03 * 0.25) ** 4,
                                    rtol=1e-15)
 
-    def test_unknown_tag_rejected(self):
-        with pytest.raises(ConfigError):
-            sample_parameters(0, tag="garch", n=2, rate=0.05)
-
 
 class TestResolveConfig:
     def test_minimal_config_fills_defaults(self):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from driftmc import engine, streams
+from driftmc.config import sample_parameters
 from driftmc.covariation import SLICE_PATHS, CovariationSpec, TimeGrid
 from driftmc.engine import (ComparisonRow, EstimatorReport, compare,
                             comparison_to_dict, estimate_is, estimate_plain,
@@ -18,10 +19,11 @@ from driftmc.engine import (ComparisonRow, EstimatorReport, compare,
                             _block_plan, _simulate_block)
 from driftmc.errors import (DimensionError, NonFiniteError, SimulationError,
                             WeightOverflowError)
-from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, ModelSpec,
-                            simulate)
+from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, STEIN_STEIN,
+                            THREE_HALVES, ModelSpec, simulate)
 from driftmc.network import ShallowNet, init_net
-from driftmc.payoffs import PayoffSpec, evaluate_batch
+from driftmc.payoffs import (PayoffSpec, basket_weights, evaluate_batch,
+                             node_quadrature)
 from driftmc.stats import RunningMoments
 from driftmc.training import simulate_training_batch
 
@@ -56,22 +58,6 @@ class TestEstimatePlain:
         assert rep.theta is None
         assert rep.mean_cents > 0.0
         assert rep.wall_seconds > 0.0
-
-    def test_zero_sample_size_rejected(self):
-        model, payoff, grid, cov = bs_setup()
-        with pytest.raises(ValueError):
-            estimate_plain(model, payoff, grid, cov, seed=0, n=0)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_non_positive_thread_count_rejected(self, threads):
-        model, payoff, grid, cov = bs_setup(n_steps=4)
-        drift = init_net(3, model.d, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="threads"):
-            estimate_plain(model, payoff, grid, cov, seed=0, n=10,
-                           threads=threads)
-        with pytest.raises(ValueError, match="threads"):
-            estimate_is(model, payoff, grid, cov, drift, seed=0, n=10,
-                        threads=threads)
 
     def test_thread_counts_agree_bitwise(self):
         model, payoff, grid, cov = bs_setup()
@@ -410,6 +396,41 @@ class TestEstimateIs:
         with pytest.raises(WeightOverflowError):
             estimate_is(model, payoff, grid, cov, big, seed=0, n=16,
                         block_size=16)
+
+
+@pytest.mark.parametrize("tag, n, h_norm_sq", [
+    (BLACK_SCHOLES, 3, 0.5), (HESTON, 2, 1.0), (THREE_HALVES, 3, 1.5),
+    (STEIN_STEIN, 2, 2.5)])
+def test_shift_and_weight_have_exact_means(tag, n, h_norm_sq):
+    # Under the Euler scheme every asset is a discrete martingale times
+    # (1 + r dt)^k, so E_P[A] = sum_k q_k (1 + r dt)^k w.s0 / T with q the
+    # trapezoid weights.  For a constant drift f = c (w, 0), E_h[weight] = 1
+    # and E_h[(A - K) weight] = E_P[A] - K, and a call struck far below the
+    # basket is A - K on every path.
+    rate = 0.05
+    model = sample_parameters(3, tag, n, rate)
+    grid = TimeGrid(1.0, 50)
+    cov = CovariationSpec(model.sigma, grid)
+    weights = basket_weights(model.sigma, n)
+    f = np.zeros(model.d)
+    f[:n] = weights
+    f *= math.sqrt(h_norm_sq / (grid.horizon * (f @ cov.pi @ f)))
+    drift = ShallowNet(w_in=[0.0], b_in=[0.0], w_out=np.zeros((model.d, 1)),
+                       b_out=f)
+
+    w = np.exp(simulate(model, grid, cov, np.random.default_rng(3), 8192,
+                        drift=drift).log_inverse_likelihood)
+    assert abs(w.mean() - 1.0) <= 4 * w.std(ddof=1) / math.sqrt(w.size)
+
+    basket0 = float(weights @ model.s0)
+    growth = (1.0 + rate * grid.dt) ** np.arange(grid.n_steps + 1)
+    mean_a = node_quadrature(grid) @ growth * basket0 / grid.horizon
+    strike = 1e-6 * basket0
+    report = estimate_is(model, PayoffSpec(weights, strike), grid, cov,
+                         drift, seed=5, n=8192)
+    exact = 100.0 * math.exp(-rate * grid.horizon) * (mean_a - strike)
+    se = report.se_pct * report.mean_cents / 100.0
+    assert abs(report.mean_cents - exact) <= 4 * se
 
 
 class TestCompareAndSerialization:

@@ -68,10 +68,6 @@ class TestBasketWeights:
         w = basket_weights([[0.3, 0.4], [0.0, 0.2]], 2)
         np.testing.assert_allclose(w, [2.0 / 7.0, 5.0 / 7.0])
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            basket_weights([[0.2, 0.0], [0.0, 0.0]], 2)
-
     def test_uses_leading_asset_rows_only(self):
         sigma = np.array([[0.2, 0.0, 0.0, 0.0],
                           [0.0, 0.4, 0.0, 0.0],
