@@ -15,9 +15,9 @@ two buffers are all a simulation holds of its paths besides one slice of
 normals while the increments are drawn.  The caller may own them: a
 simulation fills the buffers it is given, so a caller that simulates in
 chunks allocates one set and reuses it, and each batch is a view that is
-valid until the next simulation writes into the same buffers.  Callers see
-the buffers as (n_paths, ...)-shaped views, which are not C-contiguous;
-copy before reshaping.
+valid until the next simulation writes into the same buffers.  A batch
+holds only the states, as an (n_paths, ...)-shaped view, which is not
+C-contiguous (copy before reshaping); the increments stay in their buffer.
 """
 
 import math
@@ -171,20 +171,18 @@ def _violations(spec):
 
 @dataclass(frozen=True)
 class PathBatch:
-    """Simulated trajectories plus the data needed to reweight them.
+    """Simulated trajectories plus the weights that undo the drift.
 
     ``states`` has shape (n_paths, n_steps+1, n_state) with the assets in
-    the leading n coordinates; ``increments``, shape (n_paths, n_steps, d),
-    are the driver increments that produced the states;
-    ``log_inverse_likelihood`` is zero under the original measure.  Both
-    arrays are views of paths-innermost buffers, so they are not
-    C-contiguous: copy before reshaping.  When the caller gave
-    :func:`simulate` the buffers, they hold this batch only until the
-    caller simulates into them again.
+    the leading n coordinates, a view of a paths-innermost buffer, so not
+    C-contiguous: copy before reshaping.  ``log_inverse_likelihood`` is
+    zero under the original measure.  The increments stay in the buffer
+    :func:`simulate` drew them into, the caller's when it passed ``out``.
+    A caller's buffers hold this batch only until it simulates into them
+    again.
     """
 
     states: np.ndarray
-    increments: np.ndarray
     log_inverse_likelihood: np.ndarray
 
 
@@ -221,9 +219,10 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
     (n_steps+1, n_state, n_paths), which the caller owns; otherwise both
     are new arrays.  Their shapes and ``cov``'s sigma and grid are checked
     here, before anything is drawn; :class:`ModelSpec` checked sigma.  The
-    returned :class:`PathBatch` holds (n_paths, ...)-shaped views of the
-    buffers, valid until the next call that writes into them, and not
-    C-contiguous: copy before reshaping.
+    returned :class:`PathBatch` holds a view of the states buffer, valid
+    until the next call that writes into it.  A caller that reads the
+    increments, shifted when ``drift`` is set, passes ``out`` and reads
+    that buffer.
     """
     if not np.array_equal(cov.sigma, spec.sigma):
         raise DimensionError("covariation was built from another sigma")
@@ -262,7 +261,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
 
     log_w = (np.zeros(n_paths) if drift_eval is None
              else log_likelihood_inverse(drift_eval, dm, cov))
-    return PathBatch(states.transpose(2, 0, 1), dm, log_w)
+    return PathBatch(states.transpose(2, 0, 1), log_w)
 
 
 def _euler_loop(spec, states, dm, h):

@@ -72,13 +72,14 @@ def test_is_mean_agrees_with_plain(name):
 
 
 # (model tag, training seed, pricing dt) of the default Asian call; the
-# variance ratios are about 221, 81, 97 and 109.  The last case prices on
-# the default 252-step grid with the net the first case trains.
+# variance ratios are about 221, 81, 97, 117, 70 and 109.  The last case
+# prices on the default 252-step grid with the net the first case trains.
 @pytest.mark.parametrize("tag, train_seed, dt", [
     ("black_scholes", 0, 1 / 50), ("black_scholes", 1, 1 / 50),
-    ("heston", 0, 1 / 50), ("black_scholes", 0, 1 / 252)],
-    ids=["black_scholes-0", "black_scholes-1", "heston-0",
-         "black_scholes-0-full_grid"])
+    ("heston", 0, 1 / 50), ("three_halves", 0, 1 / 50),
+    ("stein_stein", 0, 1 / 50), ("black_scholes", 0, 1 / 252)],
+    ids=["black_scholes-0", "black_scholes-1", "heston-0", "three_halves-0",
+         "stein_stein-0", "black_scholes-0-full_grid"])
 def test_trained_drift_reduces_variance(tmp_path, tag, train_seed, dt):
     cfg = resolve_config({
         "model": {"tag": tag}, "grid": {"dt": dt},

@@ -94,6 +94,19 @@ class TestResolveConfig:
         with pytest.raises(ConfigError):
             resolve_config({"modle": {}})
 
+    @pytest.mark.parametrize("block", ["model", "payoff", "grid", "training",
+                                       "estimation"])
+    def test_block_that_is_no_object_rejected(self, block):
+        with pytest.raises(ConfigError, match=f"config field {block!r} must "
+                                              "be an object"):
+            resolve_config({block: [1.0]})
+
+    def test_params_that_are_no_object_rejected(self):
+        with pytest.raises(ConfigError, match="model.params must be an "
+                                              "object, got"):
+            resolve_config({"model": {"tag": "black_scholes",
+                                      "params": [0.2, 1.0]}})
+
     def test_unknown_schema_rejected(self):
         with pytest.raises(ConfigError):
             resolve_config({"schema": "driftmc-run-v999"})

@@ -265,5 +265,10 @@ class TestLogLikelihoodInverse:
     def test_grid_mismatch_rejected(self):
         spec = uniform_spec(np.eye(2), n_steps=12)
         drift = cameron_martin_map(np.zeros((12, 2)), spec)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match="increments must end in"):
             log_likelihood_inverse(drift, np.zeros((11, 2)), spec)
+        other = cameron_martin_map(np.zeros((11, 2)),
+                                   uniform_spec(np.eye(2), n_steps=11))
+        with pytest.raises(DimensionError, match="drift was evaluated on a "
+                                                 "different grid"):
+            log_likelihood_inverse(other, np.zeros((12, 2)), spec)

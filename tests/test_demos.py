@@ -1,5 +1,5 @@
 """The demos and the benchmark stay in step with the package: the names
-they import from it resolve, and the fast demo runs to completion."""
+they import from it resolve, and the demo runs to completion."""
 
 import ast
 import importlib
@@ -65,7 +65,6 @@ def test_benchmark_hooked_names_resolve(monkeypatch):
 
 
 def test_isometry_demo_runs(capsys):
-    # the measure-change demo simulates 200k paths; it is only import-checked
     runpy.run_path(str(DEMO_DIR / "01_drift_space_isometry.py"),
                    run_name="__main__")
     # the demo asserts its closed-form tanh drift is within dt of the map

@@ -12,7 +12,8 @@ import pytest
 
 from driftmc import engine, streams
 from driftmc.config import sample_parameters
-from driftmc.covariation import SLICE_PATHS, CovariationSpec, TimeGrid
+from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
+                                 lambda2_inner)
 from driftmc.engine import (ComparisonRow, EstimatorReport, compare,
                             comparison_to_dict, estimate_is, estimate_plain,
                             report_from_dict, report_to_dict, variance_ratio,
@@ -21,7 +22,7 @@ from driftmc.errors import (DimensionError, NonFiniteError, SimulationError,
                             WeightOverflowError)
 from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, STEIN_STEIN,
                             THREE_HALVES, ModelSpec, simulate)
-from driftmc.network import ShallowNet, init_net
+from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import (PayoffSpec, basket_weights, evaluate_batch,
                              node_quadrature)
 from driftmc.stats import RunningMoments
@@ -279,23 +280,20 @@ class TestChunks:
         model, payoff, grid, cov = bs_setup(n_steps=4)
         drawn = {}
 
-        def simulate_spy(*args, **kwargs):
-            batch = simulate(*args, **kwargs)
-            drawn.setdefault(threading.get_ident(), []).append(batch)
-            return batch
+        def simulate_spy(*args, out, **kwargs):
+            drawn.setdefault(threading.get_ident(), []).append(out)
+            return simulate(*args, out=out, **kwargs)
 
         monkeypatch.setattr(engine, "simulate", simulate_spy)
         estimate_plain(model, payoff, grid, cov, seed=0, n=3 * self.SIZE,
                        threads=threads, block_size=self.SIZE)
         assert sum(map(len, drawn.values())) == 9
-        firsts = [batches[0] for batches in drawn.values()]
-        for first, batches in zip(firsts, drawn.values()):
-            for batch in batches[1:]:
-                assert np.shares_memory(batch.states, first.states)
-                assert np.shares_memory(batch.increments, first.increments)
+        firsts = [outs[0] for outs in drawn.values()]
+        for first, outs in zip(firsts, drawn.values()):
+            for out in outs[1:]:
+                assert all(map(np.shares_memory, out, first))
         for a, b in itertools.combinations(firsts, 2):
-            assert not np.shares_memory(a.states, b.states)
-            assert not np.shares_memory(a.increments, b.increments)
+            assert not any(map(np.shares_memory, a, b))
 
     def test_blow_up_reports_estimate_wide_path_id(self, monkeypatch,
                                                    blow_up_normals):
@@ -398,25 +396,38 @@ class TestEstimateIs:
                         block_size=16)
 
 
+@pytest.mark.parametrize("time_varying", [False, True],
+                         ids=["constant", "time_varying"])
 @pytest.mark.parametrize("tag, n, h_norm_sq", [
     (BLACK_SCHOLES, 3, 0.5), (HESTON, 2, 1.0), (THREE_HALVES, 3, 1.5),
     (STEIN_STEIN, 2, 2.5)])
-def test_shift_and_weight_have_exact_means(tag, n, h_norm_sq):
+def test_shift_and_weight_have_exact_means(tag, n, h_norm_sq, time_varying):
     # Under the Euler scheme every asset is a discrete martingale times
     # (1 + r dt)^k, so E_P[A] = sum_k q_k (1 + r dt)^k w.s0 / T with q the
-    # trapezoid weights.  For a constant drift f = c (w, 0), E_h[weight] = 1
-    # and E_h[(A - K) weight] = E_P[A] - K, and a call struck far below the
-    # basket is A - K on every path.
+    # trapezoid weights.  For any deterministic drift, E_h[weight] = 1 and
+    # E_h[(A - K) weight] = E_P[A] - K, and a call struck far below the
+    # basket is A - K on every path.  The constant drift is c (w, 0); the
+    # time-varying one, a net fixed in advance, moves along the basket and
+    # the last driver coordinate, so a weight that reads the drift at other
+    # times than the shift used fails it.
     rate = 0.05
     model = sample_parameters(3, tag, n, rate)
     grid = TimeGrid(1.0, 50)
     cov = CovariationSpec(model.sigma, grid)
     weights = basket_weights(model.sigma, n)
-    f = np.zeros(model.d)
-    f[:n] = weights
-    f *= math.sqrt(h_norm_sq / (grid.horizon * (f @ cov.pi @ f)))
-    drift = ShallowNet(w_in=[0.0], b_in=[0.0], w_out=np.zeros((model.d, 1)),
-                       b_out=f)
+    basket = np.zeros(model.d)
+    basket[:n] = weights
+    if time_varying:
+        drift = ShallowNet(w_in=[3.0, -2.0], b_in=[-1.0, 0.5],
+                           w_out=np.column_stack([basket, np.eye(model.d)[-1]]),
+                           b_out=0.3 * basket)
+    else:
+        drift = ShallowNet(w_in=[0.0], b_in=[0.0],
+                           w_out=np.zeros((model.d, 1)), b_out=basket)
+    f = forward(drift, grid.left_times)
+    scale = math.sqrt(h_norm_sq / lambda2_inner(f, f, cov))
+    drift = replace(drift, w_out=scale * drift.w_out,
+                    b_out=scale * drift.b_out)
 
     w = np.exp(simulate(model, grid, cov, np.random.default_rng(3), 8192,
                         drift=drift).log_inverse_likelihood)

@@ -41,6 +41,15 @@ def grid_and_cov(model, n_steps=252, horizon=1.0):
     return grid, CovariationSpec(model.sigma, grid)
 
 
+def simulate_keeping_increments(model, grid, cov, rng, n_paths, drift=None):
+    """``simulate`` into buffers the test owns; returns the batch and the
+    driver increments it drew, as an (n_paths, n_steps, d) view."""
+    out = (np.empty((grid.n_steps, model.d, n_paths)),
+           np.empty((grid.n_steps + 1, model.n_state, n_paths)))
+    batch = simulate(model, grid, cov, rng, n_paths, drift=drift, out=out)
+    return batch, out[0].transpose(2, 0, 1)
+
+
 def violations(**params):
     """The violations ``ModelSpec(**params)`` raises; empty if it builds."""
     try:
@@ -110,6 +119,35 @@ class TestValidate:
         spec = dict(tag=STEIN_STEIN, sigma=np.eye(2), s0=[1.0])
         codes = {v.code for v in violations(**spec)}
         assert codes == {"mean_level", "reversion", "v0"}
+
+    @pytest.mark.parametrize("params, expected", [
+        (dict(tag="garch"), "tag: unknown model tag 'garch'"),
+        (dict(sigma=[[0.2, 0.0]]), "sigma: must be a square matrix"),
+        (dict(sigma=[[np.nan]]), "sigma: non-finite entries"),
+        (dict(s0=[np.inf]), "s0: non-finite entries"),
+        (dict(tag=HESTON, mean_level=[0.04, 0.04]),
+         "mean_level: length 2, expected 1"),
+        (dict(tag=STEIN_STEIN, reversion=[np.nan]),
+         "reversion: non-finite entries"),
+        (dict(tag=HESTON, v0=[0.0]), "v0[0]: must be positive"),
+        (dict(tag=THREE_HALVES, v0=[-0.1]), "v0[0]: must be positive"),
+    ], ids=["tag", "sigma-not-square", "sigma-nan", "s0-inf",
+            "mean_level-length", "reversion-nan", "heston-v0-zero",
+            "three_halves-v0-negative"])
+    def test_refusal_names_the_invariant(self, params, expected):
+        # one asset; the volatility models get parameters that pass every
+        # other check
+        base = dict(tag=BLACK_SCHOLES, sigma=[[0.2]], s0=[1.0])
+        if params.get("tag") in (HESTON, THREE_HALVES, STEIN_STEIN):
+            base = dict(sigma=np.diag([0.5, 0.2]), s0=[1.0],
+                        mean_level=[0.04], reversion=[2.0], v0=[0.04])
+        with pytest.raises(ModelValidationError) as err:
+            ModelSpec(**dict(base, **params))
+        assert expected in [str(v) for v in err.value.violations]
+
+    def test_nested_vector_rejected(self):
+        with pytest.raises(DimensionError, match="s0 must be a 1-d array"):
+            ModelSpec(tag=BLACK_SCHOLES, sigma=[[0.2]], s0=[[1.0]])
 
     def test_volatility_params_on_black_scholes(self):
         # nothing simulates them, so a Black-Scholes spec refuses them
@@ -234,9 +272,9 @@ class TestSimulateWithDrift:
         c = 2.0
         net = ShallowNet(w_in=np.zeros(1), b_in=np.zeros(1),
                          w_out=np.zeros((1, 1)), b_out=np.array([c]))
-        batch = simulate(model, grid, cov, drift=net,
-                         rng=np.random.default_rng(2), n_paths=200_000)
-        step = batch.increments[:, 3, 0]
+        _, dm = simulate_keeping_increments(
+            model, grid, cov, np.random.default_rng(2), 200_000, drift=net)
+        step = dm[:, 3, 0]
         target = cov.pi[0, 0] * c * grid.dt
         se = step.std(ddof=1) / np.sqrt(step.size)
         assert abs(step.mean() - target) <= 4 * se
@@ -360,29 +398,30 @@ class TestPathsInnermostLayout:
             (7, grid.n_steps, cov.d))
         drift = (init_net(3, cov.d, rng=np.random.default_rng(4))
                  if with_drift else None)
-        batch = simulate(sc.model, grid, cov, fixed_normals(z), 7, drift=drift)
+        batch, dm = simulate_keeping_increments(
+            sc.model, grid, cov, fixed_normals(z), 7, drift=drift)
 
         expected = (z * np.sqrt(grid.dt)) @ cov.sigma.T
         if with_drift:
             cm = cameron_martin_map(forward(drift, grid.left_times), cov)
             expected += cm.cumulative[1:] - cm.cumulative[:-1]
-        np.testing.assert_array_max_ulp(batch.increments, expected, maxulp=4)
+        np.testing.assert_array_max_ulp(dm, expected, maxulp=4)
         assert batch.states.shape == (7, grid.n_steps + 1, sc.model.n_state)
-        for states, dm in zip(batch.states, batch.increments):
+        for states, path_dm in zip(batch.states, dm):
             np.testing.assert_array_equal(
-                states, euler_one_path(sc.model, dm, grid.dt))
+                states, euler_one_path(sc.model, path_dm, grid.dt))
 
     @pytest.mark.parametrize("tag", MODEL_TAGS)
     def test_reductions_do_not_depend_on_layout(self, tag):
         sc = sampled_scenario(tag, barriers=True)
         grid, cov = sc.grid, sc.cov
         drift = init_net(3, cov.d, rng=np.random.default_rng(5))
-        batch = simulate(sc.model, grid, cov, np.random.default_rng(6), 300,
-                         drift=drift)
+        batch, dm = simulate_keeping_increments(
+            sc.model, grid, cov, np.random.default_rng(6), 300, drift=drift)
         assert not batch.states.flags.c_contiguous
-        assert not batch.increments.flags.c_contiguous
+        assert not dm.flags.c_contiguous
         states = np.ascontiguousarray(batch.states)
-        increments = np.ascontiguousarray(batch.increments)
+        increments = np.ascontiguousarray(dm)
 
         view, contiguous = (evaluate_batch(sc.payoff, x, grid)
                             for x in (batch.states, states))
@@ -394,7 +433,7 @@ class TestPathsInnermostLayout:
 
         cm = cameron_martin_map(forward(drift, grid.left_times), cov)
         np.testing.assert_allclose(
-            log_likelihood_inverse(cm, batch.increments, cov),
+            log_likelihood_inverse(cm, dm, cov),
             log_likelihood_inverse(cm, increments, cov), rtol=1e-12)
 
 

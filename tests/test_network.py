@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from driftmc.errors import CheckpointError, ConfigError, NonFiniteError
+from driftmc.errors import (CheckpointError, ConfigError, DimensionError,
+                            NonFiniteError)
 from driftmc.network import (ACTIVATIONS, ADAM_EPS, AdamState, ShallowNet,
                              _CHECKPOINT_SCHEMA, _checkpoint_digest, adam_step,
                              backward_grid, forward, init_net, load_checkpoint,
@@ -79,6 +80,20 @@ class TestForward:
     def test_rejects_non_finite_parameters(self):
         with pytest.raises(NonFiniteError):
             ShallowNet(w_in=[np.nan], b_in=[0.0], w_out=[[1.0]], b_out=[0.0])
+
+    @pytest.mark.parametrize("shapes, message", [
+        (dict(w_in=[[1.0]]), "hidden layer shapes inconsistent"),
+        (dict(b_in=[0.0, 0.0]), "hidden layer shapes inconsistent"),
+        (dict(w_out=[1.0]), r"output weights must have shape \(d, hidden\)"),
+        (dict(w_out=[[1.0, 1.0]]),
+         r"output weights must have shape \(d, hidden\)"),
+        (dict(b_out=[0.0, 0.0]), "output bias length must match"),
+    ], ids=["w_in-2d", "b_in-length", "w_out-1d", "w_out-width",
+            "b_out-length"])
+    def test_rejects_inconsistent_shapes(self, shapes, message):
+        params = dict(w_in=[1.0], b_in=[0.0], w_out=[[1.0]], b_out=[0.0])
+        with pytest.raises(DimensionError, match=message):
+            ShallowNet(**dict(params, **shapes))
 
     def test_rejects_unknown_activation(self):
         with pytest.raises(ConfigError, match="unknown activation"):
@@ -214,6 +229,23 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(record))
         with pytest.raises(ConfigError, match="unknown activation"):
+            load_checkpoint(path)
+
+    def test_params_of_another_length_rejected(self, tmp_path):
+        # a signed checkpoint whose params do not fit its hidden and output
+        # widths
+        net = random_net(np.random.default_rng(18))
+        flat = net.to_flat()[:-1]
+        record = {"schema": _CHECKPOINT_SCHEMA, "hidden": net.hidden_width,
+                  "output": net.output_width, "activation": net.activation,
+                  "params": flat.tolist(),
+                  "sha256": _checkpoint_digest(net.hidden_width,
+                                               net.output_width,
+                                               net.activation, flat)}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(CheckpointError, match=f"'params' must be a list "
+                                                  f"of {net.n_params} numbers"):
             load_checkpoint(path)
 
     def test_checkpoint_error_is_config_error(self):
