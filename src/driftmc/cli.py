@@ -8,8 +8,10 @@ Every flag names an input or output file or sets the thread count.
 reports of different scenarios, measures or sample sizes, naming both
 files.  A malformed input file (config, checkpoint or report) exits 2 with
 a message naming the file and the field; so does a bad model spec.  An
-output file or directory that cannot be written exits 2 with "error:".
-Exit codes: 0 ok, 2 config error or unwritable output, 3 numerical failure.
+output file or directory that cannot be written, or an array too large to
+allocate, exits 2 with "error:".
+Exit codes: 0 ok, 2 config error, unwritable output or failed allocation,
+3 numerical failure.
 """
 
 import argparse
@@ -157,7 +159,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:  # input files fail in read_object, as ConfigError
+    except (MemoryError, OSError) as exc:  # unwritable output, huge array
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DriftmcError, ValueError) as exc:

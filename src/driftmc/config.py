@@ -1,10 +1,12 @@
 """Run configuration: parsing, defaulting, parameter sampling, resolution.
 
 A run config is a single JSON document with a schema id.  Resolution fills
-every default, samples risk-neutral model parameters from the model's fixed
-ranges unless ``model.params`` gives them, and materializes derived
-quantities (weights, strike, barriers), producing a config that is a fixed
-point: running the resolved document reproduces the run bit for bit.  Every
+every default and samples risk-neutral model parameters from the model's
+fixed ranges unless ``model.params`` gives them, producing a config that is
+a fixed point: running the resolved document reproduces the run bit for
+bit.  The payoff block sets the option relative to the basket, by
+``moneyness`` and ``barrier_moneyness``, as the user wrote them;
+:func:`build_payoff` works out its weights, strike and barriers.  Every
 list in it is read by one rule, entry by entry, and a bad entry is refused
 by its index, such as ``model.params.sigma[1][0]``.  Resolution builds
 every spec, so the field checks each spec makes of itself refuse here.
@@ -27,13 +29,9 @@ from .payoffs import PayoffSpec, basket_weights
 from .training import TrainConfig
 from . import streams
 
-SCHEMA_ID = "driftmc-run-v7"
+SCHEMA_ID = "driftmc-run-v8"
 
 MAX_SAMPLE_RETRIES = 200
-
-# Strike over the forward basket value when a config sets neither
-# payoff.strike nor payoff.moneyness.
-DEFAULT_MONEYNESS = 1.3
 
 # Bound on |model.rate * grid.horizon|: exp(+-700) are normal doubles.
 MAX_RATE_HORIZON = 700.0
@@ -51,10 +49,7 @@ DEFAULTS = {
         "params": None,
     },
     "payoff": {
-        "weights": None,
-        "strike": None,
-        "moneyness": None,
-        "barriers": None,
+        "moneyness": 1.3,
         "barrier_moneyness": None,
     },
     "grid": {
@@ -134,15 +129,18 @@ def sample_parameters(seed, tag, n, rate):
         f"violated constraint: {binding!r}")
 
 
-def _merge_defaults(config, defaults):
+def _merge_defaults(config, defaults, path=""):
+    """``config`` over ``defaults``; a field is named by its dotted path,
+    such as ``training.lr``."""
     out = copy.deepcopy(defaults)
     for key, value in config.items():
+        name = path + key
         if key not in defaults:
-            raise ConfigError(f"unknown config field {key!r}")
+            raise ConfigError(f"unknown config field {name!r}")
         if isinstance(defaults[key], dict) and defaults[key]:
             if not isinstance(value, dict):
-                raise ConfigError(f"config field {key!r} must be an object")
-            out[key] = _merge_defaults(value, defaults[key])
+                raise ConfigError(f"config field {name!r} must be an object")
+            out[key] = _merge_defaults(value, defaults[key], name + ".")
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -158,8 +156,8 @@ def _numbers(values, name, length=None, check=number):
 
 
 def resolve_config(raw):
-    """Fill defaults, sample parameters, materialize derived fields; a bad
-    field raises a ConfigError naming it, bad model parameters its subclass
+    """Fill defaults and sample parameters; a bad field raises a
+    ConfigError naming it, bad model parameters its subclass
     :class:`ModelValidationError`."""
     schema = raw.get("schema", SCHEMA_ID)
     if schema != SCHEMA_ID:
@@ -173,6 +171,7 @@ def resolve_config(raw):
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"grid.dt must divide grid.horizon into whole "
                           f"steps; horizon / dt = {steps!r}")
+    build_grid(cfg)  # a grid too fine to allocate fails here, not mid-run
 
     model_block = cfg["model"]
     tag = model_block["tag"]
@@ -190,35 +189,7 @@ def resolve_config(raw):
                                  rate=model_block["rate"])
         model_block["params"] = _params_to_json(spec)
     model = build_model(cfg)
-
-    payoff_block = cfg["payoff"]
-    if payoff_block["weights"] is None:
-        payoff_block["weights"] = basket_weights(model.sigma, n).tolist()
-    weights = _numbers(payoff_block["weights"], "payoff.weights", n)
-    basket0 = float(np.dot(weights, model.s0))
-    forward_factor = math.exp(model.rate * horizon)
-    moneyness = payoff_block["moneyness"]
-    if payoff_block["strike"] is None:
-        moneyness = number(DEFAULT_MONEYNESS if moneyness is None
-                           else moneyness, "payoff.moneyness", positive=True)
-        payoff_block["strike"] = moneyness * basket0 * forward_factor
-    elif moneyness is not None:
-        raise ConfigError("set payoff.strike or payoff.moneyness, not both")
-    payoff_block["moneyness"] = None
-    if payoff_block["barrier_moneyness"] is not None:
-        if payoff_block["barriers"] is not None:
-            raise ConfigError("set payoff.barriers or "
-                              "payoff.barrier_moneyness, not both")
-        lo, hi = _numbers(payoff_block["barrier_moneyness"],
-                          "payoff.barrier_moneyness", 2)
-        if not lo < hi:
-            raise ConfigError("payoff.barrier_moneyness needs lower < upper "
-                              f"barrier, got {[lo, hi]!r}")
-        payoff_block["barriers"] = [lo * basket0, hi * basket0]
-        payoff_block["barrier_moneyness"] = None
-    if payoff_block["barriers"] is not None:
-        _numbers(payoff_block["barriers"], "payoff.barriers", 2)
-    build_payoff(cfg)  # PayoffSpec refuses the rest of the payoff block
+    build_payoff(cfg)
 
     if cfg["training"]["hidden_width"] is None:
         cfg["training"]["hidden_width"] = model.d
@@ -264,10 +235,26 @@ def build_model(cfg):
 
 
 def build_payoff(cfg):
+    """The PayoffSpec of a resolved config, relative to the basket value
+    ``basket0 = weights . s0`` of the inverse-volatility weights
+    ``basket_weights(sigma, n)``: strike ``moneyness * basket0 *
+    exp(rate * horizon)``, and barriers ``barrier_moneyness * basket0``
+    when set, a knock-out."""
     block = cfg["payoff"]
-    lower, upper = block["barriers"] or (None, None)
-    return PayoffSpec(weights=block["weights"], strike=block["strike"],
-                      lower=lower, upper=upper)
+    moneyness = number(block["moneyness"], "payoff.moneyness", positive=True)
+    model = build_model(cfg)
+    weights = basket_weights(model.sigma, model.n)
+    basket0 = float(np.dot(weights, model.s0))
+    strike = moneyness * basket0 * math.exp(model.rate * cfg["grid"]["horizon"])
+    lower = upper = None
+    if block["barrier_moneyness"] is not None:
+        lo, hi = _numbers(block["barrier_moneyness"],
+                          "payoff.barrier_moneyness", 2)
+        if not lo < hi:
+            raise ConfigError("payoff.barrier_moneyness needs lower < upper "
+                              f"barrier, got {[lo, hi]!r}")
+        lower, upper = lo * basket0, hi * basket0
+    return PayoffSpec(weights=weights, strike=strike, lower=lower, upper=upper)
 
 
 def build_grid(cfg):

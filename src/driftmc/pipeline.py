@@ -51,7 +51,7 @@ def run_label(cfg):
     The digest leaves out ``model.seed``: it only chose the parameters,
     which the resolved ``model.params`` states."""
     tag = cfg["model"]["tag"]
-    kind = "knockout" if cfg["payoff"]["barriers"] else "asian"
+    kind = "knockout" if cfg["payoff"]["barrier_moneyness"] else "asian"
     model = {k: v for k, v in cfg["model"].items() if k != "seed"}
     scenario = json.dumps({"model": model, "payoff": cfg["payoff"],
                            "grid": cfg["grid"]}, sort_keys=True)
@@ -136,7 +136,7 @@ def run(raw_config, out_dir, threads=1):
                    {"comparison": [comparison_to_dict(row) for row in rows]})
         _write_timings(out_dir, plain_reports + is_reports, training_seconds)
         return rows
-    except (DriftmcError, OSError, ValueError) as exc:
+    except (DriftmcError, MemoryError, OSError, ValueError) as exc:
         write_json(out_dir / "error.json", {
             "stage": stage, "error": type(exc).__name__, "message": str(exc)})
         raise

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from driftmc.cli import main
+from driftmc.config import build_payoff
 from driftmc.network import _checkpoint_digest
 
 # Explicit parameters of a two-asset Black-Scholes model.
@@ -86,7 +87,6 @@ class TestValidateCommand:
         cfg = {
             "model": {"tag": "black_scholes", "n": 1,
                       "params": {"sigma": [[0.2]], "s0": [-1.0]}},
-            "payoff": {"strike": 1.0, "weights": [1.0]},
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
@@ -142,10 +142,12 @@ class TestValidateCommand:
     ])
     def test_removed_field_is_config_error(self, tmp_path, capsys, block,
                                            field, value):
+        # named by its dotted path
         overrides = {field: value} if block is None else {block: {field: value}}
         cfg = write_config(tmp_path, overrides=overrides)
         assert main(["validate", "--config", str(cfg)]) == 2
-        assert repr(field) in capsys.readouterr().err
+        name = field if block is None else f"{block}.{field}"
+        assert repr(name) in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -597,7 +599,6 @@ class TestRunCommand:
             "model": {"params": {"sigma": [[0.2, 0.0], [0.0, 0.2]],
                                  "s0": [-1.0, 1.0]},
                       "tag": "black_scholes", "n": 2},
-            "payoff": {"weights": [0.5, 0.5], "strike": 1.0},
         })
         out_dir = tmp_path / "fail"
         assert main(["run", "--config", str(cfg), "--out-dir",
@@ -606,6 +607,26 @@ class TestRunCommand:
         error = json.loads((out_dir / "error.json").read_text())
         assert error["stage"] == "resolve"
         assert error["error"] == "ModelValidationError"
+
+    @pytest.mark.parametrize("overrides, stage", [
+        ({"estimation": {"sample_sizes": [1e17]}}, "plain"),
+        ({"grid": {"dt": 1e-17}}, "resolve"),
+    ], ids=["sample-size", "dt"])
+    def test_array_too_large_to_allocate_exits_2(self, tmp_path, capsys,
+                                                  overrides, stage):
+        # 10^17 doubles are beyond any address space, so the allocation
+        # fails at once and touches nothing; validate refuses the grid run
+        # could not build, and run names the stage that failed
+        cfg = write_config(tmp_path, overrides=overrides)
+        assert main(["validate", "--config", str(cfg)]) == (
+            2 if stage == "resolve" else 0)
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        error = json.loads((out_dir / "error.json").read_text())
+        assert (error["stage"], error["error"]) == (stage, "MemoryError")
 
     @pytest.mark.parametrize("command", ["price", "run"])
     def test_non_finite_estimate_exits_numerical(self, tmp_path, capsys,
@@ -760,11 +781,8 @@ class TestRunCommand:
         ({"estimation": {"sample_sizes": [2.9]}}, "estimation.sample_sizes"),
         ({"training": {"hidden_width": 2.5}}, "training.hidden_width"),
         ({"training": {"activation": "relu"}}, "training.activation"),
-        ({"payoff": {"weights": [0.5, 0.25, 0.25]}}, "payoff.weights"),
         ({"payoff": {"barrier_moneyness": [0.7]}},
          "payoff.barrier_moneyness"),
-        ({"payoff": {"barriers": [1.6, 0.7]}},
-         "payoff.barriers needs lower < upper barrier"),
         ({"model": {"params": dict(TWO_ASSETS, mu=[0.05, 0.05])}},
          "model.params.mu"),
         ({"model": {"params": {"s0": [1.0, 1.0]}}}, "model.params.sigma"),
@@ -775,7 +793,6 @@ class TestRunCommand:
          "model.params.s0"),
         ({"model": {"params": dict(TWO_ASSETS, s0=[[1.0, 1.0]])}},
          "model.params.s0"),
-        ({"payoff": {"weights": [0.5, 0.4]}}, "payoff.weights"),
         ({"model": {"rate": True}}, "model.rate"),
         ({"grid": {"dt": True}}, "grid.dt"),
         ({"model": {"n": True}}, "model.n"),
@@ -785,16 +802,10 @@ class TestRunCommand:
         ({"payoff": {"barrier_moneyness": []}}, "payoff.barrier_moneyness"),
         ({"payoff": {"barrier_moneyness": False}},
          "payoff.barrier_moneyness"),
-        ({"payoff": {"barriers": [0.5, 2.0],
-                     "barrier_moneyness": [0.9, 0.95]}},
-         "payoff.barriers or payoff.barrier_moneyness"),
         ({"estimation": {"sample_sizes": [0]}}, "estimation.sample_sizes"),
         ({"estimation": {"sample_sizes": [-5]}}, "estimation.sample_sizes"),
-        ({"payoff": {"strike": 1.0, "moneyness": 2.0}},
-         "payoff.strike or payoff.moneyness"),
         ({"payoff": {"moneyness": -1.0}}, "payoff.moneyness"),
         ({"payoff": {"moneyness": 0}}, "payoff.moneyness"),
-        ({"payoff": {"strike": 0.0, "moneyness": None}}, "payoff.strike"),
         ({"payoff": {"barrier_moneyness": [1.6, 0.7]}},
          "payoff.barrier_moneyness needs lower < upper barrier"),
         ({"model": {"rate": 800}}, "model.rate * grid.horizon"),
@@ -819,22 +830,31 @@ class TestRunCommand:
         ({"model": {"tag": []}}, "unknown model tag []"),
         ({"model": {"n": 0}}, "model.n must be an integer of at least 1"),
         ({"model": {"tag": "garch"}}, "unknown model tag 'garch'"),
+        ({"estimate": {}}, "unknown config field 'estimate'"),
+        ({"training": {"lr": 0.1}}, "unknown config field 'training.lr'"),
+        ({"payoff": {"strike": 1.0}}, "unknown config field 'payoff.strike'"),
+        ({"payoff": {"barriers": [0.7, 1.6]}},
+         "unknown config field 'payoff.barriers'"),
+        ({"payoff": {"weights": [0.5, 0.5]}},
+         "unknown config field 'payoff.weights'"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
-            "sample-size", "hidden-width", "activation", "weights-width",
-            "barrier-moneyness", "barriers-reversed", "params-mu",
+            "sample-size", "hidden-width", "activation",
+            "barrier-moneyness", "params-mu",
             "params-no-sigma", "params-width", "params-ragged-sigma",
-            "params-s0-string", "params-s0-nested", "weights-sum",
+            "params-s0-string", "params-s0-nested",
             "rate-bool", "dt-bool", "n-bool", "sample-size-bool",
             "barrier-moneyness-zero", "barrier-moneyness-empty",
-            "barrier-moneyness-false", "barriers-both", "sample-size-zero",
-            "sample-size-negative", "strike-and-moneyness",
-            "moneyness-negative", "moneyness-zero", "strike-zero",
+            "barrier-moneyness-false", "sample-size-zero",
+            "sample-size-negative",
+            "moneyness-negative", "moneyness-zero",
             "barrier-moneyness-reversed", "rate-overflow", "rate-underflow",
             "horizon-overflow", "step-count-overflow", "rate-huge-int",
             "n-huge-int", "sample-size-huge-int", "params-s0-bool",
             "params-v0-bool", "params-s0-nan", "params-sigma-inf",
-            "params-sigma-not-square", "tag-list", "n-zero", "tag-unknown"])
+            "params-sigma-not-square", "tag-list", "n-zero", "tag-unknown",
+            "unknown-field", "unknown-block-field", "payoff-strike",
+            "payoff-barriers", "payoff-weights"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the config file and
@@ -876,15 +896,21 @@ class TestRunCommand:
                                                     "ModelValidationError")
 
     def test_zero_rate_runs_with_inverse_norm_weights(self, tmp_path):
-        # the weights are 1 / |sigma row k| normalized, whatever the rate
+        # the weights are 1 / |sigma row k| normalized, whatever the rate,
+        # and at rate 0 the strike is the moneyness times the basket value
         cfg = write_config(tmp_path, overrides={"model": {"rate": 0.0}})
         assert main(["validate", "--config", str(cfg)]) == 0
         out_dir = tmp_path / "zero_rate"
         assert main(["run", "--config", str(cfg), "--out-dir",
                      str(out_dir)]) == 0
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
-        inverse = 1.0 / np.linalg.norm(resolved["model"]["params"]["sigma"],
-                                       axis=1)
-        np.testing.assert_allclose(resolved["payoff"]["weights"],
-                                   inverse / inverse.sum(), rtol=1e-15)
+        assert resolved["payoff"] == {"moneyness": 1.05,
+                                      "barrier_moneyness": None}
+        params = resolved["model"]["params"]
+        inverse = 1.0 / np.linalg.norm(params["sigma"], axis=1)
+        payoff = build_payoff(resolved)
+        np.testing.assert_allclose(payoff.weights, inverse / inverse.sum(),
+                                   rtol=1e-15)
+        assert payoff.strike == 1.05 * float(np.dot(payoff.weights,
+                                                    params["s0"]))
         assert run_artifacts(out_dir) == RUN_ARTIFACTS

@@ -12,6 +12,7 @@ from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
 from driftmc.errors import ConfigError, write_json
 from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
                             simulate)
+from driftmc.payoffs import basket_weights
 from driftmc.training import TrainConfig
 
 
@@ -55,6 +56,35 @@ class TestSampleParameters:
                     sha.update(getattr(spec, name).tobytes())
         assert sha.hexdigest() == digest
 
+    @pytest.mark.parametrize("tag, digest", [
+        (BLACK_SCHOLES,
+         "2d509f042e10551b2f1c9fc39c7f04bae7fc270cd48cf4089ed7cf314c63d5c9"),
+        (HESTON,
+         "767a800daeb5daab180eb3b085df64becf1d69a97088f18576362c503b552a3d"),
+        (THREE_HALVES,
+         "767a800daeb5daab180eb3b085df64becf1d69a97088f18576362c503b552a3d"),
+        (STEIN_STEIN,
+         "045a165844c656602fa935b94b71cb3d74b114fbbd72b7c712a81e5d9da11995"),
+    ], ids=[BLACK_SCHOLES, HESTON, THREE_HALVES, STEIN_STEIN])
+    def test_priced_options_are_pinned(self, tag, digest):
+        # the built weights, strike and barriers of the default Asian and
+        # of the 1.1 / [0.7, 1.6] knock-out at seeds 0-2, byte for byte: a
+        # change of a payoff formula or of its order of operations moves
+        # every priced option.  Heston and 3/2 draw the same asset rows and
+        # s0, so they price the same options.
+        sha = hashlib.sha256()
+        for seed in range(3):
+            for payoff in ({}, {"moneyness": 1.1,
+                                "barrier_moneyness": [0.7, 1.6]}):
+                spec = build_payoff(resolve_config({
+                    "model": {"tag": tag, "n": 3, "seed": seed},
+                    "payoff": payoff}))
+                sha.update(spec.weights.tobytes())
+                for value in (spec.strike, spec.lower, spec.upper):
+                    if value is not None:
+                        sha.update(np.float64(value).tobytes())
+        assert sha.hexdigest() == digest
+
     def test_retry_budget_exhaustion_names_constraint(self, monkeypatch):
         # a mean level that can never satisfy the positivity criterion
         asset_norm, vol_norm, _ = config.VOL_MODEL_RANGES[HESTON]
@@ -81,8 +111,10 @@ class TestResolveConfig:
         cfg = resolve_config({"model": {"tag": "black_scholes", "n": 2}})
         assert cfg["grid"]["dt"] == DEFAULTS["grid"]["dt"]
         assert cfg["model"]["params"] is not None
-        assert cfg["payoff"]["strike"] > 0.0
-        assert cfg["payoff"]["weights"] is not None
+        assert cfg["payoff"] == {"moneyness": 1.3, "barrier_moneyness": None}
+        payoff = build_payoff(cfg)
+        assert (payoff.n_assets, payoff.has_barriers) == (2, False)
+        assert payoff.strike > 0.0
         assert cfg["training"]["hidden_width"] == 2
 
     def test_resolved_config_is_fixed_point(self):
@@ -124,33 +156,36 @@ class TestResolveConfig:
         np.testing.assert_array_equal(model.sigma, [[0.2]])
 
     def test_barrier_moneyness_materialized(self):
+        # the resolved block keeps the barrier moneyness as written; the
+        # built spec knocks out at it times the basket's initial value
         raw = {
             "model": {"tag": "black_scholes", "n": 2},
             "payoff": {"barrier_moneyness": [0.6, 1.6]},
         }
         cfg = resolve_config(raw)
-        lo, hi = cfg["payoff"]["barriers"]
-        basket0 = float(np.dot(cfg["payoff"]["weights"],
-                               cfg["model"]["params"]["s0"]))
-        assert lo == pytest.approx(0.6 * basket0)
-        assert hi == pytest.approx(1.6 * basket0)
-        assert cfg["payoff"]["barrier_moneyness"] is None
-        assert build_payoff(cfg).has_barriers
+        assert cfg["payoff"] == {"moneyness": 1.3,
+                                 "barrier_moneyness": [0.6, 1.6]}
+        params = cfg["model"]["params"]
+        basket0 = float(np.dot(basket_weights(params["sigma"], 2),
+                               params["s0"]))
+        payoff = build_payoff(cfg)
+        assert (payoff.lower, payoff.upper) == (0.6 * basket0, 1.6 * basket0)
 
     def test_moneyness_materialized(self):
-        # the resolved document records the strike it prices, not the
-        # moneyness it came from; a config that sets neither prices 1.3
+        # the resolved block keeps the moneyness as written, 1.3 when the
+        # config sets none; the built spec prices it over the forward value
+        # of the inverse-volatility basket
         base = {"model": {"tag": "black_scholes", "n": 2, "seed": 1}}
         default = resolve_config(base)
         explicit = resolve_config(dict(base, payoff={"moneyness": 1.3}))
-        basket0 = float(np.dot(default["payoff"]["weights"],
-                               default["model"]["params"]["s0"]))
-        for cfg in (default, explicit):
-            assert cfg["payoff"]["strike"] == 1.3 * basket0 * np.exp(0.05)
-            assert cfg["payoff"]["moneyness"] is None
-        strike = resolve_config(dict(base, payoff={"strike": 1.0}))
-        assert (strike["payoff"]["strike"], strike["payoff"]["moneyness"]) \
-            == (1.0, None)
+        assert default == explicit
+        params = default["model"]["params"]
+        weights = basket_weights(params["sigma"], 2)
+        basket0 = float(np.dot(weights, params["s0"]))
+        payoff = build_payoff(default)
+        np.testing.assert_array_equal(payoff.weights, weights)
+        assert payoff.strike == 1.3 * basket0 * np.exp(0.05)
+        assert not payoff.has_barriers
 
     def test_builders(self):
         cfg = resolve_config({"model": {"tag": "stein_stein", "n": 2}})
