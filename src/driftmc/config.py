@@ -22,7 +22,8 @@ import numpy as np
 
 from .covariation import CovariationSpec, TimeGrid
 from .engine import DEFAULT_BLOCK_SIZE
-from .errors import ConfigError, ModelValidationError, integer, number
+from .errors import (ConfigError, ModelValidationError, integer, number,
+                     numbers, string)
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec)
 from .payoffs import PayoffSpec, basket_weights
@@ -146,15 +147,6 @@ def _merge_defaults(config, defaults, path=""):
     return out
 
 
-def _numbers(values, name, length=None, check=number):
-    """A non-empty list, of ``length`` entries if given, checked entrywise."""
-    if not (isinstance(values, list) and values
-            and len(values) == (length or len(values))):
-        raise ConfigError(f"{name} must be a list of {length or 'one or more'} "
-                          f"numbers, got {values!r}")
-    return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
-
-
 def resolve_config(raw):
     """Fill defaults and sample parameters; a bad field raises a
     ConfigError naming it, bad model parameters its subclass
@@ -174,9 +166,7 @@ def resolve_config(raw):
     build_grid(cfg)  # a grid too fine to allocate fails here, not mid-run
 
     model_block = cfg["model"]
-    tag = model_block["tag"]
-    if tag not in MODEL_TAGS:
-        raise ConfigError(f"unknown model tag {tag!r}")
+    tag = string(model_block["tag"], "model.tag", MODEL_TAGS)
     n = model_block["n"] = integer(model_block["n"], "model.n", 1)
     model_block["seed"] = integer(model_block["seed"], "model.seed", 0)
     rate = number(model_block["rate"], "model.rate")
@@ -200,7 +190,7 @@ def resolve_config(raw):
     estimation["seed"] = integer(estimation["seed"], "estimation.seed", 0)
     estimation["block_size"] = integer(estimation["block_size"],
                                        "estimation.block_size", 1)
-    estimation["sample_sizes"] = _numbers(
+    estimation["sample_sizes"] = numbers(
         estimation["sample_sizes"], "estimation.sample_sizes",
         check=partial(integer, minimum=1))
     return cfg
@@ -220,17 +210,14 @@ def build_model(cfg):
         raise ConfigError(f"model.params must be an object, got {params!r}")
     for name in params:
         if name not in PARAM_FIELDS:
-            raise ConfigError(f"model.params.{name} is no model parameter; "
-                              f"the fields are {', '.join(PARAM_FIELDS)}")
+            raise ConfigError(f"unknown config field 'model.params.{name}'")
     for name in ("sigma", "s0"):
         if params.get(name) is None:
             raise ConfigError(f"model.params.{name} is required")
-    kwargs = {k: _numbers(v, f"model.params.{k}", check=(
-        (lambda row, field: _numbers(row, field, len(v))) if k == "sigma"
+    lengths = {"s0": block["n"]}
+    kwargs = {k: numbers(v, f"model.params.{k}", lengths.get(k), check=(
+        (lambda row, field: numbers(row, field, len(v))) if k == "sigma"
         else number)) for k, v in params.items() if v is not None}
-    if len(kwargs["s0"]) != block["n"]:
-        raise ConfigError(f"model.params.s0 has {len(kwargs['s0'])} "
-                          f"entries but model.n is {block['n']}")
     return ModelSpec(tag=block["tag"], rate=block["rate"], **kwargs)
 
 
@@ -245,15 +232,18 @@ def build_payoff(cfg):
     model = build_model(cfg)
     weights = basket_weights(model.sigma, model.n)
     basket0 = float(np.dot(weights, model.s0))
-    strike = moneyness * basket0 * math.exp(model.rate * cfg["grid"]["horizon"])
+    strike = number(
+        moneyness * basket0 * math.exp(model.rate * cfg["grid"]["horizon"]),
+        f"the strike that payoff.moneyness {moneyness!r} sets", positive=True)
     lower = upper = None
     if block["barrier_moneyness"] is not None:
-        lo, hi = _numbers(block["barrier_moneyness"],
-                          "payoff.barrier_moneyness", 2)
-        if not lo < hi:
-            raise ConfigError("payoff.barrier_moneyness needs lower < upper "
-                              f"barrier, got {[lo, hi]!r}")
+        lo, hi = numbers(block["barrier_moneyness"],
+                         "payoff.barrier_moneyness", 2)
         lower, upper = lo * basket0, hi * basket0
+        if not lower < upper:  # reversed, or both overflow to inf
+            raise ConfigError("payoff.barrier_moneyness needs lower < upper "
+                              f"barrier, got {[lo, hi]!r}, barriers "
+                              f"{[lower, upper]!r}")
     return PayoffSpec(weights=weights, strike=strike, lower=lower, upper=upper)
 
 

@@ -32,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (ConfigError, NonFiniteError, SimulationError,
-                     integer, number)
+from .errors import (NonFiniteError, SimulationError, integer, number,
+                     record, string)
 from .models import CHUNK_SIZE, leading, simulate
 from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
@@ -76,19 +76,11 @@ class EstimatorReport:
         return self.n
 
 
-def _string(value, name, choices=None):
-    """A string, one of ``choices`` if given."""
-    if not isinstance(value, str) or choices and value not in choices:
-        kind = " or ".join(map(repr, choices)) if choices else "a string"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    return value
-
-
 # The check of each JSON field of a report, in field order, which returns
 # the value; an all-zero sample reports an infinite se_pct.
 _REPORT_CHECKS = {
-    "label": _string,
-    "measure": partial(_string, choices=("P", "P_h")),
+    "label": string,
+    "measure": partial(string, choices=("P", "P_h")),
     "n": partial(integer, minimum=1),
     "mean_cents": number,
     "se_pct": lambda v, name: (v if v == math.inf
@@ -261,12 +253,7 @@ def report_to_dict(report):
 def report_from_dict(row, source):
     """Rebuild a report from its JSON mapping, read from ``source``; a
     missing, unknown or impossible field is a ConfigError naming both."""
-    for name in row:
-        if name not in _REPORT_CHECKS:
-            raise ConfigError(f"report {source} has unknown field {name!r}")
-    for name in _REPORT_CHECKS:
-        if name not in row:
-            raise ConfigError(f"report {source} has no {name!r} field")
+    record(row, f"report {source}", _REPORT_CHECKS)
     return EstimatorReport(**{
         name: check(row[name], f"report {source}: {name!r}")
         for name, check in _REPORT_CHECKS.items()}, wall_seconds=0.0)

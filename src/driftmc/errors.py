@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package, and the one reader and
-the one writer of JSON: :func:`read_object` and the field checks read every
-file the program reads, and :func:`write_json` writes every file it
-writes."""
+the one writer of JSON: :func:`read_object` reads every file the program
+reads, :func:`write_json` writes every file it writes, and five rules check
+every field read, refusing a bad one with a ConfigError naming it:
+:func:`number`, :func:`integer`, :func:`numbers` (a list, entry by entry),
+:func:`string` and :func:`record` (an object's field set)."""
 
 import json
 import math
@@ -53,10 +55,6 @@ class ConfigError(DriftmcError):
     or report holds a value the program refuses."""
 
 
-class CheckpointError(ConfigError):
-    """A checkpoint file is malformed or fails its integrity check."""
-
-
 class ModelValidationError(ConfigError):
     """A model spec violates a structural invariant: a refused config."""
 
@@ -106,6 +104,38 @@ def integer(value, name, minimum=None):
         least = "" if minimum is None else f" of at least {minimum}"
         raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
     return int(value)
+
+
+def numbers(values, name, length=None, check=number):
+    """A non-empty list, of ``length`` entries if given, checked entrywise;
+    a bad entry is named by its index, such as ``name[2]``."""
+    if not (isinstance(values, list) and values
+            and len(values) == (length or len(values))):
+        got = (f"{len(values)} entries" if isinstance(values, list)
+               else repr(values))
+        raise ConfigError(f"{name} must be a list of {length or 'one or more'} "
+                          f"numbers, got {got}")
+    return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
+
+
+def string(value, name, choices=None):
+    """A string, one of ``choices`` if given."""
+    if not isinstance(value, str) or choices and value not in choices:
+        kind = " or ".join(map(repr, choices)) if choices else "a string"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def record(value, name, fields):
+    """An object, such as :func:`read_object` returns, with exactly the
+    fields ``fields``."""
+    for field in value:
+        if field not in fields:
+            raise ConfigError(f"{name} has unknown field {field!r}")
+    for field in fields:
+        if field not in value:
+            raise ConfigError(f"{name} has no {field!r} field")
+    return value
 
 
 def write_json(path, payload):

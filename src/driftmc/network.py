@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CheckpointError, ConfigError, DimensionError,
-                     NonFiniteError, integer, number, read_object, write_json)
+from .errors import (ConfigError, DimensionError, NonFiniteError, integer,
+                     numbers, read_object, record, string, write_json)
 
 # Scaled tanh constants recommended for unit-variance inputs.
 _ST_A = 1.7159
@@ -61,8 +61,7 @@ class ShallowNet:
             raise DimensionError("output weights must have shape (d, hidden)")
         if self.b_out.shape != (self.w_out.shape[0],):
             raise DimensionError("output bias length must match output width")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        string(self.activation, "activation", ACTIVATIONS)
         for name in ("w_in", "b_in", "w_out", "b_out"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteError(f"{name} has non-finite entries")
@@ -202,31 +201,20 @@ def save_checkpoint(net, path):
 
 def load_checkpoint(path):
     """Read a checkpoint written by :func:`save_checkpoint`; every refusal
-    is a ConfigError that reads ``checkpoint <path>: <field> ...``."""
-    record = read_object(path, "checkpoint")
-    where = f"checkpoint {path}:"
-    if record.get("schema") != _CHECKPOINT_SCHEMA:
-        raise CheckpointError(f"{where} schema is not {_CHECKPOINT_SCHEMA!r}")
-    for name in ("hidden", "output", "activation", "params", "sha256"):
-        if name not in record:
-            raise CheckpointError(f"{where} {name!r} is missing")
-    l = integer(record["hidden"], f"{where} 'hidden'", minimum=1)
-    d = integer(record["output"], f"{where} 'output'", minimum=1)
-    activation = record["activation"]
-    if activation not in tuple(ACTIVATIONS):
-        raise CheckpointError(f"{where} 'activation': unknown activation "
-                              f"{activation!r}")
-    params = record["params"]
-    if not (isinstance(params, list) and len(params) == l * (d + 2) + d):
-        raise CheckpointError(f"{where} 'params' must be a list of "
-                              f"{l * (d + 2) + d} numbers")
-    try:
-        flat = np.array([number(x, f"'params'[{j}]")
-                         for j, x in enumerate(params)], dtype=np.float64)
-    except ConfigError as exc:
-        raise CheckpointError(f"{where} non-numeric 'params': {exc}") from None
-    if _checkpoint_digest(l, d, activation, flat) != record["sha256"]:
-        raise CheckpointError(f"{where} checksum mismatch")
+    is a ConfigError naming the file and the field."""
+    saved = read_object(path, "checkpoint")
+    where = f"checkpoint {path}"
+    string(saved.get("schema"), f"{where}: 'schema'", (_CHECKPOINT_SCHEMA,))
+    record(saved, where, ("schema", "hidden", "output", "activation",
+                          "params", "sha256"))
+    l = integer(saved["hidden"], f"{where}: 'hidden'", minimum=1)
+    d = integer(saved["output"], f"{where}: 'output'", minimum=1)
+    activation = string(saved["activation"], f"{where}: 'activation'",
+                        ACTIVATIONS)
+    flat = np.array(numbers(saved["params"], f"{where}: 'params'",
+                            l * (d + 2) + d), dtype=np.float64)
+    if _checkpoint_digest(l, d, activation, flat) != saved["sha256"]:
+        raise ConfigError(f"{where}: checksum mismatch")
     return ShallowNet(w_in=np.zeros(l), b_in=np.zeros(l),
                       w_out=np.zeros((d, l)), b_out=np.zeros(d),
                       activation=activation).with_params(flat)

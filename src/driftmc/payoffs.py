@@ -17,7 +17,8 @@ from .errors import ConfigError, DimensionError, number
 class PayoffSpec:
     """Weights summing to 1, a positive strike and optional ordered
     barriers, which knock the call out; a bad field is a ConfigError naming
-    ``payoff.<field>``, so every spec is valid by construction."""
+    it, so every spec is valid by construction.  A run config's bad
+    moneyness is refused first, by :func:`~driftmc.config.build_payoff`."""
 
     weights: np.ndarray
     strike: float
@@ -28,16 +29,15 @@ class PayoffSpec:
         w = np.array(self.weights, dtype=np.float64)
         w.flags.writeable = False
         if not np.isclose(w.sum(), 1.0, atol=1e-9):
-            raise ConfigError("payoff.weights must sum to 1, got "
-                              f"{self.weights!r}")
+            raise ConfigError(f"weights must sum to 1, got {self.weights!r}")
         object.__setattr__(self, "weights", w)
-        number(self.strike, "payoff.strike", positive=True)
+        number(self.strike, "strike", positive=True)
         if (self.lower is None) != (self.upper is None):
-            raise ConfigError("payoff.barriers needs both barriers or "
-                              f"neither, got {[self.lower, self.upper]!r}")
+            raise ConfigError("lower and upper must both be set or both be "
+                              f"None, got {[self.lower, self.upper]!r}")
         if self.has_barriers and not self.lower < self.upper:
-            raise ConfigError("payoff.barriers needs lower < upper barrier, "
-                              f"got {[self.lower, self.upper]!r}")
+            raise ConfigError("lower must be below upper, got "
+                              f"{[self.lower, self.upper]!r}")
 
     @property
     def n_assets(self):

@@ -21,7 +21,7 @@ from pathlib import Path
 from .config import build_scenario, resolve_config
 from .covariation import CovariationSpec
 from .engine import compare, comparison_to_dict, estimate_is, estimate_plain
-from .errors import CheckpointError, DriftmcError, write_json
+from .errors import ConfigError, DriftmcError, write_json
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train, training_grid
 from . import streams
@@ -160,7 +160,7 @@ def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1):
     sc = build_scenario(cfg)
     drift = load_checkpoint(checkpoint_path)
     if drift.output_width != sc.model.d:
-        raise CheckpointError(
+        raise ConfigError(
             f"checkpoint {checkpoint_path} has drift output width "
             f"{drift.output_width}, but the model's driver dimension is "
             f"{sc.model.d}")

@@ -30,8 +30,8 @@ import numpy as np
 
 from .covariation import (TimeGrid, cameron_martin_map,
                           log_likelihood_inverse)
-from .errors import (ConfigError, NonFiniteError, NumericalError,
-                     SimulationError, integer, number)
+from .errors import (NonFiniteError, NumericalError, SimulationError,
+                     integer, number, string)
 from .network import ACTIVATIONS, AdamState, adam_step, backward_grid, forward
 from .models import CHUNK_SIZE, leading, simulate
 from .payoffs import check_width, evaluate_batch
@@ -66,9 +66,7 @@ class TrainConfig:
             object.__setattr__(self, "hidden_width", integer(
                 self.hidden_width, "training.hidden_width", 1))
         number(self.learning_rate, "training.learning_rate", positive=True)
-        if self.activation not in tuple(ACTIVATIONS):  # a list is no key
-            raise ConfigError("training.activation: unknown activation "
-                              f"{self.activation!r}")
+        string(self.activation, "training.activation", ACTIVATIONS)
 
 
 @dataclass

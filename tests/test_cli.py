@@ -260,7 +260,8 @@ class TestPriceCommands:
                            overrides={"training": {"activation": "logistic"}})
         assert main([command, "--config", str(cfg), "--out-dir",
                      str(tmp_path / "out")]) == 2
-        assert "unknown activation 'logistic'" in capsys.readouterr().err
+        assert ("training.activation must be 'scaled_tanh' or 'tanh', got "
+                "'logistic'" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("checkpoint", [False, True],
                              ids=["price", "price-checkpoint"])
@@ -277,16 +278,17 @@ class TestPriceCommands:
          "'params'"),
         (list, "not a JSON object"),
         (lambda record: dict(record, params=["x"] * len(record["params"])),
-         "non-numeric 'params'"),
+         "'params'[0] must be a finite number"),
         (lambda record: signed(record, hidden=-1), "'hidden'"),
         (lambda record: signed(record, params=[math.nan] * len(
-            record["params"])), "non-numeric 'params'"),
+            record["params"])), "'params'[0] must be a finite number"),
         (lambda record: signed(record, hidden=str(record["hidden"])),
          "'hidden'"),
         (lambda record: signed(record, activation="relu"),
-         "unknown activation 'relu'"),
+         "'activation' must be 'scaled_tanh' or 'tanh', got 'relu'"),
+        (lambda record: signed(record, extra=1), "unknown field 'extra'"),
     ], ids=["no-params", "list", "params-not-numbers", "hidden-negative",
-            "params-nan", "hidden-string", "activation-relu"])
+            "params-nan", "hidden-string", "activation-relu", "extra-field"])
     def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys,
                                                   edit, message):
         # exit 2 naming the file and the field, also where the digest
@@ -786,7 +788,8 @@ class TestRunCommand:
         ({"model": {"params": dict(TWO_ASSETS, mu=[0.05, 0.05])}},
          "model.params.mu"),
         ({"model": {"params": {"s0": [1.0, 1.0]}}}, "model.params.sigma"),
-        ({"model": {"n": 3, "params": TWO_ASSETS}}, "model.n is 3"),
+        ({"model": {"n": 3, "params": TWO_ASSETS}},
+         "model.params.s0 must be a list of 3 numbers"),
         ({"model": {"params": dict(TWO_ASSETS, sigma=[[0.2, 0.0], [0.1]])}},
          "model.params.sigma"),
         ({"model": {"params": dict(TWO_ASSETS, s0=[1.0, "one"])}},
@@ -827,9 +830,11 @@ class TestRunCommand:
          "model.params.sigma[0][1]"),
         ({"model": {"n": 1, "params": {"sigma": [[0.2, 0.1]], "s0": [1.0]}}},
          "model.params.sigma[0]"),
-        ({"model": {"tag": []}}, "unknown model tag []"),
+        ({"model": {"tag": []}}, "model.tag must be 'black_scholes' or"),
         ({"model": {"n": 0}}, "model.n must be an integer of at least 1"),
-        ({"model": {"tag": "garch"}}, "unknown model tag 'garch'"),
+        ({"model": {"tag": "garch"}},
+         "model.tag must be 'black_scholes' or 'heston' or 'three_halves' or "
+         "'stein_stein', got 'garch'"),
         ({"estimate": {}}, "unknown config field 'estimate'"),
         ({"training": {"lr": 0.1}}, "unknown config field 'training.lr'"),
         ({"payoff": {"strike": 1.0}}, "unknown config field 'payoff.strike'"),
@@ -837,6 +842,11 @@ class TestRunCommand:
          "unknown config field 'payoff.barriers'"),
         ({"payoff": {"weights": [0.5, 0.5]}},
          "unknown config field 'payoff.weights'"),
+        ({"model": {"params": TWO_ASSETS}, "payoff": {"moneyness": 1.75e308}},
+         "payoff.moneyness"),
+        ({"model": {"n": 1, "params": {"sigma": [[0.2]], "s0": [1.5]}},
+          "payoff": {"barrier_moneyness": [1.7e308, 1.75e308]}},
+         "payoff.barrier_moneyness"),
     ], ids=["n-fraction", "n-null", "model-seed", "rate-string",
             "moneyness-string", "estimation-seed", "block-size",
             "sample-size", "hidden-width", "activation",
@@ -854,7 +864,8 @@ class TestRunCommand:
             "params-v0-bool", "params-s0-nan", "params-sigma-inf",
             "params-sigma-not-square", "tag-list", "n-zero", "tag-unknown",
             "unknown-field", "unknown-block-field", "payoff-strike",
-            "payoff-barriers", "payoff-weights"])
+            "payoff-barriers", "payoff-weights", "strike-overflow",
+            "barriers-overflow"])
     def test_bad_value_fails_at_resolve(self, tmp_path, capsys, overrides,
                                         named):
         # refused before anything is written, naming the config file and

@@ -31,23 +31,23 @@ def knockout_spec(strike, lower, upper, weights=(1.0,)):
 
 
 class TestSpecInvariants:
-    # the spec refuses its own fields, naming each as the run config does
+    # the spec refuses its own fields, naming each by its field name
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError, match="payoff.weights"):
+        with pytest.raises(ConfigError, match="weights must sum to 1"):
             PayoffSpec(weights=[0.5, 0.4], strike=1.0)
 
     def test_strike_positive(self):
-        with pytest.raises(ConfigError, match="payoff.strike"):
+        with pytest.raises(ConfigError, match="strike must be a positive"):
             call_spec(0.0)
 
     def test_barriers_ordered(self):
-        with pytest.raises(ConfigError, match="payoff.barriers"):
+        with pytest.raises(ConfigError, match="lower must be below upper"):
             knockout_spec(1.0, lower=2.0, upper=1.0)
 
     def test_barriers_come_in_pairs(self):
         for lower, upper in [(0.5, None), (None, 2.0)]:
             with pytest.raises(ConfigError,
-                               match="payoff.barriers needs both barriers"):
+                               match="lower and upper must both be set"):
                 PayoffSpec(weights=[1.0], strike=1.0, lower=lower, upper=upper)
 
     def test_barriers_decide_knockout(self):
