@@ -15,7 +15,7 @@ Runs ``driftmc`` on the run config file CONFIG and checks that:
   first plain report, first importance-sampled report and first row;
 - a one-thread run writes the artifacts of the two-thread run, byte for
   byte;
-- ``train`` writes the run's checkpoint and training trace.
+- ``train --threads 2`` writes the run's checkpoint and training trace.
 
 Every output goes to a directory next to CONFIG, named after it with
 ``-check`` appended.  The first failed check exits non-zero, naming the
@@ -100,7 +100,7 @@ def check(config, min_vr, budget):
                 f"{artifact} differs between 2 threads and 1")
 
     train = work / "train"
-    driftmc("train", "--config", config, "--out-dir", train)
+    driftmc("train", "--config", config, "--out-dir", train, "--threads", 2)
     for artifact in ("checkpoint.json", "training_trace.json"):
         require((run / artifact).read_bytes()
                 == (train / artifact).read_bytes(),

@@ -7,9 +7,10 @@ Every flag names an input or output file or sets the thread count.
 ``compare`` reads exactly the fields ``price`` writes and refuses two
 reports of different scenarios, measures or sample sizes, naming both
 files.  A malformed input file (config, checkpoint or report) exits 2 with
-a message naming the file and the field; so does a bad model spec.  An
-output file or directory that cannot be written, or an array too large to
-allocate, exits 2 with "error:".
+a message naming the file and the field; so do a bad model spec and a
+grid or sample size too large to allocate.  An output file or directory
+that cannot be written, or another array too large to allocate, exits 2
+with "error:".
 Exit codes: 0 ok, 2 config error, unwritable output or failed allocation,
 3 numerical failure.
 """
@@ -65,6 +66,7 @@ def _build_parser():
                       "on the config's grid unchanged")
     _add_config(p)
     p.add_argument("--out-dir", required=True)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("compare", help="combine two report files into a table row")
     p.add_argument("--mc-report", required=True)
@@ -113,7 +115,7 @@ def _cmd_train(args):
     cfg = _with_config(args.config, resolve_config)
     sc = build_scenario(cfg)
     write_json(out_dir / "resolved_config.json", cfg)
-    _, trace = train_drift(cfg, sc, out_dir)
+    _, trace = train_drift(cfg, sc, out_dir, threads=args.threads)
     if trace.halted_reason:
         raise NumericalError(trace.halted_reason)
     print(f"checkpoint written to {out_dir / 'checkpoint.json'}")

@@ -16,7 +16,6 @@ import copy
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from functools import partial
 
 import numpy as np
 
@@ -163,7 +162,8 @@ def resolve_config(raw):
     if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * steps:
         raise ConfigError(f"grid.dt must divide grid.horizon into whole "
                           f"steps; horizon / dt = {steps!r}")
-    build_grid(cfg)  # a grid too fine to allocate fails here, not mid-run
+    # a grid too fine to allocate fails here, not mid-run
+    _allocating(build_grid, cfg, name="grid.dt", value=cfg["grid"]["dt"])
 
     model_block = cfg["model"]
     tag = string(model_block["tag"], "model.tag", MODEL_TAGS)
@@ -192,8 +192,26 @@ def resolve_config(raw):
                                        "estimation.block_size", 1)
     estimation["sample_sizes"] = numbers(
         estimation["sample_sizes"], "estimation.sample_sizes",
-        check=partial(integer, minimum=1))
+        check=_sample_size)
     return cfg
+
+
+def _allocating(build, *args, name, value):
+    """``build(*args)``, where an array too large to allocate is refused as
+    a ConfigError naming the field ``name`` that asked for it."""
+    try:
+        return build(*args)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's limit
+        raise ConfigError(f"{name} {value!r} needs an array too large to "
+                          f"allocate: {exc}") from exc
+
+
+def _sample_size(value, name):
+    """A sample size whose per-path array, one double a path, can be
+    allocated, so one too large is refused before anything is priced."""
+    n = integer(value, name, 1)
+    _allocating(np.empty, n, name=name, value=value)
+    return n
 
 
 def _params_to_json(spec):

@@ -18,9 +18,25 @@ chunks allocates one set and reuses it, and each batch is a view that is
 valid until the next simulation writes into the same buffers.  A batch
 holds only the states, as an (n_paths, ...)-shaped view, which is not
 C-contiguous (copy before reshaping); the increments stay in their buffer.
+
+One thread at a time runs the Euler loop: :func:`simulate` holds the
+process-wide ``_EULER_LOCK`` around it.  The loop makes about 1,000
+(Black-Scholes) to 2,500 (20-dim Heston) small ufunc calls per 256-path
+chunk, and numpy releases and retakes the GIL around each, so two threads
+stepping at once trade the GIL thousands of times per chunk.  On 2 vCPUs
+(Python 3.11, numpy 2.4), two threads running only the loop ran at 0.53
+(Black-Scholes), 0.65 (Heston) and 0.46 (Stein-Stein) times the speed of
+one, while the normal draws, which release the GIL once per slice, ran at
+1.9 times.  With the lock, one thread steps its chunk while the other
+draws or prices, and the arithmetic is unchanged.  The loop is 2.0 of
+14.7 ms of a Black-Scholes chunk, 7.5 of 27.3 ms of a Heston one and 4.9
+of 30.6 ms of a Stein-Stein one, which caps pricing with the lock at
+about 4 to 7 times one thread; above 2 cores that is unmeasured.  Without
+the lock the GIL already serialises the loop's per-call overhead.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +53,9 @@ STEIN_STEIN = "stein_stein"
 
 MODEL_TAGS = (BLACK_SCHOLES, HESTON, THREE_HALVES, STEIN_STEIN)
 _VOL_TAGS = (HESTON, THREE_HALVES, STEIN_STEIN)
+
+# Held by whichever thread runs the Euler loop (see the module docstring).
+_EULER_LOCK = threading.Lock()
 
 
 def _vec(x, name):
@@ -209,10 +228,10 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
     likelihood is accumulated from those same shifted increments, so a zero
     drift reproduces the unshifted batch exactly.  The recursion runs in
     place on a paths-innermost (n_steps+1, n_state, n_paths) buffer, so
-    every step works on contiguous rows of all paths.  Every step adds
-    x_k to x_{k+1}, so a coordinate that leaves the finite numbers stays
-    out of them up to the last row, and a blow-up is found from that row
-    alone.
+    every step works on contiguous rows of all paths, one thread at a time
+    (see the module docstring).  Every step adds x_k to x_{k+1}, so a
+    coordinate that leaves the finite numbers stays out of them up to the
+    last row, and a blow-up is found from that row alone.
 
     ``out``, if given, is the pair of paths-innermost buffers to fill, the
     increments (n_steps, d, n_paths) and the states
@@ -252,7 +271,7 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
         states[0, n:] = spec.v0[:, None]
 
     # Overflow is detected explicitly below; do not warn along the way.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _EULER_LOCK, np.errstate(over="ignore", invalid="ignore"):
         _euler_loop(spec, states, rows, grid.dt)
 
     bad = np.nonzero(~np.isfinite(states[-1]).all(axis=0))[0]

@@ -74,9 +74,10 @@ def price(cfg, sc, n, seed, drift=None, threads=1):
     return estimate_is(sc.model, sc.payoff, sc.grid, sc.cov, drift, **common)
 
 
-def train_drift(cfg, sc, out_dir):
-    """Train the drift network of a resolved config on its scenario ``sc``
-    and write its checkpoint and its training trace, the fields of
+def train_drift(cfg, sc, out_dir, threads=1):
+    """Train the drift network of a resolved config on its scenario ``sc``,
+    drawing its batches on ``threads`` threads, and write its checkpoint
+    and its training trace, the fields of
     :class:`~driftmc.training.TrainTrace`, to ``out_dir``.
 
     The net trains on :func:`~driftmc.training.training_grid`, the pricing
@@ -91,7 +92,8 @@ def train_drift(cfg, sc, out_dir):
                    activation=train_cfg.activation)
     grid = training_grid(sc.grid)
     trained, trace = train(net, sc.model, sc.payoff, grid,
-                           CovariationSpec(sc.model.sigma, grid), train_cfg)
+                           CovariationSpec(sc.model.sigma, grid), train_cfg,
+                           threads=threads)
     save_checkpoint(trained, Path(out_dir) / "checkpoint.json")
     write_json(Path(out_dir) / "training_trace.json", asdict(trace))
     return trained, trace
@@ -122,7 +124,7 @@ def run(raw_config, out_dir, threads=1):
 
         stage = "train"
         begin = time.perf_counter()
-        drift, trace = train_drift(cfg, sc, out_dir)
+        drift, trace = train_drift(cfg, sc, out_dir, threads=threads)
         training_seconds = time.perf_counter() - begin
         if trace.halted_reason:
             log.warning("training halted early: %s", trace.halted_reason)

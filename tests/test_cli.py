@@ -10,6 +10,7 @@ import pytest
 from driftmc.cli import main
 from driftmc.config import build_payoff
 from driftmc.network import _checkpoint_digest
+from driftmc.pipeline import TRAIN_ARTIFACTS
 
 # Explicit parameters of a two-asset Black-Scholes model.
 TWO_ASSETS = {"sigma": [[0.2, 0.0], [0.0, 0.2]], "s0": [1.0, 1.0]}
@@ -517,10 +518,12 @@ def test_removed_option_exits_from_argparse(tmp_path, capsys, argv, removed):
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
-@pytest.mark.parametrize("command", ["price", "price-checkpoint", "run"])
+@pytest.mark.parametrize("command",
+                         ["price", "price-checkpoint", "train", "run"])
 def test_non_positive_threads_exit_config(tmp_path, capsys, command, threads):
     argv = {"price": ["price"],
             "price-checkpoint": ["price", "--checkpoint", str(tmp_path / "c")],
+            "train": ["train", "--out-dir", str(tmp_path / "out")],
             "run": ["run", "--out-dir", str(tmp_path / "out")]}[command]
     argv += ["--config", str(write_config(tmp_path)), "--threads", threads]
     with pytest.raises(SystemExit) as exit_info:
@@ -584,6 +587,16 @@ class TestRunCommand:
         for name in deterministic_artifacts(serial):
             assert (serial / name).read_bytes() == (threaded / name).read_bytes()
 
+    def test_train_thread_count_does_not_change_artifacts(self, tmp_path):
+        # batches drawn ahead on three threads train the net of one
+        cfg = write_config(tmp_path)
+        for threads in ("1", "3"):
+            assert main(["train", "--config", str(cfg), "--out-dir",
+                         str(tmp_path / threads), "--threads", threads]) == 0
+        for name in TRAIN_ARTIFACTS:
+            assert ((tmp_path / "1" / name).read_bytes()
+                    == (tmp_path / "3" / name).read_bytes())
+
     def test_resolved_config_is_reusable_fixed_point(self, tmp_path):
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "orig"
@@ -610,25 +623,29 @@ class TestRunCommand:
         assert error["stage"] == "resolve"
         assert error["error"] == "ModelValidationError"
 
-    @pytest.mark.parametrize("overrides, stage", [
-        ({"estimation": {"sample_sizes": [1e17]}}, "plain"),
-        ({"grid": {"dt": 1e-17}}, "resolve"),
+    @pytest.mark.parametrize("overrides, field", [
+        ({"estimation": {"sample_sizes": [400, 1e17]}},
+         "estimation.sample_sizes[1] 1e+17"),
+        ({"grid": {"dt": 1e-17}}, "grid.dt 1e-17"),
     ], ids=["sample-size", "dt"])
     def test_array_too_large_to_allocate_exits_2(self, tmp_path, capsys,
-                                                  overrides, stage):
+                                                  overrides, field):
         # 10^17 doubles are beyond any address space, so the allocation
-        # fails at once and touches nothing; validate refuses the grid run
-        # could not build, and run names the stage that failed
+        # fails at once and touches nothing; resolve refuses the field that
+        # asks for the array, a sample size or the grid, so every command
+        # names the config file and the field, and run fails at resolve
         cfg = write_config(tmp_path, overrides=overrides)
-        assert main(["validate", "--config", str(cfg)]) == (
-            2 if stage == "resolve" else 0)
-        capsys.readouterr()
         out_dir = tmp_path / "out"
-        assert main(["run", "--config", str(cfg), "--out-dir",
-                     str(out_dir)]) == 2
-        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        for argv in (["validate"], ["price", "--out", str(out_dir)],
+                     ["run", "--out-dir", str(out_dir)]):
+            assert main([*argv, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"config error: config {cfg}: {field} needs an array too "
+                "large to allocate: Unable to allocate")
+            if argv[0] != "run":
+                assert not out_dir.exists()
         error = json.loads((out_dir / "error.json").read_text())
-        assert (error["stage"], error["error"]) == (stage, "MemoryError")
+        assert (error["stage"], error["error"]) == ("resolve", "ConfigError")
 
     @pytest.mark.parametrize("command", ["price", "run"])
     def test_non_finite_estimate_exits_numerical(self, tmp_path, capsys,

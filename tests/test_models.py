@@ -10,6 +10,7 @@ from driftmc.config import build_scenario, resolve_config
 from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
                                  cameron_martin_map, log_likelihood_inverse,
                                  sample_increments)
+from driftmc import models
 from driftmc.errors import (DimensionError, ModelValidationError,
                             SimulationError)
 from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, MODEL_TAGS,
@@ -252,6 +253,23 @@ class TestSimulateBlackScholes:
         with pytest.raises(SimulationError) as err:
             simulate(model, grid, cov, rng=fixed_normals(z), n_paths=2)
         assert err.value.path_indices == (1,)
+
+    def test_euler_lock_is_released_when_the_loop_raises(self,
+                                                        monkeypatch):
+        # a failed call leaves the lock free, so the next call steps
+        model = bs_model()
+        grid, cov = grid_and_cov(model, n_steps=8)
+
+        def fail(*args):
+            raise MemoryError("no room for the scratch rows")
+
+        monkeypatch.setattr(models, "_euler_loop", fail)
+        with pytest.raises(MemoryError):
+            simulate(model, grid, cov, np.random.default_rng(0), 4)
+        assert not models._EULER_LOCK.locked()
+        monkeypatch.undo()
+        batch = simulate(model, grid, cov, np.random.default_rng(0), 4)
+        assert np.all(np.isfinite(batch.states))
 
 
 class TestSimulateWithDrift:

@@ -1,5 +1,6 @@
 """Tests for the variance objective, its gradient, and the training loop."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,42 @@ class TestTrain:
         assert one_step.halted_reason is None
         assert "log weight reached" in trace.halted_reason
         assert trace.halted_reason.endswith(" at step 1")
+
+    def test_thread_count_does_not_change_the_run(self):
+        # batches drawn ahead on up to three threads, with more steps than
+        # threads and a short switch interval to mix the threads' order,
+        # give the parameters and the trace of one thread, bit for bit
+        model, payoff, grid, cov = bs_setup(strike_ratio=1.0)
+        net = init_net(2, 1, rng=np.random.default_rng(13))
+        cfg = TrainConfig(epochs=1, steps_per_epoch=7, batch_size=300, seed=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [train(net, model, payoff, grid, cov, cfg, threads=threads)
+                    for threads in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        (one, one_trace), *others = runs
+        assert one_trace.n_steps == 7 and one_trace.halted_reason is None
+        for trained, trace in others:
+            np.testing.assert_array_equal(trained.to_flat(), one.to_flat())
+            assert trace == one_trace
+
+    def test_halt_does_not_depend_on_thread_count(self):
+        # at learning rate 1e3 step 1 overflows a log-weight; batches drawn
+        # ahead of the halt are dropped, whatever the thread count
+        model, payoff, grid, cov = bs_setup(strike_ratio=0.9)
+        net = init_net(2, 1, rng=np.random.default_rng(12))
+        cfg = TrainConfig(epochs=1, steps_per_epoch=5, batch_size=32, seed=4,
+                          learning_rate=1e3)
+        (one, one_trace), *others = [
+            train(net, model, payoff, grid, cov, cfg, threads=threads)
+            for threads in (1, 2, 3)]
+        assert one_trace.halted_reason.endswith(" at step 1")
+        for trained, trace in others:
+            np.testing.assert_array_equal(trained.to_flat(), one.to_flat())
+            assert trace.halted_reason == one_trace.halted_reason
+            assert trace.n_steps == one_trace.n_steps == 1
 
     @pytest.mark.slow
     def test_deep_otm_training_halves_objective(self):
