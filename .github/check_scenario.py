@@ -11,8 +11,8 @@ Runs ``driftmc`` on the run config file CONFIG and checks that:
 - every comparison row has a VR of at least MIN_VR, and both of its
   reports carry a knock-out fraction exactly when the config sets
   ``payoff.barrier_moneyness``;
-- ``price``, ``price --checkpoint`` and ``compare`` reproduce the run's
-  first plain report, first importance-sampled report and first row;
+- ``price`` reproduces the run's first plain report, and
+  ``price --checkpoint`` its first comparison row;
 - a one-thread run writes the artifacts of the two-thread run, byte for
   byte;
 - ``train --threads 2`` writes the run's checkpoint and training trace.
@@ -82,16 +82,14 @@ def check(config, min_vr, budget):
             f"VR below {min_vr}, or a knock-out fraction "
             f"{'missing' if knockout else 'reported'}: {bad}")
 
-    mc, importance, row = work / "mc.json", work / "is.json", work / "row.json"
+    mc, row = work / "mc.json", work / "row.json"
     driftmc("price", "--config", config, "--out", mc, "--threads", 2)
     driftmc("price", "--config", config, "--checkpoint",
-            run / "checkpoint.json", "--out", importance, "--threads", 2)
-    driftmc("compare", "--mc-report", mc, "--is-report", importance,
-            "--out", row)
-    want = [rows[0]["plain"], rows[0]["importance"], rows[0]]
-    got = [json.loads(path.read_text()) for path in (mc, importance, row)]
-    require(got == want, "price, price --checkpoint and compare differ from "
-                         f"run: {got} != {want}")
+            run / "checkpoint.json", "--out", row, "--threads", 2)
+    want = [rows[0]["plain"], rows[0]]
+    got = [json.loads(path.read_text()) for path in (mc, row)]
+    require(got == want, "price and price --checkpoint differ from run: "
+                         f"{got} != {want}")
 
     one = work / "run-1"
     driftmc("run", "--config", config, "--out-dir", one, "--threads", 1)

@@ -1,16 +1,16 @@
 """Command line interface.
 
-Subcommands: validate, price, train, compare, run.  The config file is the
-one place a run is set; ``validate`` prints it resolved, refusing what
-resolve refuses, as resolve builds every spec that can refuse a field.
-Every flag names an input or output file or sets the thread count.
-``compare`` reads exactly the fields ``price`` writes and refuses two
-reports of different scenarios, measures or sample sizes, naming both
-files.  A malformed input file (config, checkpoint or report) exits 2 with
-a message naming the file and the field; so do a bad model spec and a
-grid or sample size too large to allocate.  An output file or directory
-that cannot be written, or another array too large to allocate, exits 2
-with "error:".
+Subcommands: validate, price, train, run.  The config file is the one place
+a run is set; ``validate`` prints it resolved, refusing what resolve
+refuses, as resolve builds every spec that can refuse a field.  Every flag
+names an input or output file or sets the thread count.  ``price`` writes
+``run``'s first plain report, and with ``--checkpoint`` its first row,
+pricing the importance-sampled estimate first, so a refused checkpoint
+exits before any plain path is drawn.  A malformed config or checkpoint
+exits 2 naming the file and the field; so do a bad model spec and a grid,
+sample size, training batch or hidden layer too large to allocate.  An
+unwritable output, or another array too large to allocate, exits 2 with
+"error:".
 Exit codes: 0 ok, 2 config error, unwritable output or failed allocation,
 3 numerical failure.
 """
@@ -20,8 +20,7 @@ import logging
 import sys
 
 from .config import build_scenario, resolve_config
-from .engine import (compare, comparison_to_dict, report_from_dict,
-                     report_to_dict)
+from .engine import compare, comparison_to_dict, report_to_dict
 from .errors import (ConfigError, DriftmcError, NumericalError, read_object,
                      write_json)
 from .pipeline import (TRAIN_ARTIFACTS, estimate_seed, fresh_out_dir, price,
@@ -49,15 +48,16 @@ def _build_parser():
     _add_config(p)
 
     p = sub.add_parser(
-        "price", help="estimate at the config's first sample size, with the "
-                      "seed run prices it with: plain Monte Carlo, or "
-                      "importance-sampled with the drift of --checkpoint")
+        "price", help="write run's first plain report, or with --checkpoint "
+                      "its first comparison row: the config's first sample "
+                      "size at the seeds run prices it with")
     _add_config(p)
     p.add_argument("--checkpoint", default=None,
                    help="drift checkpoint JSON file written by train or run")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None,
-                   help="JSON report file (default stdout)")
+                   help="JSON file of the plain report, or of the row with "
+                        "--checkpoint (default stdout)")
 
     p = sub.add_parser(
         "train", help="train the drift network on a coarse grid of the "
@@ -67,12 +67,6 @@ def _build_parser():
     _add_config(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threads", type=int, default=1)
-
-    p = sub.add_parser("compare", help="combine two report files into a table row")
-    p.add_argument("--mc-report", required=True)
-    p.add_argument("--is-report", required=True)
-    p.add_argument("--out", default=None,
-                   help="JSON row file (default stdout)")
 
     p = sub.add_parser("run", help="full pipeline: price, train, price with the "
                        "trained drift, compare")
@@ -97,16 +91,17 @@ def _cmd_validate(args):
 
 
 def _cmd_price(args):
-    """``run``'s first estimate: plain, or with the drift of a checkpoint."""
+    """``run``'s first plain report, or with a checkpoint its first row."""
     cfg = _with_config(args.config, resolve_config)
     n = cfg["estimation"]["sample_sizes"][0]
-    seed = estimate_seed(cfg, 0, importance=args.checkpoint is not None)
-    if args.checkpoint is None:
-        report = price(cfg, build_scenario(cfg), n, seed, threads=args.threads)
-    else:
-        report = price_with_checkpoint(cfg, args.checkpoint, n, seed,
-                                       threads=args.threads)
-    write_json(args.out, report_to_dict(report))
+    if args.checkpoint is not None:
+        weighted = price_with_checkpoint(
+            cfg, args.checkpoint, n, estimate_seed(cfg, 0, importance=True),
+            threads=args.threads)
+    plain = price(cfg, build_scenario(cfg), n,
+                  estimate_seed(cfg, 0, importance=False), threads=args.threads)
+    write_json(args.out, report_to_dict(plain) if args.checkpoint is None
+               else comparison_to_dict(compare(plain, weighted)))
     return EXIT_OK
 
 
@@ -122,18 +117,6 @@ def _cmd_train(args):
     return EXIT_OK
 
 
-def _cmd_compare(args):
-    report_mc, report_is = (report_from_dict(read_object(path, "report"), path)
-                            for path in (args.mc_report, args.is_report))
-    try:
-        row = compare(report_mc, report_is)
-    except ValueError as exc:
-        raise ConfigError(f"reports {args.mc_report} and {args.is_report}: "
-                          f"{exc}") from exc
-    write_json(args.out, comparison_to_dict(row))
-    return EXIT_OK
-
-
 def _cmd_run(args):
     out_dir = fresh_out_dir(args.out_dir)
     _with_config(args.config, run, out_dir, threads=args.threads)
@@ -144,7 +127,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "price": _cmd_price,
     "train": _cmd_train,
-    "compare": _cmd_compare,
     "run": _cmd_run,
 }
 

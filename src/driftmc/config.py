@@ -26,7 +26,7 @@ from .errors import (ConfigError, ModelValidationError, integer, number,
 from .models import (BLACK_SCHOLES, HESTON, MODEL_TAGS, STEIN_STEIN,
                      THREE_HALVES, ModelSpec)
 from .payoffs import PayoffSpec, basket_weights
-from .training import TrainConfig
+from .training import TrainConfig, training_grid
 from . import streams
 
 SCHEMA_ID = "driftmc-run-v8"
@@ -163,7 +163,8 @@ def resolve_config(raw):
         raise ConfigError(f"grid.dt must divide grid.horizon into whole "
                           f"steps; horizon / dt = {steps!r}")
     # a grid too fine to allocate fails here, not mid-run
-    _allocating(build_grid, cfg, name="grid.dt", value=cfg["grid"]["dt"])
+    grid = _allocating(build_grid, cfg, name="grid.dt",
+                       value=cfg["grid"]["dt"])
 
     model_block = cfg["model"]
     tag = string(model_block["tag"], "model.tag", MODEL_TAGS)
@@ -175,16 +176,23 @@ def resolve_config(raw):
         raise ConfigError(f"model.rate * grid.horizon must be within "
                           f"±{MAX_RATE_HORIZON}, got {rate!r} * {horizon!r}")
     if model_block["params"] is None:
-        spec = sample_parameters(model_block["seed"], tag=tag, n=n,
-                                 rate=model_block["rate"])
-        model_block["params"] = _params_to_json(spec)
-    model = build_model(cfg)
+        model = sample_parameters(model_block["seed"], tag=tag, n=n,
+                                  rate=model_block["rate"])
+        model_block["params"] = _params_to_json(model)
+    else:
+        model = build_model(cfg)
     build_payoff(cfg)
 
     if cfg["training"]["hidden_width"] is None:
         cfg["training"]["hidden_width"] = model.d
     # TrainConfig checks the block here, so a bad field fails before a run
-    cfg["training"] = asdict(TrainConfig(**cfg["training"]))
+    training = cfg["training"] = asdict(TrainConfig(**cfg["training"]))
+    # a batch's increments and the net's output weights
+    batch_steps = training_grid(grid).n_steps
+    for name, shape in (("batch_size", (batch_steps, model.d)),
+                        ("hidden_width", (model.d,))):
+        _allocating(np.empty, (*shape, training[name]),
+                    name=f"training.{name}", value=training[name])
 
     estimation = cfg["estimation"]
     estimation["seed"] = integer(estimation["seed"], "estimation.seed", 0)
@@ -244,14 +252,15 @@ def build_payoff(cfg):
     ``basket0 = weights . s0`` of the inverse-volatility weights
     ``basket_weights(sigma, n)``: strike ``moneyness * basket0 *
     exp(rate * horizon)``, and barriers ``barrier_moneyness * basket0``
-    when set, a knock-out."""
+    when set, a knock-out.  It reads sigma, s0 and the rate from the
+    ``model`` block, which :func:`build_model` has checked."""
     block = cfg["payoff"]
     moneyness = number(block["moneyness"], "payoff.moneyness", positive=True)
-    model = build_model(cfg)
-    weights = basket_weights(model.sigma, model.n)
-    basket0 = float(np.dot(weights, model.s0))
+    model = cfg["model"]
+    weights = basket_weights(model["params"]["sigma"], model["n"])
+    basket0 = float(np.dot(weights, model["params"]["s0"]))
     strike = number(
-        moneyness * basket0 * math.exp(model.rate * cfg["grid"]["horizon"]),
+        moneyness * basket0 * math.exp(model["rate"] * cfg["grid"]["horizon"]),
         f"the strike that payoff.moneyness {moneyness!r} sets", positive=True)
     lower = upper = None
     if block["barrier_moneyness"] is not None:

@@ -28,12 +28,10 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
-from .errors import (NonFiniteError, SimulationError, integer, number,
-                     record, string)
+from .errors import NonFiniteError, SimulationError
 from .models import CHUNK_SIZE, leading, simulate
 from .payoffs import check_width, evaluate_batch
 from .stats import RunningMoments
@@ -46,13 +44,13 @@ DEFAULT_BLOCK_SIZE = 2048
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """One estimator summary: ``price``'s output, one side of a comparison row.
+    """One estimator summary: one side of a comparison row, and what
+    ``price`` writes without a checkpoint.
 
     Every field but ``wall_seconds`` is the report's JSON form, in
-    declaration order, and :data:`_REPORT_CHECKS` states what each holds.
-    ``se_pct`` is the standard error as a percent of the mean, ``kappa``
-    the fraction of paths whose basket average beat the strike, ``theta``
-    the knocked-out fraction (barrier payoffs only) and
+    declaration order.  ``se_pct`` is the standard error as a percent of
+    the mean, ``kappa`` the fraction of paths whose basket average beat the
+    strike, ``theta`` the knocked-out fraction (barrier payoffs only) and
     ``per_sample_variance`` the sample variance of one discounted per-path
     estimate in cents squared (the quantity variance ratios compare).
     ``wall_seconds`` is diagnostic only: a run writes it to
@@ -74,23 +72,6 @@ class EstimatorReport:
     @property
     def sample_size(self):
         return self.n
-
-
-# The check of each JSON field of a report, in field order, which returns
-# the value; an all-zero sample reports an infinite se_pct.
-_REPORT_CHECKS = {
-    "label": string,
-    "measure": partial(string, choices=("P", "P_h")),
-    "n": partial(integer, minimum=1),
-    "mean_cents": number,
-    "se_pct": lambda v, name: (v if v == math.inf
-                               else number(v, name, minimum=0)),
-    "kappa": partial(number, minimum=0, maximum=1),
-    "theta": lambda v, name: (v if v is None
-                              else number(v, name, minimum=0, maximum=1)),
-    "per_sample_variance": partial(number, minimum=0),
-    "seed": partial(integer, minimum=0),
-}
 
 
 def _block_plan(total, block_size):
@@ -214,15 +195,10 @@ class ComparisonRow:
 def variance_ratio(report_mc, report_is):
     """Plain-MC per-sample variance over importance-sampled variance.
 
-    Both reports must describe the same scenario.  A zero importance-sampled
-    variance against a plain estimator that varies is degenerate, not an
-    infinite reduction (every weight may have underflowed to zero): the
-    ratio is undefined and returned as NaN.
+    A zero importance-sampled variance against a plain estimator that
+    varies is degenerate, not an infinite reduction (every weight may have
+    underflowed to zero): the ratio is undefined and returned as NaN.
     """
-    if report_mc.label != report_is.label:
-        raise ValueError(
-            f"reports describe different scenarios: "
-            f"{report_mc.label!r} vs {report_is.label!r}")
     var_mc = report_mc.per_sample_variance
     var_is = report_is.per_sample_variance
     if var_is == 0.0:
@@ -235,12 +211,8 @@ def variance_ratio(report_mc, report_is):
 
 
 def compare(report_mc, report_is):
-    """Combine a plain and an importance-sampled report into one row."""
-    if report_mc.measure != "P" or report_is.measure != "P_h":
-        raise ValueError("compare needs one plain (P) and one importance-"
-                         "sampled (P_h) report, in that order")
-    if report_mc.n != report_is.n:
-        raise ValueError("reports were computed at different sample sizes")
+    """Combine a plain and an importance-sampled report of one scenario,
+    at one sample size, into one row."""
     return ComparisonRow(report_mc, report_is,
                          variance_ratio(report_mc, report_is))
 
@@ -248,15 +220,6 @@ def compare(report_mc, report_is):
 def report_to_dict(report):
     """Every field but ``wall_seconds``; VR belongs to a comparison row."""
     return {k: v for k, v in asdict(report).items() if k != "wall_seconds"}
-
-
-def report_from_dict(row, source):
-    """Rebuild a report from its JSON mapping, read from ``source``; a
-    missing, unknown or impossible field is a ConfigError naming both."""
-    record(row, f"report {source}", _REPORT_CHECKS)
-    return EstimatorReport(**{
-        name: check(row[name], f"report {source}: {name!r}")
-        for name, check in _REPORT_CHECKS.items()}, wall_seconds=0.0)
 
 
 def comparison_to_dict(row):

@@ -51,8 +51,8 @@ class WeightOverflowError(NumericalError):
 
 
 class ConfigError(DriftmcError):
-    """An input file could not be read, or a run configuration, checkpoint
-    or report holds a value the program refuses."""
+    """An input file could not be read, or a run configuration or
+    checkpoint holds a value the program refuses."""
 
 
 class ModelValidationError(ConfigError):
@@ -65,8 +65,8 @@ class ModelValidationError(ConfigError):
 
 
 def read_object(path, what):
-    """The JSON object in the ``what`` file at ``path`` (config, checkpoint
-    or report); every refusal is a ConfigError naming both."""
+    """The JSON object in the ``what`` file at ``path`` (config or
+    checkpoint); every refusal is a ConfigError naming both."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             value = json.load(fh)

@@ -46,10 +46,10 @@ def fresh_out_dir(out_dir, artifacts=ARTIFACTS):
 
 def run_label(cfg):
     """``<tag>-<asian|knockout>-<digest>``: 12 hex digits of the SHA-256 of
-    the model, payoff and grid blocks, so two scenarios' reports do not
-    compare; a drift trained under another ``training`` block still does.
-    The digest leaves out ``model.seed``: it only chose the parameters,
-    which the resolved ``model.params`` states."""
+    the model, payoff and grid blocks, so two scenarios' reports carry two
+    labels; a drift trained under another ``training`` block does not
+    change it.  The digest leaves out ``model.seed``: it only chose the
+    parameters, which the resolved ``model.params`` states."""
     tag = cfg["model"]["tag"]
     kind = "knockout" if cfg["payoff"]["barrier_moneyness"] else "asian"
     model = {k: v for k, v in cfg["model"].items() if k != "seed"}

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from driftmc import pipeline
 from driftmc.cli import main
 from driftmc.config import build_payoff
-from driftmc.network import _checkpoint_digest
+from driftmc.network import _checkpoint_digest, init_net, save_checkpoint
 from driftmc.pipeline import TRAIN_ARTIFACTS
 
 # Explicit parameters of a two-asset Black-Scholes model.
@@ -151,32 +152,6 @@ class TestValidateCommand:
         assert repr(name) in capsys.readouterr().err
 
 
-@pytest.fixture(scope="module")
-def priced_reports(tmp_path_factory):
-    """Report files of two-asset Black-Scholes Asians at moneyness 1.0:
-    plain at 400 paths ("mc"), and with one trained drift at 400 ("is") and
-    800 paths ("is_wide"), and at moneyness 1.2 ("is_otm")."""
-    tmp_path = tmp_path_factory.mktemp("reports")
-    cfg = write_config(tmp_path, {"payoff": {"moneyness": 1.0}})
-    out_dir = tmp_path / "train"
-    assert main(["train", "--config", str(cfg), "--out-dir",
-                 str(out_dir)]) == 0
-    checkpoint = ["--checkpoint", str(out_dir / "checkpoint.json")]
-    configs = {
-        "mc": (cfg, []), "is": (cfg, checkpoint),
-        "is_wide": (write_config(tmp_path, {
-            "payoff": {"moneyness": 1.0},
-            "estimation": {"sample_sizes": [800]}}, "wide.json"), checkpoint),
-        "is_otm": (write_config(tmp_path, {"payoff": {"moneyness": 1.2}},
-                                "otm.json"), checkpoint)}
-    reports = {}
-    for name, (path, extra) in configs.items():
-        reports[name] = tmp_path / f"{name}-report.json"
-        assert main(["price", "--config", str(path), *extra, "--out",
-                     str(reports[name])]) == 0
-    return reports
-
-
 class TestPriceCommands:
     def test_price_report_json(self, tmp_path):
         # the first configured sample size, at the estimation seed
@@ -189,6 +164,7 @@ class TestPriceCommands:
         assert (report["n"], report["seed"]) == (500, 7)
 
     def test_train_then_price_is_and_compare(self, tmp_path):
+        # after train, price --checkpoint writes a comparison row
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "artifacts"
         assert main(["train", "--config", str(cfg), "--out-dir",
@@ -197,20 +173,19 @@ class TestPriceCommands:
         assert checkpoint.exists()
         assert (out_dir / "training_trace.json").exists()
 
-        mc_file = tmp_path / "mc.json"
-        is_file = tmp_path / "is.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        assert main(["price", "--config", str(cfg), "--checkpoint",
-                     str(checkpoint), "--out", str(is_file)]) == 0
         row_file = tmp_path / "row.json"
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(is_file), "--out", str(row_file)]) == 0
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(checkpoint), "--out", str(row_file)]) == 0
         row = json.loads(row_file.read_text())
+        assert sorted(row) == ["importance", "plain", "vr"]
+        assert (row["plain"]["measure"], row["importance"]["measure"]) == (
+            "P", "P_h")
         assert row["plain"]["n"] == row["importance"]["n"] == 400
         assert row["vr"] > 0.0
 
     def test_price_commands_reproduce_run(self, tmp_path):
+        # price writes run's first plain report, and price --checkpoint
+        # run's first row, at any thread count
         cfg = write_config(tmp_path)
         out_dir = tmp_path / "full"
         assert main(["run", "--config", str(cfg), "--out-dir",
@@ -218,18 +193,15 @@ class TestPriceCommands:
         reports = json.loads((out_dir / "reports.json").read_text())
         row = reports["comparison"][0]
         mc_file = tmp_path / "mc.json"
-        is_file = tmp_path / "is.json"
         row_file = tmp_path / "row.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        assert main(["price", "--config", str(cfg), "--checkpoint",
-                     str(out_dir / "checkpoint.json"), "--out",
-                     str(is_file)]) == 0
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(is_file), "--out", str(row_file)]) == 0
-        assert json.loads(mc_file.read_text()) == row["plain"]
-        assert json.loads(is_file.read_text()) == row["importance"]
-        assert json.loads(row_file.read_text()) == row
+        for threads in ("1", "2"):
+            assert main(["price", "--config", str(cfg), "--out",
+                         str(mc_file), "--threads", threads]) == 0
+            assert main(["price", "--config", str(cfg), "--checkpoint",
+                         str(out_dir / "checkpoint.json"), "--out",
+                         str(row_file), "--threads", threads]) == 0
+            assert json.loads(mc_file.read_text()) == row["plain"]
+            assert json.loads(row_file.read_text()) == row
 
     @pytest.mark.parametrize("dt", [0, -0.01])
     def test_non_positive_grid_step_is_config_error(self, tmp_path, capsys,
@@ -323,143 +295,66 @@ class TestPriceCommands:
         assert f"checkpoint {checkpoint} has drift output width 2" in err
         assert "driver dimension is 6" in err
 
-    def test_report_without_label_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
-        mc_file = tmp_path / "mc.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        report = json.loads(mc_file.read_text())
-        del report["label"]
-        mc_file.write_text(json.dumps(report))
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(mc_file)]) == 2
-        err = capsys.readouterr().err
-        assert "'label'" in err and str(mc_file) in err
+    def test_refused_checkpoint_draws_no_plain_path(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # price --checkpoint prices the importance-sampled estimate first,
+        # so a checkpoint it refuses exits before any plain path is drawn
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(init_net(2, 2, np.random.default_rng(0)), checkpoint)
+        heston = write_config(tmp_path, overrides={
+            **SMALL_SAMPLE, "model": {"tag": "heston", "n": 3}})
 
-    @pytest.mark.parametrize("field", ["vr", "extra"])
-    def test_report_with_unknown_field_is_config_error(self, tmp_path,
-                                                       capsys, field):
-        # compare reads exactly the fields price writes, so a report with
-        # one more, such as a "vr": null that price does not write, is
-        # refused by file and field
-        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
-        mc_file = tmp_path / "mc.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        report = json.loads(mc_file.read_text())
-        assert field not in report
-        mc_file.write_text(json.dumps(dict(report, **{field: None})))
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(mc_file)]) == 2
-        err = capsys.readouterr().err
-        assert f"report {mc_file} has unknown field {field!r}" in err
-
-    @pytest.mark.parametrize("field, value", [
-        ("label", 5),
-        ("measure", None),
-        ("n", None),
-        ("n", "400"),
-        ("n", True),
-        ("seed", 7.5),
-        ("mean_cents", "1.0"),
-        ("se_pct", float("nan")),
-        ("kappa", float("inf")),
-        ("theta", "0.1"),
-        ("per_sample_variance", "x"),
-        ("per_sample_variance", False),
-        (None, "{ not json"),
-        ("n", 0),
-        ("n", -5),
-        ("seed", -1),
-        ("kappa", 7.0),
-        ("kappa", -0.5),
-        ("theta", 1.5),
-        ("per_sample_variance", -1.0),
-        ("se_pct", -1.0),
-        ("measure", "Q"),
-    ])
-    def test_report_field_of_wrong_type_is_config_error(self, tmp_path,
-                                                        capsys, field, value):
-        # a config error naming the file and the field, not a traceback
-        # from deep in compare, a silent conversion or a row of values no
-        # estimate can produce
-        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
-        mc_file = tmp_path / "mc.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        if field is None:
-            mc_file.write_text(value)
-        else:
-            report = json.loads(mc_file.read_text())
-            report[field] = value
-            mc_file.write_text(json.dumps(report))
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(mc_file)]) == 2
-        err = capsys.readouterr().err
-        assert str(mc_file) in err
-        assert ("not valid JSON" if field is None else repr(field)) in err
+        def no_plain(*args, **kwargs):
+            raise AssertionError("a plain estimate was drawn")
+        monkeypatch.setattr(pipeline, "estimate_plain", no_plain)
+        assert main(["price", "--config", str(heston), "--checkpoint",
+                     str(checkpoint)]) == 2
+        assert "has drift output width 2" in capsys.readouterr().err
 
     def test_all_zero_reports_compare(self, tmp_path, capsys):
-        # an all-zero sample reports an infinite se_pct, which compare reads
+        # a payoff no path reaches: the row's two all-zero estimates keep an
+        # infinite se_pct, and their VR is the flagged 1.0, not a reduction
         cfg = write_config(tmp_path, overrides={
             **SMALL_SAMPLE, "payoff": {"moneyness": 100.0}})
-        mc_file = tmp_path / "mc.json"
-        is_file = tmp_path / "is.json"
-        assert main(["price", "--config", str(cfg), "--out",
-                     str(mc_file)]) == 0
-        report = json.loads(mc_file.read_text())
-        assert report["se_pct"] == float("inf")
-        is_file.write_text(json.dumps(dict(report, measure="P_h")))
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(is_file)]) == 0
+        out_dir = tmp_path / "artifacts"
+        assert main(["train", "--config", str(cfg), "--out-dir",
+                     str(out_dir)]) == 0
+        capsys.readouterr()
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(out_dir / "checkpoint.json")]) == 0
         row = json.loads(capsys.readouterr().out)
-        # the row holds its two input reports unchanged
-        assert row["plain"] == report
-        assert row["importance"] == dict(report, measure="P_h")
-        assert row["plain"]["se_pct"] == float("inf")
+        for report in (row["plain"], row["importance"]):
+            assert (report["mean_cents"], report["se_pct"]) == (
+                0.0, float("inf"))
         assert row["vr"] == 1.0
-
-    @pytest.mark.parametrize("mc, is_, why", [
-        ("is", "mc", "one plain (P) and one importance-sampled (P_h)"),
-        ("mc", "is_wide", "different sample sizes"),
-        ("mc", "is_otm", "different scenarios"),
-    ], ids=["swapped", "sample-sizes", "moneyness"])
-    def test_compare_refusal_names_both_files(self, priced_reports, capsys,
-                                              mc, is_, why):
-        # the moneyness pair prices two options that differ only in their
-        # strike, so a variance ratio of the two would mean nothing
-        mc_file, is_file = priced_reports[mc], priced_reports[is_]
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(is_file)]) == 2
-        err = capsys.readouterr().err
-        assert f"reports {mc_file} and {is_file}: " in err and why in err
 
     def test_model_seed_does_not_split_a_scenario(self, tmp_path):
         # with explicit params, model.seed chooses nothing, so configs that
-        # differ only in it price one scenario and their reports compare
+        # differ only in it price one scenario under one label
         configs = [write_config(tmp_path, {
             **SMALL_SAMPLE, "model": {"seed": seed, "params": TWO_ASSETS}},
             f"seed-{seed}.json") for seed in (0, 5)]
         out_dir = tmp_path / "train"
         assert main(["train", "--config", str(configs[1]), "--out-dir",
                      str(out_dir)]) == 0
-        mc_file, is_file = tmp_path / "mc.json", tmp_path / "is.json"
+        mc_file, row_file = tmp_path / "mc.json", tmp_path / "row.json"
         assert main(["price", "--config", str(configs[0]), "--out",
                      str(mc_file)]) == 0
         assert main(["price", "--config", str(configs[1]), "--checkpoint",
                      str(out_dir / "checkpoint.json"), "--out",
-                     str(is_file)]) == 0
-        labels = {json.loads(p.read_text())["label"]
-                  for p in (mc_file, is_file)}
+                     str(row_file)]) == 0
+        report = json.loads(mc_file.read_text())
+        row = json.loads(row_file.read_text())
+        labels = {report["label"], row["plain"]["label"],
+                  row["importance"]["label"]}
         assert len(labels) == 1
-        assert main(["compare", "--mc-report", str(mc_file),
-                     "--is-report", str(is_file)]) == 0
+        assert report == row["plain"]
 
 
 @pytest.mark.parametrize("content", [None, "{ not json", "[1, 2]",
                                      "[" * 100_000],
                          ids=["missing", "not-json", "not-object", "too-deep"])
-@pytest.mark.parametrize("kind", ["config", "checkpoint", "report"])
+@pytest.mark.parametrize("kind", ["config", "checkpoint"])
 def test_unreadable_input_file_is_named(tmp_path, capsys, kind, content):
     # every input file is read by one reader, and each of its refusals
     # exits 2 naming the file
@@ -468,9 +363,8 @@ def test_unreadable_input_file_is_named(tmp_path, capsys, kind, content):
         bad.write_text(content)
     cfg = str(write_config(tmp_path, overrides=SMALL_SAMPLE))
     argv = {"config": ["validate", "--config", str(bad)],
-            "checkpoint": ["price", "--config", cfg, "--checkpoint", str(bad)],
-            "report": ["compare", "--mc-report", str(bad),
-                       "--is-report", str(bad)]}[kind]
+            "checkpoint": ["price", "--config", cfg,
+                           "--checkpoint", str(bad)]}[kind]
     assert main(argv) == 2
     assert str(bad) in capsys.readouterr().err
 
@@ -498,17 +392,17 @@ def test_unwritable_output_is_no_config_error(tmp_path, capsys, command):
     (["price", "--config", "{config}", "--seed", "1"], "--seed"),
     (["--verbose", "validate", "--config", "{config}"], "--verbose"),
     (["compare", "--mc-report", "{tmp}/mc.json", "--is-report",
-      "{tmp}/is.json", "--format", "csv"], "--format"),
+      "{tmp}/is.json"], "compare"),
     (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--seed", "1"],
      "--seed"),
     (["run", "--config", "{config}", "--out-dir", "{tmp}/out", "--dry-run"],
      "--dry-run"),
 ], ids=["sample-params", "price-format", "price-is", "price-n", "price-seed",
-        "verbose", "compare-format", "run-seed", "run-dry-run"])
+        "verbose", "compare", "run-seed", "run-dry-run"])
 def test_removed_option_exits_from_argparse(tmp_path, capsys, argv, removed):
     # the config file sets a run, validate prints it resolved, price
-    # --checkpoint prices with a drift, reports are JSON, and reports.json
-    # and timings.json hold what a log line would
+    # --checkpoint writes a comparison row, reports are JSON, and
+    # reports.json and timings.json hold what a log line would
     config = write_config(tmp_path)
     with pytest.raises(SystemExit) as exit_info:
         main([arg.format(config=config, tmp=tmp_path) for arg in argv])
@@ -627,12 +521,17 @@ class TestRunCommand:
         ({"estimation": {"sample_sizes": [400, 1e17]}},
          "estimation.sample_sizes[1] 1e+17"),
         ({"grid": {"dt": 1e-17}}, "grid.dt 1e-17"),
-    ], ids=["sample-size", "dt"])
+        ({"training": {"batch_size": 1e15}},
+         "training.batch_size 1000000000000000"),
+        ({"training": {"hidden_width": 1e15}},
+         "training.hidden_width 1000000000000000"),
+    ], ids=["sample-size", "dt", "batch-size", "hidden-width"])
     def test_array_too_large_to_allocate_exits_2(self, tmp_path, capsys,
                                                   overrides, field):
-        # 10^17 doubles are beyond any address space, so the allocation
-        # fails at once and touches nothing; resolve refuses the field that
-        # asks for the array, a sample size or the grid, so every command
+        # 10^15 doubles or more are beyond any address space, so the
+        # allocation fails at once and touches nothing; resolve refuses the
+        # field that asks for the array, a sample size, the grid, a
+        # training batch or the net's output weights, so every command
         # names the config file and the field, and run fails at resolve
         cfg = write_config(tmp_path, overrides=overrides)
         out_dir = tmp_path / "out"
@@ -650,8 +549,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("command", ["price", "run"])
     def test_non_finite_estimate_exits_numerical(self, tmp_path, capsys,
                                                  command):
-        # a finite config whose estimate is not finite: no report that
-        # compare would refuse, and run names the stage that failed
+        # a finite config whose estimate is not finite: no report holds an
+        # infinity, and run names the stage that failed
         cfg = tmp_path / "huge.json"
         cfg.write_text(json.dumps({
             "model": {"tag": "black_scholes", "n": 1,

@@ -11,7 +11,7 @@ from driftmc.config import (DEFAULTS, build_grid, build_model, build_payoff,
                             build_scenario, resolve_config, sample_parameters)
 from driftmc.errors import ConfigError, write_json
 from driftmc.models import (BLACK_SCHOLES, HESTON, STEIN_STEIN, THREE_HALVES,
-                            simulate)
+                            ModelSpec, simulate)
 from driftmc.payoffs import basket_weights
 from driftmc.training import TrainConfig
 
@@ -154,6 +154,22 @@ class TestResolveConfig:
         cfg = resolve_config(raw)
         model = build_model(cfg)
         np.testing.assert_array_equal(model.sigma, [[0.2]])
+
+    def test_model_spec_built_once(self, monkeypatch):
+        # resolve with explicit params, and build_scenario, each build the
+        # model once: build_payoff reads the model block build_model checked
+        built = []
+
+        def counting(**kwargs):
+            built.append(kwargs["tag"])
+            return ModelSpec(**kwargs)
+        monkeypatch.setattr(config, "ModelSpec", counting)
+        cfg = resolve_config({"model": {
+            "tag": "black_scholes", "n": 2,
+            "params": {"sigma": [[0.2, 0.0], [0.0, 0.3]], "s0": [1.0, 1.1]}}})
+        assert built == ["black_scholes"]
+        build_scenario(cfg)
+        assert built == ["black_scholes"] * 2
 
     def test_barrier_moneyness_materialized(self):
         # the resolved block keeps the barrier moneyness as written; the
