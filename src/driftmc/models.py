@@ -28,10 +28,11 @@ stepping at once trade the GIL thousands of times per chunk.  On 2 vCPUs
 (Black-Scholes), 0.65 (Heston) and 0.46 (Stein-Stein) times the speed of
 one, while the normal draws, which release the GIL once per slice, ran at
 1.9 times.  With the lock, one thread steps its chunk while the other
-draws or prices, and the arithmetic is unchanged.  The loop is 2.0 of
-14.7 ms of a Black-Scholes chunk, 7.5 of 27.3 ms of a Heston one and 4.9
-of 30.6 ms of a Stein-Stein one, which caps pricing with the lock at
-about 4 to 7 times one thread; above 2 cores that is unmeasured.  Without
+draws or prices, and the arithmetic is unchanged.  On one thread, the
+loop is 2.0 of 10.9 ms of a plain Black-Scholes chunk, 7.4 of 26.5 ms of
+a Heston one and 6.0 of 23.4 ms of a Stein-Stein one, whose normal draws
+take 6.8, 13.7 and 12.9 ms; that caps pricing with the lock at about 3.5
+to 5.5 times one thread; above 2 cores that is unmeasured.  Without
 the lock the GIL already serialises the loop's per-call overhead.
 """
 

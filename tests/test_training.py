@@ -164,7 +164,15 @@ class TestTrain:
         # later batches do, and the returned net must carry their updates
         model, payoff, grid, cov = bs_setup(strike_ratio=1.3, n_steps=16,
                                             vol=0.2)
-        cfg = TrainConfig(epochs=1, steps_per_epoch=20, batch_size=64, seed=6)
+        # about one step-0 batch in three is all zero: take the first seed
+        # whose step-0 batch is
+        seed = next((s for s in range(20) if not np.any(
+            simulate_training_batch(model, payoff, grid, cov,
+                                    streams.substream(s, streams.TRAIN, 0),
+                                    64).payoff_sq)), None)
+        assert seed is not None
+        cfg = TrainConfig(epochs=1, steps_per_epoch=20, batch_size=64,
+                          seed=seed)
         net = init_net(2, 1, rng=np.random.default_rng(10))
         trained, trace = train(net, model, payoff, grid, cov, cfg)
         assert trace.v_hat[0] == 0.0 and max(trace.v_hat[1:]) > 0.0
