@@ -4,13 +4,13 @@ Subcommands: validate, price, train, run.  The config file is the one place
 a run is set; ``validate`` prints it resolved, refusing what resolve
 refuses, as resolve builds every spec that can refuse a field.  Every flag
 names an input or output file or sets the thread count.  ``price`` writes
-``run``'s first plain report, and with ``--checkpoint`` its first row,
-pricing the importance-sampled estimate first, so a refused checkpoint
-exits before any plain path is drawn.  A malformed config or checkpoint
-exits 2 naming the file and the field; so do a bad model spec and a grid,
-sample size, training batch or hidden layer too large to allocate.  An
-unwritable output, or another array too large to allocate, exits 2 with
-"error:".
+``run``'s first plain report, and with ``--checkpoint`` its first row, both
+estimates priced from one scenario.  The checkpoint is read, and a drift
+of another width refused, before any path is drawn.  A malformed config or
+checkpoint exits 2 naming the file and the field; so do a bad model spec
+and a grid, sample size, training batch or hidden layer too large to
+allocate.  An unwritable output, or another array too large to allocate,
+exits 2 with "error:".
 Exit codes: 0 ok, 2 config error, unwritable output or failed allocation,
 3 numerical failure.
 """
@@ -23,8 +23,9 @@ from .config import build_scenario, resolve_config
 from .engine import compare, comparison_to_dict, report_to_dict
 from .errors import (ConfigError, DriftmcError, NumericalError, read_object,
                      write_json)
+from .network import load_checkpoint
 from .pipeline import (TRAIN_ARTIFACTS, estimate_seed, fresh_out_dir, price,
-                       price_with_checkpoint, run, train_drift)
+                       run, train_drift)
 from .training import STEPS_PER_UNIT_TIME
 
 EXIT_OK = 0
@@ -93,15 +94,18 @@ def _cmd_validate(args):
 def _cmd_price(args):
     """``run``'s first plain report, or with a checkpoint its first row."""
     cfg = _with_config(args.config, resolve_config)
+    sc = build_scenario(cfg)
+    drift = (None if args.checkpoint is None
+             else load_checkpoint(args.checkpoint, sc.model.d))
     n = cfg["estimation"]["sample_sizes"][0]
-    if args.checkpoint is not None:
-        weighted = price_with_checkpoint(
-            cfg, args.checkpoint, n, estimate_seed(cfg, 0, importance=True),
-            threads=args.threads)
-    plain = price(cfg, build_scenario(cfg), n,
-                  estimate_seed(cfg, 0, importance=False), threads=args.threads)
-    write_json(args.out, report_to_dict(plain) if args.checkpoint is None
-               else comparison_to_dict(compare(plain, weighted)))
+    plain = price(cfg, sc, n, estimate_seed(cfg, 0, importance=False),
+                  threads=args.threads)
+    if drift is None:
+        write_json(args.out, report_to_dict(plain))
+    else:
+        weighted = price(cfg, sc, n, estimate_seed(cfg, 0, importance=True),
+                         drift=drift, threads=args.threads)
+        write_json(args.out, comparison_to_dict(compare(plain, weighted)))
     return EXIT_OK
 
 

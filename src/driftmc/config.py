@@ -234,11 +234,10 @@ def build_model(cfg):
     params = block["params"]
     if not isinstance(params, dict):
         raise ConfigError(f"model.params must be an object, got {params!r}")
-    for name in params:
-        if name not in PARAM_FIELDS:
-            raise ConfigError(f"unknown config field 'model.params.{name}'")
+    params = _merge_defaults(params, dict.fromkeys(PARAM_FIELDS),
+                             "model.params.")
     for name in ("sigma", "s0"):
-        if params.get(name) is None:
+        if params[name] is None:
             raise ConfigError(f"model.params.{name} is required")
     lengths = {"s0": block["n"]}
     kwargs = {k: numbers(v, f"model.params.{k}", lengths.get(k), check=(

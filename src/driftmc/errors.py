@@ -6,7 +6,6 @@ every field read, refusing a bad one with a ConfigError naming it:
 :func:`string` and :func:`record` (an object's field set)."""
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -79,30 +78,27 @@ def read_object(path, what):
     return value
 
 
-def number(value, name, positive=False, minimum=-math.inf, maximum=math.inf):
-    """A number in ``[minimum, maximum]`` that is a finite float, positive
-    if asked; never a bool."""
+def number(value, name, positive=False):
+    """A number that is a finite float, positive if asked; never a bool."""
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
             and abs(value) <= sys.float_info.max
-            and minimum <= value <= maximum and (value > 0 or not positive)):
+            and (value > 0 or not positive)):
         kind = "a positive finite" if positive else "a finite"
-        span = ("" if (minimum, maximum) == (-math.inf, math.inf)
-                else f" in [{minimum}, {maximum}]")
-        raise ConfigError(f"{name} must be {kind} number{span}, got {value!r}")
+        raise ConfigError(f"{name} must be {kind} number, got {value!r}")
     return value
 
 
-def integer(value, name, minimum=None):
-    """A whole number in the float range, at least ``minimum`` if given, as
-    an int; never a bool."""
+def integer(value, name, minimum):
+    """A whole number in the float range of at least ``minimum``, as an
+    int; never a bool."""
     try:
         whole = (int(value) == value and not isinstance(value, bool)
                  and abs(value) <= sys.float_info.max)
     except (TypeError, ValueError, OverflowError):
         whole = False
-    if not whole or (minimum is not None and value < minimum):
-        least = "" if minimum is None else f" of at least {minimum}"
-        raise ConfigError(f"{name} must be an integer{least}, got {value!r}")
+    if not whole or value < minimum:
+        raise ConfigError(f"{name} must be an integer of at least {minimum}, "
+                          f"got {value!r}")
     return int(value)
 
 
@@ -118,11 +114,11 @@ def numbers(values, name, length=None, check=number):
     return [check(value, f"{name}[{j}]") for j, value in enumerate(values)]
 
 
-def string(value, name, choices=None):
-    """A string, one of ``choices`` if given."""
-    if not isinstance(value, str) or choices and value not in choices:
-        kind = " or ".join(map(repr, choices)) if choices else "a string"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+def string(value, name, choices):
+    """One of the strings ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}, "
+                          f"got {value!r}")
     return value
 
 

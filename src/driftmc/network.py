@@ -199,9 +199,10 @@ def save_checkpoint(net, path):
     })
 
 
-def load_checkpoint(path):
-    """Read a checkpoint written by :func:`save_checkpoint`; every refusal
-    is a ConfigError naming the file and the field."""
+def load_checkpoint(path, output_width):
+    """Read a checkpoint written by :func:`save_checkpoint` of a drift
+    ``output_width`` wide, the driver dimension of the model it drives;
+    every refusal is a ConfigError naming the file and the field."""
     saved = read_object(path, "checkpoint")
     where = f"checkpoint {path}"
     string(saved.get("schema"), f"{where}: 'schema'", (_CHECKPOINT_SCHEMA,))
@@ -209,6 +210,9 @@ def load_checkpoint(path):
                           "params", "sha256"))
     l = integer(saved["hidden"], f"{where}: 'hidden'", minimum=1)
     d = integer(saved["output"], f"{where}: 'output'", minimum=1)
+    if d != output_width:
+        raise ConfigError(f"{where} has drift output width {d}, but the "
+                          f"model's driver dimension is {output_width}")
     activation = string(saved["activation"], f"{where}: 'activation'",
                         ACTIVATIONS)
     flat = np.array(numbers(saved["params"], f"{where}: 'params'",

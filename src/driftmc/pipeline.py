@@ -4,9 +4,10 @@ Every artifact (resolved config, checkpoint, training trace, reports) is
 one JSON record written by :func:`~driftmc.errors.write_json`, so a rerun
 of the same config is byte-identical, including across worker-thread
 counts.  The one exception is ``timings.json``, the wall times of the
-training and of each estimate.  ``reports.json`` holds the comparison rows,
-each two reports and their VR, so it states every estimate once.  ``run``
-and ``train`` first remove what an earlier call wrote to their directory.
+training and of each row's two estimates.  ``reports.json`` holds the
+comparison rows, each two reports and their VR, so it states every
+estimate once.  ``run`` and ``train`` first remove what an earlier call
+wrote to their directory.
 On failure the artifacts produced so far are kept and a machine-readable
 error file is written next to them.
 """
@@ -21,7 +22,7 @@ from pathlib import Path
 from .config import build_scenario, resolve_config
 from .covariation import CovariationSpec
 from .engine import compare, comparison_to_dict, estimate_is, estimate_plain
-from .errors import ConfigError, DriftmcError, write_json
+from .errors import DriftmcError, write_json
 from .network import init_net, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train, training_grid
 from . import streams
@@ -136,7 +137,7 @@ def run(raw_config, out_dir, threads=1):
         rows = [compare(mc, is_) for mc, is_ in zip(plain_reports, is_reports)]
         write_json(out_dir / "reports.json",
                    {"comparison": [comparison_to_dict(row) for row in rows]})
-        _write_timings(out_dir, plain_reports + is_reports, training_seconds)
+        _write_timings(out_dir, rows, training_seconds)
         return rows
     except (DriftmcError, MemoryError, OSError, ValueError) as exc:
         write_json(out_dir / "error.json", {
@@ -144,26 +145,21 @@ def run(raw_config, out_dir, threads=1):
         raise
 
 
-def _write_timings(out_dir, reports, training_seconds):
-    """Wall times of a run; they vary from run to run, so they stay out of
-    the byte-identical artifacts."""
-    estimates = [{"label": r.label, "measure": r.measure, "n": r.n,
-                  "seed": r.seed, "wall_seconds": r.wall_seconds,
-                  "paths_per_s": r.n / r.wall_seconds}
-                 for r in reports]
-    write_json(out_dir / "timings.json",
-               {"training_seconds": training_seconds,
-                "estimates": estimates})
+def _write_timings(out_dir, rows, training_seconds):
+    """Wall times of a run, the training's and each row's two estimates',
+    in the row order of ``reports.json``; they vary from run to run, so
+    they stay out of the byte-identical artifacts."""
+    write_json(out_dir / "timings.json", {
+        "training_seconds": training_seconds,
+        "comparison": [{"plain": row.plain.wall_seconds,
+                        "importance": row.importance.wall_seconds}
+                       for row in rows]})
 
 
 def price_with_checkpoint(cfg, checkpoint_path, n, seed, threads=1):
-    """One importance-sampled :func:`price` driven by a stored
-    checkpoint, whose drift must be as wide as the model's driver."""
+    """One importance-sampled :func:`price` of a resolved config driven by
+    a stored checkpoint: ``perfbench``'s entry point to the estimate that
+    ``price --checkpoint`` adds to the plain one."""
     sc = build_scenario(cfg)
-    drift = load_checkpoint(checkpoint_path)
-    if drift.output_width != sc.model.d:
-        raise ConfigError(
-            f"checkpoint {checkpoint_path} has drift output width "
-            f"{drift.output_width}, but the model's driver dimension is "
-            f"{sc.model.d}")
-    return price(cfg, sc, n, seed, drift=drift, threads=threads)
+    return price(cfg, sc, n, seed, threads=threads,
+                 drift=load_checkpoint(checkpoint_path, sc.model.d))

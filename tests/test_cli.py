@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from driftmc import pipeline
+from driftmc import config, pipeline
 from driftmc.cli import main
-from driftmc.config import build_payoff
+from driftmc.config import Scenario, build_payoff
 from driftmc.network import _checkpoint_digest, init_net, save_checkpoint
 from driftmc.pipeline import TRAIN_ARTIFACTS
 
@@ -297,19 +297,38 @@ class TestPriceCommands:
 
     def test_refused_checkpoint_draws_no_plain_path(self, tmp_path, capsys,
                                                      monkeypatch):
-        # price --checkpoint prices the importance-sampled estimate first,
-        # so a checkpoint it refuses exits before any plain path is drawn
+        # price --checkpoint reads the checkpoint before it prices, so a
+        # checkpoint it refuses exits before a path of either measure is
+        # drawn
         checkpoint = tmp_path / "checkpoint.json"
         save_checkpoint(init_net(2, 2, np.random.default_rng(0)), checkpoint)
         heston = write_config(tmp_path, overrides={
             **SMALL_SAMPLE, "model": {"tag": "heston", "n": 3}})
 
-        def no_plain(*args, **kwargs):
-            raise AssertionError("a plain estimate was drawn")
-        monkeypatch.setattr(pipeline, "estimate_plain", no_plain)
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate was drawn")
+        monkeypatch.setattr(pipeline, "estimate_plain", no_estimate)
+        monkeypatch.setattr(pipeline, "estimate_is", no_estimate)
         assert main(["price", "--config", str(heston), "--checkpoint",
                      str(checkpoint)]) == 2
         assert "has drift output width 2" in capsys.readouterr().err
+
+    def test_price_with_checkpoint_builds_one_scenario(self, tmp_path,
+                                                       monkeypatch):
+        # the plain and the importance-sampled estimate of the row are
+        # priced from one scenario
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(init_net(2, 2, np.random.default_rng(0)), checkpoint)
+        cfg = write_config(tmp_path, overrides=SMALL_SAMPLE)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Scenario(*args)
+        monkeypatch.setattr(config, "Scenario", counted)
+        assert main(["price", "--config", str(cfg), "--checkpoint",
+                     str(checkpoint), "--out", str(tmp_path / "row.json")]) == 0
+        assert len(built) == 1
 
     def test_all_zero_reports_compare(self, tmp_path, capsys):
         # a payoff no path reaches: the row's two all-zero estimates keep an
@@ -450,16 +469,14 @@ class TestRunCommand:
                 for row in rows] == [(400, 7, 400, 8), (800, 9, 800, 10)]
         assert {row["plain"]["measure"] for row in rows} == {"P"}
         assert {row["importance"]["measure"] for row in rows} == {"P_h"}
+        # timings.json holds only wall times, row by row as reports.json
         timings = json.loads((out_dir / "timings.json").read_text())
-        assert sorted(timings) == ["estimates", "training_seconds"]
+        assert sorted(timings) == ["comparison", "training_seconds"]
         assert timings["training_seconds"] > 0.0
-        estimates = timings["estimates"]
-        assert [(e["measure"], e["n"], e["seed"]) for e in estimates] == [
-            ("P", 400, 7), ("P", 800, 9), ("P_h", 400, 8), ("P_h", 800, 10)]
-        for e in estimates:
-            assert e["label"].startswith("black_scholes-asian-")
-            assert e["wall_seconds"] > 0.0
-            assert e["paths_per_s"] == pytest.approx(e["n"] / e["wall_seconds"])
+        assert len(timings["comparison"]) == len(rows)
+        for walls in timings["comparison"]:
+            assert sorted(walls) == ["importance", "plain"]
+            assert walls["plain"] > 0.0 and walls["importance"] > 0.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -12,13 +12,13 @@ from driftmc.errors import (ConfigError, integer, number, numbers,
 
 class TestInteger:
     @pytest.mark.parametrize("value, minimum", [
-        (None, None),
-        ("400", None),
-        (True, None),
-        (7.5, None),
-        (math.nan, None),
-        (math.inf, None),
-        (10**400, None),
+        (None, 0),
+        ("400", 0),
+        (True, 0),
+        (7.5, 0),
+        (math.nan, 0),
+        (math.inf, 0),
+        (10**400, 0),
         (0, 1),
         (-5, 1),
         (-1, 0),
@@ -52,34 +52,29 @@ class TestNumber:
         (False, {}),
         (None, {}),
         (10**400, {}),
-        (7.0, {"minimum": 0.0, "maximum": 1.0}),
-        (-0.5, {"minimum": 0.0, "maximum": 1.0}),
-        (1.5, {"minimum": 0.0, "maximum": 1.0}),
-        (-1.0, {"minimum": 0.0}),
         (0, {"positive": True}),
     ], ids=["nan", "inf", "minus-inf", "numeric-string", "string", "bool",
-            "none", "huge-int", "above-maximum", "below-minimum",
-            "above-one", "negative", "zero-not-positive"])
+            "none", "huge-int", "zero-not-positive"])
     def test_refused_naming_the_field(self, value, bounds):
         with pytest.raises(ConfigError, match=r"^x must be a"):
             number(value, "x", **bounds)
 
-    def test_message_names_kind_and_span(self):
+    def test_message_names_the_kind(self):
         with pytest.raises(ConfigError,
-                           match=r"^x must be a positive finite number "
-                                 r"in \[0\.0, 1\.0\], got 7\.0$"):
-            number(7.0, "x", positive=True, minimum=0.0, maximum=1.0)
+                           match=r"^x must be a positive finite number, "
+                                 r"got -7\.0$"):
+            number(-7.0, "x", positive=True)
 
     @pytest.mark.parametrize("value", [0, 0.25, 1.0, -3])
     def test_accepted_unchanged(self, value):
-        read = number(value, "x", minimum=-3.0, maximum=1.0)
+        read = number(value, "x")
         assert read == value and type(read) is type(value)
 
 
 class TestString:
     @pytest.mark.parametrize("value, choices", [
-        (5, None),
-        (None, None),
+        (5, ("P", "P_h")),
+        (None, ("P", "P_h")),
         ("Q", ("P", "P_h")),
     ], ids=["int", "none", "not-a-choice"])
     def test_refused_naming_the_field(self, value, choices):

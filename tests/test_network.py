@@ -1,6 +1,7 @@
 """Tests for the shallow network: forward, backprop, Adam, checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -202,7 +203,7 @@ class TestCheckpoint:
         net = random_net(np.random.default_rng(15))
         path = tmp_path / "net.json"
         save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
+        loaded = load_checkpoint(path, net.output_width)
         np.testing.assert_array_equal(loaded.to_flat(), net.to_flat())
         assert loaded.activation == net.activation
 
@@ -215,7 +216,7 @@ class TestCheckpoint:
         text = text.replace(repr(float(first)), repr(float(first) + 1.0), 1)
         path.write_text(text)
         with pytest.raises(ConfigError):
-            load_checkpoint(path)
+            load_checkpoint(path, net.output_width)
 
     def test_unknown_activation_is_config_error(self, tmp_path):
         # an intact checkpoint of an activation this version lacks
@@ -229,7 +230,7 @@ class TestCheckpoint:
         path = tmp_path / "net.json"
         path.write_text(json.dumps(record))
         with pytest.raises(ConfigError, match="'activation' must be"):
-            load_checkpoint(path)
+            load_checkpoint(path, net.output_width)
 
     def test_params_of_another_length_rejected(self, tmp_path):
         # a signed checkpoint whose params do not fit its hidden and output
@@ -246,10 +247,20 @@ class TestCheckpoint:
         path.write_text(json.dumps(record))
         with pytest.raises(ConfigError, match=f"'params' must be a list of "
                                               f"{net.n_params} numbers"):
-            load_checkpoint(path)
+            load_checkpoint(path, net.output_width)
 
     def test_rejects_other_schema(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text('{"schema": "something-else"}')
         with pytest.raises(ConfigError):
-            load_checkpoint(path)
+            load_checkpoint(path, 2)
+
+    def test_drift_of_another_width_rejected(self, tmp_path):
+        # a drift two wide cannot drive a driver of dimension 6
+        path = tmp_path / "net.json"
+        save_checkpoint(random_net(np.random.default_rng(19), output=2), path)
+        with pytest.raises(ConfigError,
+                           match=rf"^checkpoint {re.escape(str(path))} has "
+                                 r"drift output width 2, but the model's "
+                                 r"driver dimension is 6$"):
+            load_checkpoint(path, 6)
