@@ -53,8 +53,9 @@ class TestNumber:
         (None, {}),
         (10**400, {}),
         (0, {"positive": True}),
+        (-1.0, {"positive": True}),
     ], ids=["nan", "inf", "minus-inf", "numeric-string", "string", "bool",
-            "none", "huge-int", "zero-not-positive"])
+            "none", "huge-int", "zero-not-positive", "negative-not-positive"])
     def test_refused_naming_the_field(self, value, bounds):
         with pytest.raises(ConfigError, match=r"^x must be a"):
             number(value, "x", **bounds)
@@ -65,7 +66,8 @@ class TestNumber:
                                  r"got -7\.0$"):
             number(-7.0, "x", positive=True)
 
-    @pytest.mark.parametrize("value", [0, 0.25, 1.0, -3])
+    # number bounds nothing but the float range and, if asked, the sign
+    @pytest.mark.parametrize("value", [0, 0.25, 1.0, -3, 7.0, -1e300])
     def test_accepted_unchanged(self, value):
         read = number(value, "x")
         assert read == value and type(read) is type(value)
