@@ -8,18 +8,23 @@ chunk writes its weighted payoffs into its slice of the estimate's one
 per-path array, and each block returns its event counts; the estimate
 reduces the array once.  The partition depends only on the sample size, so
 the array, and with it every result, is bit-identical across thread counts.
-The chunk is the unit of memory: a block is simulated and priced
-``CHUNK_SIZE`` paths at a time, drawing its chunks one after another from
-the block's one substream, so the numbers are those of one draw of the
-whole block.  Each thread of an estimate's pool allocates one increments
-and one states buffer, paths-innermost and as wide as the estimate's widest
-chunk, ``min(CHUNK_SIZE, block_size, n)`` paths, when the thread starts.
-It simulates every chunk of every block it runs into them, so a chunk's
-batch is valid until the thread draws its next chunk, and what an estimate
-asks of the allocator does not change from block to block.  While a chunk
-draws, it also holds one slice of ``SLICE_PATHS`` paths of normals (see
-:func:`~driftmc.covariation.sample_increments`), so no path array is larger
-than a chunk.  Prices are reported discounted, in cents.
+
+A block is priced ``CHUNK_SIZE`` paths at a time, its chunks drawn one
+after another from the block's one substream, and a chunk is advanced
+``TILE_STEPS`` steps at a time (see :func:`_price_chunk`): each tile is
+drawn, shifted, weighed, stepped and folded into the chunk's running
+payoff sums while it is still in cache, so no array of a chunk spans the
+grid.  Its numbers are those of :func:`~driftmc.models.simulate`,
+:func:`~driftmc.payoffs.evaluate_batch` and
+:func:`~driftmc.covariation.log_likelihood_inverse` on the chunk's paths,
+which run the same stages on the whole grid.  Each thread of an
+estimate's pool allocates one increments tile and one states tile,
+paths-innermost and as wide as the estimate's widest chunk,
+``min(CHUNK_SIZE, block_size, n)`` paths, when the thread starts, and
+advances every chunk of every block it runs in them.  A 20-dim Heston
+thread holds 0.7 MB of each, against 10.3 MB of increments and 10.4 MB of
+states for a whole 252-step chunk.  The drift is evaluated on the grid
+once per estimate.  Prices are reported discounted, in cents.
 """
 
 import logging
@@ -31,9 +36,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .covariation import (TILE_STEPS, ito_sum, log_weight, sample_increments,
+                          tiles)
 from .errors import NonFiniteError, SimulationError
-from .models import CHUNK_SIZE, leading, simulate
-from .payoffs import check_width, evaluate_batch
+# ``simulate`` and ``evaluate_batch`` stay names of this module, unused:
+# the benchmark's tracing (perfbench) hooks them here.
+from .models import (CHUNK_SIZE, euler_steps, evaluate_drift,  # noqa: F401
+                     initial_state, leading, simulate)
+from .payoffs import PayoffFold, check_width, evaluate_batch  # noqa: F401
 from .stats import RunningMoments
 from . import streams
 
@@ -80,39 +90,68 @@ def _block_plan(total, block_size):
             for index, start in enumerate(range(0, total, block_size))]
 
 
+def _price_chunk(model, payoff, grid, cov, drift, rng, width, tiles_buf):
+    """The payoffs and log-weights of the next ``width`` paths of ``rng``,
+    advanced a tile of :func:`~driftmc.covariation.tiles` at a time in the
+    flat buffers ``tiles_buf``: increments and states.
+
+    Per tile, the increments are drawn by :func:`sample_increments` into a
+    leading view of the increments buffer, shifted by ``drift`` (a
+    :class:`~driftmc.covariation.DriftEvaluation` or None) and summed into
+    the stochastic integral, then stepped by :func:`euler_steps` from the
+    states buffer's first row, which carries the last state of the tile
+    before, and the nodes they step to are folded into a
+    :class:`PayoffFold`.  The stream is read as by one whole-grid draw of
+    ``width`` paths.  Returns the :class:`~driftmc.payoffs.PayoffBatch` and
+    the log inverse likelihoods, zero under the original measure.
+    """
+    increments, states = tiles_buf
+    fold = PayoffFold(payoff, grid, width)
+    ito = np.zeros(width)
+    first = leading(states, (1, model.n_state, width))
+    initial_state(model, first[0])
+    fold.add(0, first)
+    for k0, k1 in tiles(grid.n_steps):
+        dm = leading(increments, (k1 - k0, model.d, width))
+        sample_increments(cov, rng, width, k1 - k0, out=dm)
+        if drift is not None:
+            dm += drift.shift[k0:k1, :, None]
+            ito += ito_sum(drift, dm.transpose(2, 0, 1), k0)
+        x = leading(states, (k1 - k0 + 1, model.n_state, width))
+        euler_steps(model, x, dm, grid.dt)
+        fold.add(k0 + 1, x[1:])
+        x[0] = x[-1]
+    # Under P nothing was summed, and the log-weights are the zeros.
+    log_w = ito if drift is None else log_weight(drift, ito)
+    return fold.result(), log_w
+
+
 def _simulate_block(model, payoff, grid, cov, drift, seed, block,
-                    discount_cents, values, buffers):
+                    discount_cents, values, tiles_buf):
     """Write the weighted discounted payoffs of ``block = (index, start,
     size)`` into ``values[start:start + size]``, and return its counts of
     paths above the strike and of knocked-out paths.
 
     The block's chunks are drawn in path order from its one substream,
-    ``substream(seed, ESTIMATE, index)``, so block ``index`` is the paths
-    of one :func:`~driftmc.models.simulate` call of ``size`` paths on that
-    substream.  Every chunk is simulated into ``buffers``, the calling
-    thread's flat increments and states, as wide as any chunk of the block,
-    through contiguous leading views, so a short last chunk has the layout
-    of a chunk of its own.  A path that blows up is reported by its
-    estimate-wide id, ``start`` plus its place in the block.
+    ``substream(seed, ESTIMATE, index)``, each by :func:`_price_chunk` in
+    ``tiles_buf``, the calling thread's flat tile buffers, as wide as any
+    chunk of the block, so a short last chunk has the layout of a chunk of
+    its own.  A path that blows up is reported by its estimate-wide id,
+    ``start`` plus its place in the block.
     """
     index, start, size = block
     rng = streams.substream(seed, streams.ESTIMATE, index)
-    increments, states = buffers
     above = knocked = 0
     for lo in range(start, start + size, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, start + size)
-        out = (leading(increments, (grid.n_steps, model.d, hi - lo)),
-               leading(states, (grid.n_steps + 1, model.n_state, hi - lo)))
         try:
-            batch = simulate(model, grid, cov, rng, hi - lo, drift=drift,
-                             out=out)
+            pay, log_w = _price_chunk(model, payoff, grid, cov, drift, rng,
+                                      hi - lo, tiles_buf)
         except SimulationError as exc:
             raise exc.shifted(lo) from exc
-        pay = evaluate_batch(payoff, batch.states, grid)
         # Under P the log-weights are zero and v * exp(0) == v exactly, so a
         # plain block is an IS block with unit weights, bit for bit.
-        values[lo:hi] = (pay.values * np.exp(batch.log_inverse_likelihood)
-                         * discount_cents)
+        values[lo:hi] = pay.values * np.exp(log_w) * discount_cents
         above += int(np.count_nonzero(pay.above_strike))
         if payoff.has_barriers:
             knocked += int(np.count_nonzero(pay.knocked_out))
@@ -124,18 +163,20 @@ def _estimate(model, payoff, grid, cov, drift, seed, n, label, threads,
     check_width(payoff, model.n)
     begin = time.perf_counter()
     discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
+    drift_eval = evaluate_drift(drift, grid, cov)
     values = np.empty(n)
     width = min(CHUNK_SIZE, block_size, n)
+    steps = min(TILE_STEPS, grid.n_steps)
     local = threading.local()
 
     def allocate():
-        local.buffers = (np.empty(grid.n_steps * model.d * width),
-                         np.empty((grid.n_steps + 1) * model.n_state * width))
+        local.tiles = (np.empty(steps * model.d * width),
+                       np.empty((steps + 1) * model.n_state * width))
 
     def worker(block):
         # Blocks write disjoint slices of ``values``, so they need no lock.
-        return _simulate_block(model, payoff, grid, cov, drift, seed, block,
-                               discount_cents, values, local.buffers)
+        return _simulate_block(model, payoff, grid, cov, drift_eval, seed,
+                               block, discount_cents, values, local.tiles)
 
     with ThreadPoolExecutor(max_workers=threads, initializer=allocate) as pool:
         counts = list(pool.map(worker, _block_plan(n, block_size)))

@@ -10,8 +10,16 @@ log inverse likelihood then accumulates alongside the states.
 
 Paths are stored innermost: increments and states live in
 (n_steps, d, n_paths) and (n_steps+1, n_state, n_paths) buffers, so each
-Euler step reads and writes contiguous rows of all paths, in place.  These
-two buffers are all a simulation holds of its paths besides one slice of
+Euler step reads and writes contiguous rows of all paths, in place.  A
+simulation is four stages, which :func:`simulate` composes on the whole
+grid: :func:`~driftmc.covariation.sample_increments` draws the increments
+into the caller's buffer, :func:`evaluate_drift` gives the shift and the
+weight's integrand, :func:`euler_steps` fills the caller's states buffer
+from given increments, and
+:func:`~driftmc.covariation.log_likelihood_inverse` weighs.  Pricing runs
+the same stages on a tile of ``TILE_STEPS`` steps at a time (see
+:mod:`driftmc.engine`), and reads the same numbers.  The two whole-grid
+buffers are all :func:`simulate` holds of its paths besides one tile of
 normals while the increments are drawn.  The caller may own them: a
 simulation fills the buffers it is given, so a caller that simulates in
 chunks allocates one set and reuses it, and each batch is a view that is
@@ -19,21 +27,20 @@ valid until the next simulation writes into the same buffers.  A batch
 holds only the states, as an (n_paths, ...)-shaped view, which is not
 C-contiguous (copy before reshaping); the increments stay in their buffer.
 
-One thread at a time runs the Euler loop: :func:`simulate` holds the
-process-wide ``_EULER_LOCK`` around it.  The loop makes about 1,000
-(Black-Scholes) to 2,500 (20-dim Heston) small ufunc calls per 256-path
-chunk, and numpy releases and retakes the GIL around each, so two threads
-stepping at once trade the GIL thousands of times per chunk.  On 2 vCPUs
-(Python 3.11, numpy 2.4), two threads running only the loop ran at 0.53
-(Black-Scholes), 0.65 (Heston) and 0.46 (Stein-Stein) times the speed of
-one, while the normal draws, which release the GIL once per slice, ran at
-1.9 times.  With the lock, one thread steps its chunk while the other
-draws or prices, and the arithmetic is unchanged.  On one thread, the
-loop is 2.0 of 10.9 ms of a plain Black-Scholes chunk, 7.4 of 26.5 ms of
-a Heston one and 6.0 of 23.4 ms of a Stein-Stein one, whose normal draws
-take 6.8, 13.7 and 12.9 ms; that caps pricing with the lock at about 3.5
-to 5.5 times one thread; above 2 cores that is unmeasured.  Without
-the lock the GIL already serialises the loop's per-call overhead.
+One thread at a time runs the Euler loop: :func:`euler_steps` holds the
+process-wide ``_EULER_LOCK`` around it.  The loop makes about 4
+(Black-Scholes) to 10 (20-dim Heston) small ufunc calls per step, and
+numpy releases and retakes the GIL around each, so two threads stepping at
+once trade the GIL thousands of times per chunk.  On 2 vCPUs (Python 3.11,
+numpy 2.4), two threads running only the loop ran at 0.53 (Black-Scholes),
+0.65 (Heston) and 0.46 (Stein-Stein) times the speed of one, while the
+normal draws, which release the GIL once per draw, ran at 1.9 times.  With
+the lock, one thread steps a tile while the other draws or folds, and the
+arithmetic is unchanged.  On one thread, the steps are about a fifth
+(Black-Scholes) to a third (Heston) of a plain 256-path chunk and the
+normal draws most of the rest, which caps pricing with the lock at about 3
+to 5 times one thread; above 2 cores that is unmeasured.  Without the lock
+the GIL already serialises the loop's per-call overhead.
 """
 
 import math
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariation import (SLICE_PATHS, _readonly, cameron_martin_map,
+from .covariation import (_readonly, cameron_martin_map,
                           log_likelihood_inverse, sample_increments)
 from .errors import DimensionError, ModelValidationError, SimulationError
 from .network import forward
@@ -206,33 +213,67 @@ class PathBatch:
     log_inverse_likelihood: np.ndarray
 
 
-# Paths simulated at once by the chunked callers, pricing and training; it
-# bounds what a batch holds of its paths.  A 20-dim Heston chunk on 252
-# steps holds 10.3 MB of increments and 10.4 MB of states.  Whole slices,
-# so the chunks of a batch draw the slices of one draw of the whole batch.
-CHUNK_SIZE = 4 * SLICE_PATHS
+# Paths simulated at once by the chunked callers, pricing and training.  A
+# chunk's width is the column count of every product of its draws, whose
+# last bits can depend on it, so the chunks of a batch are cut from its
+# first path on, and pricing and training cut them alike.
+CHUNK_SIZE = 256
 
 
 def leading(buffer, shape):
     """The C-contiguous array of ``shape`` on the first entries of the
-    flat ``buffer``: one chunk's view of a buffer sized for the widest."""
+    flat ``buffer``: one chunk's or tile's view of a buffer sized for the
+    widest."""
     return buffer[:math.prod(shape)].reshape(shape)
 
 
-def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
-    """Euler-Maruyama paths of the model on the given grid.
+def evaluate_drift(drift, grid, cov):
+    """The drift net ``drift`` on ``grid`` as a
+    :class:`~driftmc.covariation.DriftEvaluation`, or None for no drift:
+    what a simulation under the shifted measure reads of the net."""
+    if drift is None:
+        return None
+    return cameron_martin_map(forward(drift, grid.left_times), cov)
 
-    The driver increments are drawn by :func:`sample_increments` from
-    ``rng``, a slice of normals at a time, so ``cov`` must carry the
+
+def initial_state(spec, row):
+    """Write the model's initial state into every path of the
+    (n_state, n_paths) ``row``: s0 on the assets, v0 on the volatilities."""
+    row[:spec.n] = spec.s0[:, None]
+    if spec.has_volatility:
+        row[spec.n:] = spec.v0[:, None]
+
+
+def euler_steps(spec, states, increments, h):
+    """Euler-Maruyama steps of size ``h`` from ``states[0]``: fill the
+    rest of the paths-innermost (k+1, n_state, n_paths) ``states`` from the
+    (k, d, n_paths) ``increments``, one thread at a time (see the module
+    docstring).  Every step adds x_k to x_{k+1}, so a coordinate that
+    leaves the finite numbers stays out of them up to the last row, and
+    :class:`SimulationError` names, from that row alone, the paths that
+    blew up in these steps or before them.
+    """
+    # Overflow is detected explicitly below; do not warn along the way.
+    with _EULER_LOCK, np.errstate(over="ignore", invalid="ignore"):
+        _euler_loop(spec, states, increments, h)
+    bad = np.nonzero(~np.isfinite(states[-1]).all(axis=0))[0]
+    if bad.size:
+        raise SimulationError(bad)
+
+
+def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
+    """Euler-Maruyama paths of the model on the given grid: the whole-grid
+    composition of a draw, a shift, the steps and the weight.
+
+    The driver increments of the whole grid are drawn by
+    :func:`sample_increments` from ``rng``, so ``cov`` must carry the
     model's own sigma on ``grid``.  With ``drift`` set, they are shifted by
     the finite variation part of the measure change and the log inverse
     likelihood is accumulated from those same shifted increments, so a zero
-    drift reproduces the unshifted batch exactly.  The recursion runs in
-    place on a paths-innermost (n_steps+1, n_state, n_paths) buffer, so
-    every step works on contiguous rows of all paths, one thread at a time
-    (see the module docstring).  Every step adds x_k to x_{k+1}, so a
-    coordinate that leaves the finite numbers stays out of them up to the
-    last row, and a blow-up is found from that row alone.
+    drift reproduces the unshifted batch exactly.  :func:`euler_steps` then
+    fills the states from the initial state and raises on a blow-up.  A
+    pricing chunk runs the same four stages a tile at a time, on the same
+    numbers.
 
     ``out``, if given, is the pair of paths-innermost buffers to fill, the
     increments (n_steps, d, n_paths) and the states
@@ -258,26 +299,15 @@ def simulate(spec, grid, cov, rng, n_paths, drift=None, out=None):
     dm = sample_increments(cov, rng, n_paths, out=increments)
     rows = dm.transpose(1, 2, 0)  # the (n_steps, d, n_paths) buffer
 
-    drift_eval = None
-    if drift is not None:
-        drift_eval = cameron_martin_map(forward(drift, grid.left_times), cov)
+    drift_eval = evaluate_drift(drift, grid, cov)
+    if drift_eval is not None:
         # Finite variation part of the shifted driver: pi f dt per step.
         rows += drift_eval.shift[:, :, None]
 
     if states is None:
         states = np.empty(shapes[1])
-    n = spec.n
-    states[0, :n] = spec.s0[:, None]
-    if spec.has_volatility:
-        states[0, n:] = spec.v0[:, None]
-
-    # Overflow is detected explicitly below; do not warn along the way.
-    with _EULER_LOCK, np.errstate(over="ignore", invalid="ignore"):
-        _euler_loop(spec, states, rows, grid.dt)
-
-    bad = np.nonzero(~np.isfinite(states[-1]).all(axis=0))[0]
-    if bad.size:
-        raise SimulationError(bad)
+    initial_state(spec, states[0])
+    euler_steps(spec, states, rows, grid.dt)
 
     log_w = (np.zeros(n_paths) if drift_eval is None
              else log_likelihood_inverse(drift_eval, dm, cov))

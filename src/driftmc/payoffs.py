@@ -3,13 +3,17 @@
 The basket average is the trapezoidal quadrature of the weighted asset
 value over the grid divided by the horizon.  Knock-out barriers are
 monitored discretely at every grid node, endpoints included, with strict
-inequalities.
+inequalities.  Both are running sums over the nodes, so a
+:class:`PayoffFold` takes a batch's nodes a tile at a time, as a pricing
+chunk steps them, and :func:`evaluate_batch` is the same fold over a whole
+stored path.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .covariation import tiles
 from .errors import ConfigError, DimensionError, number
 
 
@@ -86,26 +90,56 @@ class PayoffBatch:
     knocked_out: np.ndarray | None
 
 
+class PayoffFold:
+    """Running payoff sums of ``n_paths`` paths, fed their grid nodes in
+    order: the trapezoid integral of the basket and, for barrier payoffs,
+    whether every node so far was strictly inside the barriers."""
+
+    def __init__(self, spec, grid, n_paths):
+        self.spec, self.grid = spec, grid
+        self.quadrature = node_quadrature(grid)
+        self.integral = np.zeros(n_paths)
+        self.alive = (np.ones(n_paths, dtype=bool) if spec.has_barriers
+                      else None)
+
+    def add(self, first, nodes):
+        """Fold in the nodes ``first``, ``first + 1``, ... held by the
+        finite, paths-innermost (t, n_state, n_paths) ``nodes``: one matrix
+        product for their baskets, whose asset rows are contiguous, and
+        one for their share of the integral."""
+        spec = self.spec
+        basket = spec.weights @ nodes[:, :spec.n_assets]  # (t, n_paths)
+        self.integral += self.quadrature[first:first + len(nodes)] @ basket
+        if self.alive is not None:
+            self.alive &= ((basket > spec.lower)
+                           & (basket < spec.upper)).all(axis=0)
+
+    def result(self):
+        """The :class:`PayoffBatch` of the nodes folded so far."""
+        strike = self.spec.strike
+        average = self.integral / self.grid.horizon
+        values = np.maximum(average - strike, 0.0)
+        knocked = None
+        if self.alive is not None:
+            knocked = ~self.alive
+            values = values * self.alive
+        return PayoffBatch(values=values, above_strike=average > strike,
+                           knocked_out=knocked)
+
+
 def evaluate_batch(spec, states, grid):
     """Vectorized payoff of a batch of trajectories.
 
     ``states`` has shape (n_paths, n_steps+1, n_state), in any memory
     layout, and is finite, as :func:`~driftmc.models.simulate` guarantees
     by raising on a blow-up; only the leading asset block enters the
-    basket.  The basket is one matrix-vector product per grid node, over
-    the (n_assets, n_paths) asset rows, which are contiguous for a
-    paths-innermost batch from :func:`~driftmc.models.simulate`.
+    basket.  The nodes are folded by a :class:`PayoffFold` in the order a
+    pricing chunk folds them: node 0, then the nodes each tile of
+    :func:`~driftmc.covariation.tiles` steps to.
     """
-    states = np.asarray(states, dtype=np.float64)
-    # (n_steps+1, n_paths): node first, paths innermost.
-    basket = spec.weights @ states.transpose(1, 2, 0)[:, :spec.n_assets]
-    average = (node_quadrature(grid) @ basket) / grid.horizon
-    above = average > spec.strike
-    values = np.maximum(average - spec.strike, 0.0)
-    knocked = None
-    if spec.has_barriers:
-        inside = (basket > spec.lower) & (basket < spec.upper)
-        alive = inside.all(axis=0)
-        knocked = ~alive
-        values = values * alive
-    return PayoffBatch(values=values, above_strike=above, knocked_out=knocked)
+    nodes = np.asarray(states, dtype=np.float64).transpose(1, 2, 0)
+    fold = PayoffFold(spec, grid, nodes.shape[2])
+    fold.add(0, nodes[:1])
+    for k0, k1 in tiles(grid.n_steps):
+        fold.add(k0 + 1, nodes[k0 + 1:k1 + 1])
+    return fold.result()

@@ -30,6 +30,12 @@ are stated in continuous time, so the trained net evaluates unchanged on
 any grid of the same horizon; the importance-sampled estimator stays
 unbiased for any drift.  Simulation is most of a training step, so the
 coarse grid makes training several times cheaper.
+
+Training is the package's one caller of the whole-grid stages
+(:func:`~driftmc.models.simulate`, :func:`~driftmc.payoffs.evaluate_batch`
+and :func:`~driftmc.covariation.log_likelihood_inverse`): the objective
+and its gradient read every increment of the batch, so a batch keeps them
+all, where a pricing chunk keeps one tile.
 """
 
 import math
@@ -131,12 +137,14 @@ def simulate_training_batch(model, payoff, grid, cov, rng, batch_size):
 
     The batch owns its one (n_steps, d, batch_size) increments array, which
     the objective reads whole, but holds the states of one chunk only:
-    ``CHUNK_SIZE`` paths at a time, as in the estimators, are simulated into
+    ``CHUNK_SIZE`` paths at a time, cut as the estimators cut a block, are
+    simulated on the whole grid by :func:`~driftmc.models.simulate` into
     their columns of the increments and into one reused chunk of states,
-    and priced into their slice of ``payoff_sq``.  The chunks read the
-    stream in path order, so the batch is that of one
-    :func:`~driftmc.models.simulate` call of ``batch_size`` paths, and a
-    path that blows up is reported by its batch-wide id.
+    and priced by :func:`~driftmc.payoffs.evaluate_batch` into their slice
+    of ``payoff_sq``.  The chunks read the stream one after another, each
+    a tile at a time, so a chunk's numbers are those a pricing chunk of
+    the same width draws from the same stream, and a path that blows up is
+    reported by its batch-wide id.
     """
     check_width(payoff, model.n)
     increments = np.empty((grid.n_steps, model.d, batch_size))

@@ -9,19 +9,23 @@ from driftmc import training
 
 
 class FixedNormals:
-    """Generator stand-in whose ``standard_normal(shape)`` returns a fixed
-    array: zeros by default, which collapses a simulation onto its
-    deterministic Euler skeleton.  A fixed array must be the normals of one
-    draw, so a batch of at most ``SLICE_PATHS`` paths."""
+    """Generator stand-in whose ``standard_normal(shape)`` returns the next
+    steps of a fixed step-major (n_steps, d, n_paths) array: zeros by
+    default, which collapses a simulation onto its deterministic Euler
+    skeleton.  The tiles of a draw read consecutive steps, so a fixed array
+    holds the normals of one chunk."""
 
     def __init__(self, z=None):
         self.z = z
+        self.step = 0
 
     def standard_normal(self, shape):
         if self.z is None:
             return np.zeros(shape)
-        assert self.z.shape == tuple(shape)
-        return np.array(self.z, dtype=np.float64)
+        z = self.z[self.step:self.step + shape[0]]
+        assert z.shape == tuple(shape)
+        self.step += shape[0]
+        return np.array(z, dtype=np.float64)
 
 
 @pytest.fixture
@@ -33,7 +37,8 @@ def fixed_normals():
 class BlowUpNormals:
     """Generator stand-in drawing zero normals, except for the path at
     ``path`` of the whole sequence of draws, which is forced over the
-    edge on its first two steps."""
+    edge on its first two steps.  Each draw must be a whole chunk, so a
+    grid of at least two and at most ``TILE_STEPS`` steps."""
 
     def __init__(self, path):
         self.path = path
@@ -41,9 +46,9 @@ class BlowUpNormals:
 
     def standard_normal(self, shape):
         z = np.zeros(shape)
-        if 0 <= self.path - self.drawn < shape[0]:
-            z[self.path - self.drawn, :2] = 1e200
-        self.drawn += shape[0]
+        if 0 <= self.path - self.drawn < shape[2]:
+            z[:2, :, self.path - self.drawn] = 1e200
+        self.drawn += shape[2]
         return z
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
+from driftmc.covariation import (TILE_STEPS, CovariationSpec, TimeGrid,
                                  cameron_martin_map, lambda2_inner,
-                                 log_likelihood_inverse, sample_increments)
+                                 log_likelihood_inverse, sample_increments,
+                                 tiles)
 from driftmc.errors import DimensionError, NonFiniteError
 
 
@@ -197,16 +198,23 @@ class TestSampleIncrements:
         b = sample_increments(spec, np.random.default_rng(77), 100)
         np.testing.assert_array_equal(a, b)
 
-    def test_slices_read_the_stream_of_one_draw(self):
-        # the normals are drawn a slice at a time, in the order of one
-        # (n_paths, n_steps, d) draw, and the last slice is a short one
+    def test_tiles_read_the_stream_of_one_draw(self):
+        # the normals are drawn a tile at a time, in the order of one
+        # step-major (n_steps, d, n_paths) draw, and the last tile is a
+        # short one; drawing the tiles by separate calls changes nothing
         sigma = np.tril(np.random.default_rng(3).uniform(0.1, 0.4, (5, 5)))
-        spec = uniform_spec(sigma, n_steps=12)
-        n_paths = 3 * SLICE_PATHS + 5
+        n_steps, n_paths = 2 * TILE_STEPS + 5, 70
+        spec = uniform_spec(sigma, n_steps=n_steps)
         dm = sample_increments(spec, np.random.default_rng(11), n_paths)
-        z = np.random.default_rng(11).standard_normal((n_paths, 12, 5))
+        z = np.random.default_rng(11).standard_normal((n_steps, 5, n_paths))
         np.testing.assert_array_max_ulp(
-            dm, (z * np.sqrt(spec.grid.dt)) @ sigma.T, maxulp=4)
+            dm, (z.transpose(2, 0, 1) * np.sqrt(spec.grid.dt)) @ sigma.T,
+            maxulp=4)
+        rng = np.random.default_rng(11)
+        tiled = np.empty((n_steps, 5, n_paths))
+        for k0, k1 in tiles(n_steps):
+            sample_increments(spec, rng, n_paths, k1 - k0, out=tiled[k0:k1])
+        np.testing.assert_array_equal(tiled.transpose(2, 0, 1), dm)
 
     def test_empty_batch(self):
         spec = uniform_spec(np.eye(2), n_steps=8)

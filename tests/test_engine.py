@@ -12,16 +12,18 @@ import pytest
 
 from driftmc import engine, streams
 from driftmc.config import sample_parameters
-from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
-                                 lambda2_inner)
+from driftmc.covariation import (TILE_STEPS, CovariationSpec, TimeGrid,
+                                 lambda2_inner, log_likelihood_inverse,
+                                 sample_increments, tiles)
 from driftmc.engine import (ComparisonRow, EstimatorReport, compare,
                             comparison_to_dict, estimate_is, estimate_plain,
                             report_to_dict, variance_ratio, _block_plan,
                             _simulate_block)
 from driftmc.errors import (DimensionError, NonFiniteError, SimulationError,
                             WeightOverflowError)
-from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, STEIN_STEIN,
-                            THREE_HALVES, ModelSpec, simulate)
+from driftmc.models import (BLACK_SCHOLES, CHUNK_SIZE, HESTON, MODEL_TAGS,
+                            STEIN_STEIN, THREE_HALVES, ModelSpec, euler_steps,
+                            evaluate_drift, simulate)
 from driftmc.network import ShallowNet, forward, init_net
 from driftmc.payoffs import (PayoffSpec, basket_weights, evaluate_batch,
                              node_quadrature)
@@ -195,39 +197,47 @@ class TestChunks:
 
     @pytest.mark.parametrize("importance", [False, True])
     def test_chunks_draw_the_numbers_of_one_shot(self, importance):
-        # a block starting at path 100 writes the one-shot numbers into its
-        # slice of the estimate's array, touches nothing else, and returns
-        # the one-shot's event counts
+        # a block starting at path 100 writes the numbers of its chunks,
+        # each simulated on the whole grid one after another from the
+        # block's stream, into its slice of the estimate's array, touches
+        # nothing else, and returns their event counts
         model, payoff, grid, cov = self.ko_setup()
         drift = (init_net(3, model.d, rng=np.random.default_rng(4))
                  if importance else None)
         # about one path in 500 is knocked out: take the first seed whose
-        # one-shot knocks out some paths but not all
+        # chunks knock out some paths but not all
         for seed in range(20):
-            one_shot = simulate(model, grid, cov,
-                                streams.substream(seed, streams.ESTIMATE, 0),
-                                self.SIZE, drift=drift)
-            pay = evaluate_batch(payoff, one_shot.states, grid)
-            if 0 < pay.knocked_out.sum() < self.SIZE:
+            rng = streams.substream(seed, streams.ESTIMATE, 0)
+            chunks = [simulate(model, grid, cov, rng, width, drift=drift)
+                      for width in (CHUNK_SIZE, CHUNK_SIZE, 37)]
+            pays = [evaluate_batch(payoff, c.states, grid) for c in chunks]
+            knocked = sum(int(p.knocked_out.sum()) for p in pays)
+            if 0 < knocked < self.SIZE:
                 break
-        expected = pay.values * np.exp(one_shot.log_inverse_likelihood) * 90.0
-        assert 0 < pay.knocked_out.sum() < self.SIZE
+        expected = np.concatenate([
+            p.values * np.exp(c.log_inverse_likelihood) * 90.0
+            for p, c in zip(pays, chunks)])
+        assert 0 < knocked < self.SIZE
 
         start = 100
         values = np.full(start + self.SIZE + 50, np.nan)
-        buffers = (np.empty(grid.n_steps * model.d * CHUNK_SIZE),
-                   np.empty((grid.n_steps + 1) * model.n_state * CHUNK_SIZE))
-        counts = _simulate_block(model, payoff, grid, cov, drift, seed,
-                                 (0, start, self.SIZE), 90.0, values, buffers)
-        np.testing.assert_array_equal(values[start:start + self.SIZE],
-                                      expected)
+        tiles_buf = (np.empty(grid.n_steps * model.d * CHUNK_SIZE),
+                     np.empty((grid.n_steps + 1) * model.n_state * CHUNK_SIZE))
+        counts = _simulate_block(model, payoff, grid, cov,
+                                 evaluate_drift(drift, grid, cov), seed,
+                                 (0, start, self.SIZE), 90.0, values,
+                                 tiles_buf)
+        np.testing.assert_array_max_ulp(values[start:start + self.SIZE],
+                                        expected, maxulp=4)
         assert np.isnan(values[:start]).all()
         assert np.isnan(values[start + self.SIZE:]).all()
-        assert counts == (pay.above_strike.sum(), pay.knocked_out.sum())
+        assert counts == (sum(int(p.above_strike.sum()) for p in pays),
+                          knocked)
 
     def test_estimate_reduces_its_blocks_once(self):
-        # blocks of two chunks each and a short last block, on two threads:
-        # the report is the one reduction of the blocks' paths in block order
+        # blocks of two chunks and a short one each and a short last block,
+        # on two threads: the report is the one reduction of the blocks'
+        # paths in block order, each chunk simulated on its block's stream
         model, _, grid, cov = self.ko_setup()
         payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0, lower=0.9,
                             upper=1.15)
@@ -235,13 +245,15 @@ class TestChunks:
         discount_cents = 100.0 * math.exp(-model.rate * grid.horizon)
         values, knocked = [], 0
         for i, size in ((0, 600), (1, 600), (2, 300)):
-            batch = simulate(model, grid, cov,
-                             streams.substream(5, streams.ESTIMATE, i), size,
-                             drift=drift)
-            pay = evaluate_batch(payoff, batch.states, grid)
-            values.append(pay.values * np.exp(batch.log_inverse_likelihood)
-                          * discount_cents)
-            knocked += int(pay.knocked_out.sum())
+            rng = streams.substream(5, streams.ESTIMATE, i)
+            for lo in range(0, size, CHUNK_SIZE):
+                batch = simulate(model, grid, cov, rng,
+                                 min(CHUNK_SIZE, size - lo), drift=drift)
+                pay = evaluate_batch(payoff, batch.states, grid)
+                values.append(pay.values
+                              * np.exp(batch.log_inverse_likelihood)
+                              * discount_cents)
+                knocked += int(pay.knocked_out.sum())
         expected = RunningMoments.from_array(np.concatenate(values))
         assert 100 < knocked < 1400
 
@@ -253,50 +265,53 @@ class TestChunks:
             expected.mean)
         assert rep.theta == knocked / 1500
 
-    def test_each_chunk_is_priced_through_the_engine_names(self, monkeypatch):
-        # benchmark tracing wraps engine.simulate and engine.evaluate_batch
-        # and counts the work from the states each chunk hands on
-        model, payoff, grid, cov = bs_setup(n_steps=4)
-        drawn, priced = [], []
+    def test_each_chunk_is_advanced_tile_by_tile(self, monkeypatch):
+        # a chunk draws and steps a tile at a time, in step order, and
+        # the tiles of a grid that is not whole tiles end in a short one
+        model, payoff, grid, cov = bs_setup(n_steps=2 * TILE_STEPS + 5)
+        calls = []
 
-        def simulate_spy(*args, **kwargs):
-            batch = simulate(*args, **kwargs)
-            drawn.append(batch.states)
-            return batch
+        def draw_spy(cov, rng, n_paths, n_steps, out):
+            calls.append(("draw", out.shape))
+            return sample_increments(cov, rng, n_paths, n_steps, out=out)
 
-        def evaluate_spy(payoff, states, grid):
-            priced.append(states)
-            return evaluate_batch(payoff, states, grid)
+        def step_spy(model, states, increments, h):
+            calls.append(("step", states.shape))
+            return euler_steps(model, states, increments, h)
 
-        monkeypatch.setattr(engine, "simulate", simulate_spy)
-        monkeypatch.setattr(engine, "evaluate_batch", evaluate_spy)
+        monkeypatch.setattr(engine, "sample_increments", draw_spy)
+        monkeypatch.setattr(engine, "euler_steps", step_spy)
         estimate_plain(model, payoff, grid, cov, seed=0, n=self.SIZE,
                        block_size=self.SIZE)
-        assert [len(states) for states in drawn] == [CHUNK_SIZE, CHUNK_SIZE,
-                                                     37]
-        assert all(a is b for a, b in zip(priced, drawn, strict=True))
+        expected = []
+        for width in (CHUNK_SIZE, CHUNK_SIZE, 37):
+            for t in (TILE_STEPS, TILE_STEPS, 5):
+                expected += [("draw", (t, model.d, width)),
+                             ("step", (t + 1, model.n_state, width))]
+        assert calls == expected
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_chunks_of_a_worker_share_one_set_of_buffers(self, monkeypatch,
                                                          threads):
-        # each worker thread allocates one pair of chunk buffers, which
-        # every chunk of every block it runs reuses, and no two workers
-        # share a pair
+        # each worker thread allocates one pair of tile buffers, which
+        # every tile of every chunk of every block it runs reuses, and no
+        # two workers share a pair
         model, payoff, grid, cov = bs_setup(n_steps=4)
         drawn = {}
 
-        def simulate_spy(*args, out, **kwargs):
-            drawn.setdefault(threading.get_ident(), []).append(out)
-            return simulate(*args, out=out, **kwargs)
+        def step_spy(model, states, increments, h):
+            drawn.setdefault(threading.get_ident(), []).append(
+                (increments, states))
+            return euler_steps(model, states, increments, h)
 
-        monkeypatch.setattr(engine, "simulate", simulate_spy)
+        monkeypatch.setattr(engine, "euler_steps", step_spy)
         estimate_plain(model, payoff, grid, cov, seed=0, n=3 * self.SIZE,
                        threads=threads, block_size=self.SIZE)
         assert sum(map(len, drawn.values())) == 9
-        firsts = [outs[0] for outs in drawn.values()]
-        for first, outs in zip(firsts, drawn.values()):
-            for out in outs[1:]:
-                assert all(map(np.shares_memory, out, first))
+        firsts = [tiles_buf[0] for tiles_buf in drawn.values()]
+        for first, tiles_bufs in zip(firsts, drawn.values()):
+            for tiles_buf in tiles_bufs[1:]:
+                assert all(map(np.shares_memory, tiles_buf, first))
         for a, b in itertools.combinations(firsts, 2):
             assert not any(map(np.shares_memory, a, b))
 
@@ -337,11 +352,96 @@ class TestChunks:
         peak(CHUNK_SIZE)  # first-call allocations are not the block's
         assert peak(4 * CHUNK_SIZE) <= 1.5 * peak(CHUNK_SIZE)
 
+    def test_block_memory_does_not_grow_with_the_grid(self):
+        # a chunk advances a tile at a time, so no array of it spans the
+        # grid: a block's peak on 252 steps is about that on 16
+        model = heston_two_assets()
+        payoff = PayoffSpec(weights=[0.5, 0.5], strike=1.0, lower=0.5,
+                            upper=2.0)
+        drift = init_net(3, model.d, rng=np.random.default_rng(0))
 
-def test_chunks_are_whole_slices():
-    # a product's last bits can depend on its width, so a chunk's slices
-    # must be those of one draw of the whole block
-    assert CHUNK_SIZE % SLICE_PATHS == 0
+        def peak(n_steps):
+            grid = TimeGrid(1.0, n_steps)
+            cov = CovariationSpec(model.sigma, grid)
+            tracemalloc.start()
+            try:
+                estimate_is(model, payoff, grid, cov, drift, seed=0, n=2048,
+                            block_size=2048)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)  # first-call allocations are not the block's
+        assert peak(252) <= 1.5 * peak(16)
+
+
+@pytest.mark.parametrize("n_steps", [1, TILE_STEPS - 1, TILE_STEPS,
+                                     2 * TILE_STEPS + 5])
+def test_tiles_cut_the_grid_from_its_first_step(n_steps):
+    # every chunk and every whole-grid fold cut the grid alike, so that
+    # they read the stream and sum the nodes in one order
+    cut = tiles(n_steps)
+    assert [k0 for k0, _ in cut] == list(range(0, n_steps, TILE_STEPS))
+    assert [k1 for _, k1 in cut[:-1]] == [k0 for k0, _ in cut[1:]]
+    assert cut[-1][1] == n_steps
+    assert all(k1 - k0 == TILE_STEPS for k0, k1 in cut[:-1])
+
+
+@pytest.mark.parametrize("n_steps", [2 * TILE_STEPS + 5, TILE_STEPS // 2 + 1],
+                         ids=["short-last-tile", "shorter-than-a-tile"])
+@pytest.mark.parametrize("importance", [False, True], ids=["P", "P_h"])
+@pytest.mark.parametrize("knock_out", [False, True],
+                         ids=["asian", "knock-out"])
+@pytest.mark.parametrize("tag", MODEL_TAGS)
+def test_priced_chunk_equals_whole_grid_composition(tag, knock_out,
+                                                    importance, n_steps):
+    # a block of a full and a short chunk, priced a tile at a time, gives
+    # the payoffs, weights and counts of simulate, evaluate_batch and
+    # log_likelihood_inverse on the same draw of each chunk
+    model = sample_parameters(3, tag, 2, 0.05)
+    grid = TimeGrid(1.0, n_steps)
+    cov = CovariationSpec(model.sigma, grid)
+    weights = basket_weights(model.sigma, 2)
+    basket0 = float(weights @ model.s0)
+    payoff = PayoffSpec(weights, basket0, *(
+        (0.8 * basket0, 1.25 * basket0) if knock_out else ()))
+    drift = None
+    if importance:
+        net = init_net(3, model.d, rng=np.random.default_rng(4))
+        drift = net.with_params(0.3 * np.random.default_rng(5).standard_normal(
+            net.n_params))
+    size = CHUNK_SIZE + 37
+
+    rng = streams.substream(7, streams.ESTIMATE, 0)
+    expected, above, knocked = [], 0, 0
+    for width in (CHUNK_SIZE, 37):
+        increments = np.empty((n_steps, model.d, width))
+        batch = simulate(model, grid, cov, rng, width, drift=drift,
+                         out=(increments, np.empty((n_steps + 1,
+                                                    model.n_state, width))))
+        pay = evaluate_batch(payoff, batch.states, grid)
+        log_w = np.zeros(width)
+        if importance:
+            log_w = log_likelihood_inverse(evaluate_drift(drift, grid, cov),
+                                           increments.transpose(2, 0, 1), cov)
+            np.testing.assert_array_equal(log_w, batch.log_inverse_likelihood)
+        expected.append(pay.values * np.exp(log_w))
+        above += int(pay.above_strike.sum())
+        knocked += int(pay.knocked_out.sum()) if knock_out else 0
+    expected = np.concatenate(expected)
+    assert 0 < np.count_nonzero(expected) < size
+    if knock_out:
+        assert 0 < knocked < size
+
+    steps = min(TILE_STEPS, n_steps)
+    values = np.empty(size)
+    counts = _simulate_block(
+        model, payoff, grid, cov, evaluate_drift(drift, grid, cov), 7,
+        (0, 0, size), 1.0, values,
+        (np.empty(steps * model.d * CHUNK_SIZE),
+         np.empty((steps + 1) * model.n_state * CHUNK_SIZE)))
+    np.testing.assert_array_max_ulp(values, expected, maxulp=4)
+    assert counts == (above, knocked)
 
 
 @pytest.mark.parametrize("entry", ["plain", "is", "training"])
@@ -393,7 +493,7 @@ class TestEstimateIs:
         model, payoff, grid, cov = bs_setup()
         big = ShallowNet(w_in=np.zeros(1), b_in=np.zeros(1),
                          w_out=np.zeros((1, 1)), b_out=[200.0])
-        z = np.full((16, grid.n_steps, 1), -5.0)
+        z = np.full((grid.n_steps, 1, 16), -5.0)
         monkeypatch.setattr(streams, "substream",
                             lambda *ids: fixed_normals(z))
         with pytest.raises(WeightOverflowError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from driftmc.config import build_scenario, resolve_config
-from driftmc.covariation import (SLICE_PATHS, CovariationSpec, TimeGrid,
+from driftmc.covariation import (TILE_STEPS, CovariationSpec, TimeGrid,
                                  cameron_martin_map, log_likelihood_inverse,
                                  sample_increments)
 from driftmc import models
@@ -251,7 +251,8 @@ class TestSimulateBlackScholes:
         z[1, 0, 0] = 1e200  # force one path over the edge
         z[1, 1, 0] = 1e200
         with pytest.raises(SimulationError) as err:
-            simulate(model, grid, cov, rng=fixed_normals(z), n_paths=2)
+            simulate(model, grid, cov, rng=fixed_normals(z.transpose(1, 2, 0)),
+                     n_paths=2)
         assert err.value.path_indices == (1,)
 
     def test_euler_lock_is_released_when_the_loop_raises(self,
@@ -417,7 +418,8 @@ class TestPathsInnermostLayout:
         drift = (init_net(3, cov.d, rng=np.random.default_rng(4))
                  if with_drift else None)
         batch, dm = simulate_keeping_increments(
-            sc.model, grid, cov, fixed_normals(z), 7, drift=drift)
+            sc.model, grid, cov, fixed_normals(z.transpose(1, 2, 0)), 7,
+            drift=drift)
 
         expected = (z * np.sqrt(grid.dt)) @ cov.sigma.T
         if with_drift:
@@ -488,8 +490,8 @@ class TestBlowUpReachesLastRow:
 
 
 class TestChunkMemory:
-    """A chunk holds its increments, its states and one slice of normals,
-    never a normal array of all its paths."""
+    """A chunk holds its increments, its states and one tile of normals,
+    never a normal array of all its steps."""
 
     def peak_bytes(self, draw):
         draw()  # first-call allocations are not the chunk's
@@ -500,22 +502,22 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
 
-    def test_chunk_peak_is_increments_states_and_one_slice(self):
+    def test_chunk_peak_is_increments_states_and_one_tile(self):
         model = heston_model(n=10)  # a 20-dim driver
         grid, cov = grid_and_cov(model, n_steps=50)
         drift = init_net(3, model.d, rng=np.random.default_rng(0))
         increments = grid.n_steps * model.d * CHUNK_SIZE * 8
         states = (grid.n_steps + 1) * model.n_state * CHUNK_SIZE * 8
-        one_slice = SLICE_PATHS * grid.n_steps * model.d * 8
+        one_tile = TILE_STEPS * model.d * CHUNK_SIZE * 8
         slack = 64 * 1024  # Python objects
         assert self.peak_bytes(lambda: sample_increments(
             cov, np.random.default_rng(1), CHUNK_SIZE)) <= (
-                increments + one_slice + slack)
+                increments + one_tile + slack)
         # simulate's Euler scratch rows and its last row's finiteness mask
-        # come after the draw and fit in the room of its slice
+        # come after the draw and fit in the room of its tile
         assert self.peak_bytes(lambda: simulate(
             model, grid, cov, np.random.default_rng(1), CHUNK_SIZE,
-            drift=drift)) <= increments + states + one_slice + slack
+            drift=drift)) <= increments + states + one_tile + slack
 
     def test_training_batch_holds_one_chunk_of_states(self):
         # the objective needs every path's increments, but no more than
@@ -527,8 +529,8 @@ class TestChunkMemory:
         size = 4 * CHUNK_SIZE
         increments = grid.n_steps * model.d * size * 8
         states = (grid.n_steps + 1) * model.n_state * CHUNK_SIZE * 8
-        one_slice = SLICE_PATHS * grid.n_steps * model.d * 8
+        one_tile = TILE_STEPS * model.d * CHUNK_SIZE * 8
         slack = 64 * 1024  # Python objects and per-chunk payoffs
         assert self.peak_bytes(lambda: simulate_training_batch(
             model, payoff, grid, cov, np.random.default_rng(1), size)) <= (
-                increments + states + one_slice + slack)
+                increments + states + one_tile + slack)

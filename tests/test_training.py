@@ -102,18 +102,24 @@ class TestTrainingBatch:
             "model": {"tag": "heston", "n": 3},
             "payoff": {"moneyness": 1.1, "barrier_moneyness": [0.7, 1.6]},
             "grid": {"dt": 1 / 16}}))
+        # the batch is its chunks simulated one after another on its
+        # stream, as a pricing block's are
         batch = simulate_training_batch(sc.model, sc.payoff, sc.grid, sc.cov,
                                         np.random.default_rng(2), self.SIZE)
-        increments = np.empty((sc.grid.n_steps, sc.model.d, self.SIZE))
-        states = np.empty((sc.grid.n_steps + 1, sc.model.n_state, self.SIZE))
-        one_shot = simulate(sc.model, sc.grid, sc.cov,
-                            np.random.default_rng(2), self.SIZE,
-                            out=(increments, states))
-        pay = evaluate_batch(sc.payoff, one_shot.states, sc.grid)
-        assert 0 < np.count_nonzero(pay.values) < self.SIZE
-        np.testing.assert_array_equal(batch.payoff_sq, pay.values**2)
+        rng = np.random.default_rng(2)
+        payoffs, increments = [], []
+        for width in (CHUNK_SIZE, CHUNK_SIZE, 37):
+            out = (np.empty((sc.grid.n_steps, sc.model.d, width)),
+                   np.empty((sc.grid.n_steps + 1, sc.model.n_state, width)))
+            chunk = simulate(sc.model, sc.grid, sc.cov, rng, width, out=out)
+            payoffs.append(evaluate_batch(sc.payoff, chunk.states,
+                                          sc.grid).values)
+            increments.append(out[0].transpose(2, 0, 1))
+        payoffs = np.concatenate(payoffs)
+        assert 0 < np.count_nonzero(payoffs) < self.SIZE
+        np.testing.assert_array_equal(batch.payoff_sq, payoffs**2)
         np.testing.assert_array_equal(batch.increments,
-                                      increments.transpose(2, 0, 1))
+                                      np.concatenate(increments))
 
     def test_blow_up_reports_batch_wide_path_id(self, blow_up_normals):
         model, payoff, grid, cov = bs_setup(n_steps=4)
